@@ -113,10 +113,6 @@ class BitSequence:
             raise IndexError(f"index {i} out of range for length {self.n}")
         return (self.data >> i) & 1
 
-    def sign_at(self, i: int) -> int:
-        """(-1)**s_i as a plain int, with the same wrapping rule as bit()."""
-        return 1 - 2 * self.bit(i)
-
     def prefix(self, n: int) -> "BitSequence":
         """First n bits, keeping the declared period."""
         if not 0 <= n <= self.n:

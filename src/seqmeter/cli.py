@@ -191,7 +191,7 @@ def cmd_peaks(args) -> int:
                          "reason": "dimension exceeds period; no weight guarantee"},
                   "no weight cap available; pass --tmax explicitly")
             return EXIT_OK
-    cert = find_periodic_peak(span, t_max, jobs=args.jobs)
+    cert = find_periodic_peak(span, t_max, budget=_env_budget(), jobs=args.jobs)
     if cert is None:
         _emit(args, {"found": False, "tmax": t_max, "dimension": span.dimension},
               f"no full peak of order <= {t_max}")
@@ -258,7 +258,7 @@ def _bounds_verify(args) -> int:
             _emit(args, {"fired": False, "dimension": span.dimension},
                   "threshold undefined (dimension exceeds period)")
             return EXIT_OK
-        cert = find_periodic_peak(span, cap)
+        cert = find_periodic_peak(span, cap, budget=args.budget)
         ok = cert is not None
         payload = {"fired": True, "tmax": cap, "dimension": span.dimension,
                    "holds": ok}
@@ -334,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"seqmeter {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
     parser.add_argument("--json", action="store_true",
-                        help="emit JSON to stdout (the default; kept for explicit pipelines)")
+                        help="deprecated; JSON is always emitted")
     # --quiet/--json are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering a value set at the top level.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
+                        help="deprecated; JSON is always emitted")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[common], help="generate a reference sequence")

@@ -9,16 +9,27 @@ order-k correlation hits the full peak T.
 Rows and codewords are packed ints, bit j = coordinate j.  The search
 for a minimum-weight dual vector works on the coordinate syndromes
 against the span basis: a support D is dual iff the XOR of its columns'
-syndromes vanishes.  Weights 1..3 are enumerated directly; from 4 up a
-meet-in-the-middle split hashes the lower half of the support.
+syndromes vanishes.
+
+C is cyclic, so its dual is cyclic too: rotating a dual support gives
+another dual support of the same weight, and every minimum-weight one
+can be rotated to contain coordinate 0.  A support holding 0 sorts
+before every support that does not, so the lexicographically smallest
+minimum-weight support contains 0, and find_periodic_peak searches only
+those.  Weight 2 is one scan, weight 3 one dictionary pass, and from 4
+up a meet-in-the-middle split hashes the half that holds 0.  The
+anchor is exact only for cyclic columns: low_weight_kernel_support
+keeps the full search for column sets without that symmetry, such as
+the sliding windows of the aperiodic half-peak witness.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bitseq import BitSequence, as_shifts, mask
+from .correlation import DEFAULT_BUDGET, BudgetExceededError
+from .parallel import map_min
 
 HASH_GATE = 1 << 28  # refuse meet-in-the-middle tables larger than this
 
@@ -108,8 +119,8 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     ]
 
 
-def _mitm_level(cols: list[int], b: int, a: int, lower_firsts: list[int]):
-    """Min support of weight b+a whose lower half starts at one of lower_firsts.
+def _mitm_level(cols: list[int], b: int, a: int, lower_firsts, upper_firsts):
+    """Min support of weight b+a with lower half first in lower_firsts, upper in upper_firsts.
 
     The lower half of a sorted support is its first b elements; hashing
     those and probing with the upper halves decomposes every support
@@ -119,21 +130,21 @@ def _mitm_level(cols: list[int], b: int, a: int, lower_firsts: list[int]):
     table: dict[int, list[tuple[int, ...]]] = {}
     for first in lower_firsts:
         for rest in combinations(range(first + 1, m), b - 1):
-            lower = (first, *rest)
             acc = cols[first]
             for j in rest:
                 acc ^= cols[j]
-            table.setdefault(acc, []).append(lower)
+            table.setdefault(acc, []).append((first, *rest))
     best: tuple[int, ...] | None = None
-    for upper in combinations(range(m), a):
-        acc = 0
-        for j in upper:
-            acc ^= cols[j]
-        for lower in table.get(acc, ()):
-            if lower[-1] < upper[0]:
-                cand = lower + upper
-                if best is None or cand < best:
-                    best = cand
+    for first in upper_firsts:
+        for rest in combinations(range(first + 1, m), a - 1):
+            acc = cols[first]
+            for j in rest:
+                acc ^= cols[j]
+            for lower in table.get(acc, ()):
+                if lower[-1] < first:
+                    cand = (*lower, first, *rest)
+                    if best is None or cand < best:
+                        best = cand
     return best
 
 
@@ -142,14 +153,14 @@ def low_weight_kernel_support(
     w_min: int = 1,
     w_max: int | None = None,
     hash_gate: int = HASH_GATE,
-    jobs: int = 1,
 ) -> tuple[int, ...] | None:
     """Smallest support D in [w_min, w_max] with XOR of cols[j] over D zero.
 
-    Complete search: returns None only when no such support exists.  Ties
-    at the winning weight go to the lexicographically smallest support.
-    jobs > 1 splits the meet-in-the-middle levels by the support's first
-    element; the merge keeps the result schedule-independent.
+    Complete search over arbitrary columns: returns None only when no
+    such support exists.  Ties at the winning weight go to the
+    lexicographically smallest support.  Raises BudgetExceededError
+    before building a meet-in-the-middle table of more than hash_gate
+    entries.
     """
     m = len(cols)
     if w_max is None:
@@ -164,18 +175,50 @@ def low_weight_kernel_support(
                     return d  # lex order of combinations makes this the min
             continue
         b = w // 2
-        a = w - b
-        if math.comb(m, b) > hash_gate:
-            raise MemoryError(f"meet-in-the-middle table C({m},{b}) exceeds the hash gate")
-        firsts = list(range(m))
-        if jobs <= 1:
-            best = _mitm_level(cols, b, a, firsts)
-        else:
-            chunks = [firsts[i::jobs] for i in range(jobs) if firsts[i::jobs]]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(_mitm_level, *zip(*[(cols, b, a, c) for c in chunks])))
-            parts = [p for p in parts if p is not None]
-            best = min(parts) if parts else None
+        entries = math.comb(m, b)
+        if entries > hash_gate:
+            raise BudgetExceededError(entries, hash_gate, "hash-table entries")
+        best = _mitm_level(cols, b, w - b, range(m), range(m))
+        if best is not None:
+            return best
+    return None
+
+
+def _anchored_support(
+    cols: list[int], w_max: int, budget: int, jobs: int
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest min-weight support in [2, w_max] that contains 0.
+
+    For cyclic columns this equals low_weight_kernel_support(cols, 2, w_max)
+    (see the module docstring).  Each level w >= 4 hashes the C(m-1,
+    ceil(w/2)-1) lower halves that start at 0 and probes the C(m-1,
+    floor(w/2)) upper halves; that sum is checked against budget before
+    the level runs.  jobs > 1 splits the probes by their first element.
+    """
+    m = len(cols)
+    w_max = min(w_max, m)
+    if w_max < 2:
+        return None
+    c0 = cols[0]
+    for j in range(1, m):
+        if cols[j] == c0:
+            return (0, j)
+    if w_max < 3:
+        return None
+    index: dict[int, list[int]] = {}
+    for j in range(1, m):
+        index.setdefault(cols[j], []).append(j)
+    for j in range(1, m):
+        for k in index.get(c0 ^ cols[j], ()):
+            if k > j:
+                return (0, j, k)
+    for w in range(4, w_max + 1):
+        b = w - w // 2
+        a = w // 2
+        cost = math.comb(m - 1, b - 1) + math.comb(m - 1, a)
+        if cost > budget:
+            raise BudgetExceededError(cost, budget, "hash-table entries and probes")
+        best = map_min(_mitm_level, (cols, b, a, [0]), list(range(1, m)), jobs)
         if best is not None:
             return best
     return None
@@ -184,14 +227,19 @@ def low_weight_kernel_support(
 def find_periodic_peak(
     source: CyclicSpan | BitSequence,
     t_max: int,
-    hash_gate: int = HASH_GATE,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> PeakCertificate | None:
     """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak.
 
     Complete up to t_max, so None means no dual vector of weight <= t_max
-    exists.  Every returned certificate is re-verified exhaustively: the
-    folded rotations must sum to zero at all T positions.
+    exists.  Ties go to the lexicographically smallest shift set.  The
+    search looks only at shift sets that contain 0, which is exact because
+    the dual of a cyclic span is cyclic; it would not be for the window
+    columns of an aperiodic prefix.  Raises BudgetExceededError before a
+    meet-in-the-middle level whose hash entries plus probes exceed budget.
+    Every returned certificate is re-verified exhaustively: the folded
+    rotations must sum to zero at all T positions.
     """
     span = source if isinstance(source, CyclicSpan) else build_span(source)
     if t_max < 1:
@@ -200,9 +248,7 @@ def find_periodic_peak(
         # degenerate: every vector is dual; report the smallest honest witness
         return PeakCertificate(1, (0,), "periodic-full", span.period,
                                note="degenerate zero sequence, weight-1 dual")
-    cols = dual_syndromes(span)
-    support = low_weight_kernel_support(cols, w_min=2, w_max=t_max,
-                                        hash_gate=hash_gate, jobs=jobs)
+    support = _anchored_support(dual_syndromes(span), t_max, budget, jobs)
     if support is None:
         return None
     verified = _verify_full_peak(span.block, span.period, support)

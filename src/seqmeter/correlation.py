@@ -17,21 +17,21 @@ operations plus one table update per window growth.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bitseq import BitSequence, ShiftSet, as_shifts, mask
+from .parallel import map_min
 
 DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceededError(RuntimeError):
-    """Search-space size above the configured summand budget."""
+    """Search-space size above the configured budget, raised before the search runs."""
 
-    def __init__(self, cost: int, budget: int):
+    def __init__(self, cost: int, budget: int, unit: str = "summand evaluations"):
         self.cost = cost
         self.budget = budget
-        super().__init__(f"search needs ~{cost} summand evaluations, budget is {budget}")
+        super().__init__(f"search needs ~{cost} {unit}, budget is {budget}")
 
 
 def search_cost(n: int, k: int) -> int:
@@ -99,7 +99,7 @@ def correlation_at(seq: BitSequence, u: int, shifts, n: int | None = None) -> in
     return u - 2 * (fold & mask(u)).bit_count()
 
 
-def _scan_tails(data: int, n: int, heads: list[tuple[int, ...]], k: int, tail_range: int):
+def _scan_tails(data: int, n: int, k: int, tail_range: int, heads: list[tuple[int, ...]]):
     """Best (value, U, D) over all D = head + (k-len(head)) more shifts below tail_range.
 
     Returns the minimal (-value, U, D) key.  heads are tuples of already
@@ -166,20 +166,9 @@ def aperiodic_measure(
         raise BudgetExceededError(cost, budget)
     data = seq.data & mask(n)
     heads = [(d1,) for d1 in range(0, n - k + 1)]
-    best = _run_partitioned(data, n, heads, k, n, jobs)
+    best = map_min(_scan_tails, (data, n, k, n), heads, jobs)
     value, u, d = -best[0], best[1], best[2]
     return CorrelationResult(k, value, u, d, _classify(value, k, n, False), n)
-
-
-def _run_partitioned(data, n, heads, k, tail_range, jobs):
-    if jobs <= 1 or len(heads) < 2:
-        return _scan_tails(data, n, heads, k, tail_range)
-    chunks = [heads[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(
-            pool.map(_scan_tails, *zip(*[(data, n, c, k, tail_range) for c in chunks]))
-        )
-    return min(p for p in parts if p is not None)
 
 
 def periodic_measure(
@@ -200,12 +189,12 @@ def periodic_measure(
     block = seq.data & mask(t)
     data2 = block | (block << t)  # two periods: shifts up to t-1 never wrap
     heads = [(0, d2) for d2 in range(1, t - k + 2)] if k >= 2 else [(0,)]
-    best = _run_partitioned_periodic(data2, t, heads, k, jobs)
+    best = map_min(_scan_periodic, (data2, t, k), heads, jobs)
     value, d = -best[0], best[1]
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 
 
-def _scan_periodic(data2: int, t: int, heads: list[tuple[int, ...]], k: int):
+def _scan_periodic(data2: int, t: int, k: int, heads: list[tuple[int, ...]]):
     from itertools import combinations
 
     best = None
@@ -226,15 +215,6 @@ def _scan_periodic(data2: int, t: int, heads: list[tuple[int, ...]], k: int):
             if best is None or key < best:
                 best = key
     return best
-
-
-def _run_partitioned_periodic(data2, t, heads, k, jobs):
-    if jobs <= 1 or len(heads) < 2:
-        return _scan_periodic(data2, t, heads, k)
-    chunks = [heads[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_scan_periodic, *zip(*[(data2, t, c, k) for c in chunks])))
-    return min(p for p in parts if p is not None)
 
 
 def periodic_autocorrelation(seq: BitSequence, shift: int) -> int:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -154,6 +155,61 @@ def test_budget_exit(ms3, capsys, monkeypatch):
     assert run(["corr", ms3, "--k", "5", "--budget", "10"], capsys)[0] == 3
     monkeypatch.setenv("SEQMETER_BUDGET", "10")
     assert run(["corr", ms3, "--k", "5"], capsys)[0] == 3
+
+
+@pytest.fixture
+def gold5(tmp_path, capsys):
+    path = tmp_path / "gold5.txt"
+    assert run(["gen", "gold", "--ell", "5", "-o", str(path)], capsys)[0] == 0
+    return str(path)
+
+
+def test_peak_search_budget_exit(gold5, capsys, monkeypatch):
+    # the weight-4 level of the anchored search costs 30 + 435 > 10
+    assert run(["bounds", "verify", "thm1", gold5, "--budget", "10"], capsys)[:2] == (3, "")
+    monkeypatch.setenv("SEQMETER_BUDGET", "10")
+    code, out, err = run(["peaks", gold5], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("seqmeter: search needs") and "Traceback" not in err
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_jobs_clamped_to_cores_and_slices(ms3, gold5, capsys, monkeypatch):
+    expected = {argv[0]: run(argv + ["--quiet"], capsys)[1]
+                for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5])}
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "seen", [])
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5]):
+        code, out, _ = run(argv + ["--jobs", "1000", "--quiet"], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["jobs"] == 1000
+        assert out.replace('"jobs": 1000', '"jobs": 1') == expected[argv[0]]
+    # aperiodic k=3 on 14 bits has 12 first shifts; gold5 peaks runs levels 4 and 5
+    assert RecordingExecutor.seen == [4, 4, 4]
+    # five heads (0, d2) for the periodic order-3 scan of a 7-periodic sequence
+    assert run(["corr", ms3, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
+    assert RecordingExecutor.seen[-1] == 4
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert run(["corr", ms3, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
+    assert RecordingExecutor.seen[-1] == 5
 
 
 def test_quiet_both_positions(ms3, capsys):

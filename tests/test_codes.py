@@ -15,7 +15,7 @@ from seqmeter.codes import (
     low_weight_kernel_support,
     minimum_dual_weight_bruteforce,
 )
-from seqmeter.correlation import correlation_at, periodic_measure
+from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
 
 
@@ -61,6 +61,9 @@ def test_peak_certificates():
     assert g5.shifts == (0, 1, 4, 19, 22)
     assert g5.verified_value == 31
 
+    g9 = find_periodic_peak(gold_sequence(9), 7)  # T = 511, L = 18, cap 7
+    assert (g9.order, g9.shifts, g9.verified_value) == (5, (0, 1, 2, 340, 402), 511)
+
 
 def test_certificate_agrees_with_exhaustive_scan():
     r = periodic_measure(m_sequence(3), 3)
@@ -81,6 +84,23 @@ def test_degenerate_zero_sequence():
     assert cert.order == 1
     assert cert.shifts == (0,)
     assert cert.verified_value == 6
+
+
+def test_peak_search_budget():
+    # gold ell=5 needs the weight-4 and weight-5 levels: 30 + 435 at w = 4
+    with pytest.raises(BudgetExceededError) as exc:
+        find_periodic_peak(gold_sequence(5), 7, budget=464)
+    assert (exc.value.cost, exc.value.budget) == (465, 464)
+    assert find_periodic_peak(gold_sequence(5), 7, budget=465 + 435).order == 5
+    # a search that ends at weight 3 never reaches a budgeted level
+    assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
+
+
+def test_kernel_search_hash_gate():
+    syn = dual_syndromes(build_span(gold_sequence(5)))
+    with pytest.raises(BudgetExceededError) as exc:
+        low_weight_kernel_support(syn, 4, 4, hash_gate=464)
+    assert (exc.value.cost, exc.value.budget) == (math.comb(31, 2), 464)
 
 
 def test_order_cap_validated():
@@ -154,6 +174,27 @@ def test_kernel_search_matches_enumeration(t, data):
     span = build_span(BitSequence.from_int(bits, t, period=t))
     syn = dual_syndromes(span)
     assert low_weight_kernel_support(syn, 1, t) == brute_min_support(syn, t)
+
+
+def _assert_anchored_matches_full_search(t, bits):
+    span = build_span(BitSequence.from_int(bits, t, period=t))
+    full = low_weight_kernel_support(dual_syndromes(span), w_min=2, w_max=t)
+    cert = find_periodic_peak(span, t)
+    assert (cert.shifts if cert else None) == full, (t, bits)
+
+
+def test_anchored_search_matches_full_search_exhaustively():
+    # every nonzero block with 2 <= T <= 9: 1012 cyclic spans
+    for t in range(2, 10):
+        for bits in range(1, 1 << t):
+            _assert_anchored_matches_full_search(t, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=10, max_value=16), st.data())
+def test_anchored_search_matches_full_search(t, data):
+    bits = data.draw(st.integers(min_value=1, max_value=(1 << t) - 1))
+    _assert_anchored_matches_full_search(t, bits)
 
 
 @settings(max_examples=25, deadline=None)
