@@ -132,7 +132,7 @@ def cmd_gen(args) -> int:
 
 def cmd_lc(args) -> int:
     seq = _load(args.file)
-    n = args.n or seq.n
+    n = seq.n if args.n is None else args.n
     if args.profile:
         prof = linear_complexity_profile(seq, n)
         payload = {"n": n, "value": prof.final, "profile": list(prof.values),
@@ -146,7 +146,7 @@ def cmd_lc(args) -> int:
 
 def cmd_moc(args) -> int:
     seq = _load(args.file)
-    n = args.n or seq.n
+    n = seq.n if args.n is None else args.n
     if args.profile:
         prof = max_order_complexity_profile(seq, n)
         payload = {"n": n, "value": prof.final, "profile": list(prof.values)}
@@ -158,7 +158,7 @@ def cmd_moc(args) -> int:
 
 def cmd_kerror(args) -> int:
     seq = _load(args.file)
-    n = args.n or seq.n
+    n = seq.n if args.n is None else args.n
     value = kerror_linear_complexity(seq, n, errors=args.k)
     _emit(args, {"n": n, "k": args.k, "value": value},
           f"{args.k}-error linear complexity of first {n} bits: {value}")
@@ -267,7 +267,7 @@ def _bounds_verify(args) -> int:
         _emit(args, payload, f"full-peak guarantee {'verified' if ok else 'VIOLATED'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.claim == "thm2":
-        n = args.n or seq.n
+        n = seq.n if args.n is None else args.n
         l, _ = linear_complexity(seq, n)
         th = half_peak_threshold(n, l)
         if th is None:
@@ -281,7 +281,7 @@ def _bounds_verify(args) -> int:
         _emit(args, payload, f"half-peak guarantee {'verified' if ok else 'VIOLATED'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     # thm4
-    n = args.n or seq.n
+    n = seq.n if args.n is None else args.n
     report = moc_half_peak_check(seq, n, budget=args.budget)
     payload = report.as_dict()
     if not report.fired:
@@ -294,7 +294,7 @@ def _bounds_verify(args) -> int:
 
 def _bounds_kerror(args) -> int:
     seq = _load(args.file)
-    n = args.n or seq.n
+    n = seq.n if args.n is None else args.n
     report = kerror_bound(seq, n, k=args.k, flips=args.flips, budget=args.budget)
     _emit(args, report.as_dict(),
           f"complexity bound surviving {args.flips} flips: {report.value}")

@@ -10,6 +10,14 @@ Conventions used throughout:
   (or any constant) prefix therefore gets M = 0, mirroring the linear
   complexity convention for the degenerate case.
 
+L comes from Berlekamp-Massey.  M is 1 plus the length of the longest
+string followed by both bits in the prefix (0 when there is none): every
+suffix of such a string is followed by both bits too, so shorter windows
+conflict and longer ones do not.  One online pass over the suffix
+automaton (DAWG) of the prefix finds these strings as they appear, for
+every N at once and in linear time (Blumer et al. 1985; Jansen & Boekee,
+CRYPTO '89).
+
 Both measures come with small-scale exhaustive oracles so the fast paths
 can be checked against the bare definitions.
 """
@@ -130,54 +138,77 @@ def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -
     return n
 
 
-def _consistent_table(data: int, n: int, m: int) -> dict[int, int] | None:
-    """Successor table for m-windows over the first n bits, or None on conflict."""
-    table: dict[int, int] = {}
-    mm = mask(m)
-    for i in range(n - m):
-        w = (data >> i) & mm
-        s = (data >> (i + m)) & 1
-        if table.setdefault(w, s) != s:
-            return None
-    return table
+def _moc_profile(data: int, n: int) -> list[int]:
+    """M(S, i) for i = 1..n from one online suffix-automaton pass.
+
+    The automaton (Blumer et al. 1985) lives in flat lists: state p has
+    length[p], link[p] and successors succ[2*p + bit], -1 when absent.
+    All strings of a state end at the same positions, so they are followed
+    by the same bits: the state's longest string, of length[p], is followed
+    by both bits exactly when p has both successors, and M(S, i) is 1 plus
+    the largest such length.  Successors are never removed.  A state gains
+    one only on the suffix-link walk of an appended bit c, or as a clone,
+    which copies those of a longer state.  So M >= length[p] + 1 whenever
+    the walk gives p successor c while it already has 1 - c, and nothing
+    else can raise M.  The bits are read once, from a string: shifting the
+    n-bit int at each step would make the pass quadratic again.
+    """
+    length = [0]
+    link = [-1]
+    succ = [-1, -1]
+    last = 0
+    m = 0
+    values = []
+    for c in map(int, bin(data | 1 << n)[:2:-1]):
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        succ += (-1, -1)
+        p = last
+        while p >= 0:
+            i = 2 * p + c
+            if succ[i] >= 0:
+                break
+            succ[i] = cur
+            if succ[i ^ 1] >= 0 and length[p] >= m:
+                m = length[p] + 1
+            p = link[p]
+        if p >= 0:
+            q = succ[i]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                succ += succ[2 * q:2 * q + 2]
+                while p >= 0 and succ[2 * p + c] == q:
+                    succ[2 * p + c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        values.append(m)
+    return values
 
 
 def max_order_complexity(seq: BitSequence | int, n: int | None = None) -> int:
-    """Nth maximum-order complexity via the window-consistency scan."""
+    """Nth maximum-order complexity: the last value of the automaton pass.
+
+    Linear in n; see `_moc_profile` for why the conflict rule is exact.
+    """
     data, n = _data_n(seq, n)
-    m = 0
-    while _consistent_table(data, n, m) is None:
-        m += 1
-    return m
+    values = _moc_profile(data, n)
+    return values[-1] if values else 0
 
 
 def max_order_complexity_profile(seq: BitSequence | int, n: int | None = None) -> ComplexityProfile:
-    """M(S,N) for every prefix length 1..N.
+    """M(S,N) for every prefix length 1..N, from the same pass.
 
-    Incremental: each new bit adds one window constraint; on conflict the
-    window grows and the table is rebuilt, which happens at most M_final
-    times overall.
+    The value only grows with N (a window followed by both bits stays so),
+    so the pass records its running maximum after each bit.
     """
     data, n = _data_n(seq, n)
-    values = []
-    m = 0
-    table: dict[int, int] = {}
-    for length in range(1, n + 1):
-        i = length - 1 - m
-        while True:
-            if i >= 0:
-                w = (data >> i) & mask(m)
-                s = (data >> (i + m)) & 1
-                if table.setdefault(w, s) != s:
-                    m += 1
-                    while (t := _consistent_table(data, length, m)) is None:
-                        m += 1
-                    table = t
-                    i = -1  # rebuilt tables already include every constraint
-                    continue
-            break
-        values.append(m)
-    return ComplexityProfile("maximum-order", tuple(values))
+    return ComplexityProfile("maximum-order", tuple(_moc_profile(data, n)))
 
 
 def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:

@@ -205,7 +205,7 @@ def check_oracle_equivalence(scale: str = "full", seed: int = DEFAULT_SEED) -> C
         cases += 1
         a = max_order_complexity(v, n)
         if a != max_order_complexity_bruteforce(v, n):
-            failures.append(f"window-scan mismatch #{i}: n={n}, data={v:0{n}b}")
+            failures.append(f"moc mismatch #{i}: n={n}, data={v:0{n}b}")
             break
         l, _ = linear_complexity(v, n)
         if v and a > l:

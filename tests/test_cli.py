@@ -63,6 +63,15 @@ def test_moc(ms3, capsys):
     assert json.loads(out)["value"] == max(1, json.loads(out)["value"])
 
 
+def test_zero_prefix_length(ms3, capsys):
+    for cmd in ("lc", "moc"):
+        code, out, _ = run([cmd, ms3, "--n", "0"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["n"], doc["value"]) == (0, 0)
+    assert run(["moc", ms3, "--n", "15"], capsys)[0] == 2
+
+
 def test_kerror(ms3, capsys):
     code, out, _ = run(["kerror", ms3, "--k", "1"], capsys)
     assert code == 0

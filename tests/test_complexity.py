@@ -57,6 +57,9 @@ def test_moc_conventions():
     assert max_order_complexity(seq("0101")) == 1
     assert max_order_complexity(seq("0001")) == 3
     assert max_order_complexity(BitSequence([])) == 0
+    # M ~ N: only the two longest windows disagree
+    assert max_order_complexity(BitSequence.from_int(1 << 4999, 5000)) == 4999
+    assert max_order_complexity(BitSequence.from_int((1 << 4999) - 1, 5000)) == 4999
 
 
 def test_moc_profile():
@@ -65,6 +68,26 @@ def test_moc_profile():
     assert len(prof) == s.n
     assert all(a <= b for a, b in zip(prof, prof[1:]))
     assert prof[-1] == max_order_complexity(s)
+
+
+def _moc_profile_matches_bruteforce(bits, n):
+    values = max_order_complexity_profile(BitSequence.from_int(bits, n)).values
+    return list(values) == [
+        max_order_complexity_bruteforce(bits & ((1 << i) - 1), i) for i in range(1, n + 1)
+    ]
+
+
+def test_moc_profile_prefixes_exhaustive():
+    for n in range(11):
+        for bits in range(1 << n):
+            assert _moc_profile_matches_bruteforce(bits, n), (n, bits)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=24), st.data())
+def test_moc_profile_prefixes_equal_bruteforce(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert _moc_profile_matches_bruteforce(bits, n)
 
 
 @settings(max_examples=300)
