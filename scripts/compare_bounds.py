@@ -15,6 +15,10 @@ Usage: python scripts/compare_bounds.py [--k-max 5] [--seed 1] [--random 4]
 import argparse
 import random
 import sys
+from pathlib import Path
+
+# run from a checkout without installing: the checkout's src/ comes first
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from seqmeter.bitseq import BitSequence
 from seqmeter.bounds import log_complexity_bound, lc_correlation_bound, moc_correlation_bound

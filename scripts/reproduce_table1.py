@@ -11,6 +11,10 @@ Usage: python scripts/reproduce_table1.py [--ell-max 20] [--csv]
 import argparse
 import csv
 import sys
+from pathlib import Path
+
+# run from a checkout without installing: the checkout's src/ comes first
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from seqmeter.bounds import table1
 

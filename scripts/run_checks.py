@@ -9,6 +9,10 @@ Usage: python scripts/run_checks.py [--scale quick|full] [--seed S]
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a checkout without installing: the checkout's src/ comes first
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from seqmeter.verify import DEFAULT_SEED, run_all
 

@@ -216,7 +216,7 @@ def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None
 
     A window size is conflicting iff two equal windows carry different
     successors, which sorting makes adjacent.  No shared machinery with
-    the incremental table scan above.
+    the suffix-automaton pass above.
     """
     data, n = _data_n(seq, n)
     for m in range(n):

@@ -11,13 +11,28 @@ period; by shift invariance of the full-period sum the search fixes
 d_1 = 0.
 
 Search is exhaustive and exponential in k, so every entry point is gated
-by an explicit summand budget.  The kernel XORs shifted copies of the
-packed sequence and popcounts words, so the per-(U, D) cost is ~N/64 word
-operations plus one table update per window growth.
+by an explicit summand budget, priced for the full search.
+
+Both scans share one shift-set enumerator.  A slice shifts the packed
+sequence once per offset; the copies hold about as many bits as the
+search has summands at most, so the budget bounds them too.  `_prefixes`
+enumerates the first k-1 shifts in lexicographic order, keeping the folds
+of shared leading shifts, and the scan loops over the last shift itself:
+one XOR per shift set.  The periodic scan popcounts that fold.  The
+aperiodic scan needs every window U of the row, and `_row_best` walks
+them a byte at a time through precomputed prefix tables, so a row costs
+~U/8 table steps.
+
+Two stops skip work without changing the answer.  The aperiodic scan
+ends a last-shift loop once the longest window left is shorter than the
+best value, because windows only shrink as the last shift grows.  A
+periodic slice returns at its first full peak, which no later shift set
+of the slice can beat.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bitseq import BitSequence, ShiftSet, as_shifts, mask
 from .parallel import map_min
@@ -99,46 +114,121 @@ def correlation_at(seq: BitSequence, u: int, shifts, n: int | None = None) -> in
     return u - 2 * (fold & mask(u)).bit_count()
 
 
-def _scan_tails(data: int, n: int, k: int, tail_range: int, heads: list[tuple[int, ...]]):
-    """Best (value, U, D) over all D = head + (k-len(head)) more shifts below tail_range.
+def _prefix_tables() -> list[list[tuple[int, int, int, int, int]]]:
+    """tables[r][b] summarises the +-1 walk over the r low bits of b, bit 0 first.
 
-    Returns the minimal (-value, U, D) key.  heads are tuples of already
-    fixed leading shifts (possibly empty).  Pure function of the arguments,
-    safe to ship to worker processes.
+    A 0 bit steps +1 and a 1 bit steps -1.  Each entry is (net, hi, hi_at,
+    lo, lo_at): the walk's end value, its highest and lowest values over
+    positions 0..r (position 0 being the empty walk, value 0), and the
+    first position reaching each.  tables[8] serves whole bytes and
+    tables[1..7] the last partial byte of a window.
     """
-    from itertools import combinations
+    tables = [[(0, 0, 0, 0, 0)]]
+    for r in range(1, 9):
+        row = []
+        for step in (1, -1):  # bit r-1 clear: entries b < 2**(r-1); set: the rest
+            for net, hi, hi_at, lo, lo_at in tables[-1]:
+                net += step
+                if net > hi:
+                    hi, hi_at = net, r
+                if net < lo:
+                    lo, lo_at = net, r
+                row.append((net, hi, hi_at, lo, lo_at))
+        tables.append(row)
+    return tables
 
+
+_TABLES = _prefix_tables()
+_BYTE = _TABLES[8]
+
+
+def _row_best(fold: int, u_max: int) -> tuple[int, int]:
+    """Largest |v_U| over 1 <= U <= u_max and the smallest U reaching it.
+
+    v_U = U - 2 * popcount(fold & mask(U)) is the walk of _prefix_tables
+    after U bits.  The window is read a byte at a time: each byte's table
+    entry, offset by the walk so far, updates the running highest and
+    lowest values, kept at their first position by strict comparisons.
+    The empty walk seeds both at 0; since v_1 = +-1 the larger of hi and
+    -lo is at least 1 and always a real window, and when they are equal
+    the earlier of the two positions is the smallest U.
+    """
+    full = u_max >> 3
+    window = (fold & ((1 << u_max) - 1)).to_bytes(full + 1, "little")
+    s = hi = hi_at = lo = lo_at = base = 0
+    for net, b_hi, b_hi_at, b_lo, b_lo_at in map(_BYTE.__getitem__, window[:full]):
+        if s + b_hi > hi:
+            hi, hi_at = s + b_hi, base + b_hi_at
+        if s + b_lo < lo:
+            lo, lo_at = s + b_lo, base + b_lo_at
+        s += net
+        base += 8
+    rem = u_max & 7
+    if rem:
+        _, b_hi, b_hi_at, b_lo, b_lo_at = _TABLES[rem][window[full]]
+        if s + b_hi > hi:
+            hi, hi_at = s + b_hi, base + b_hi_at
+        if s + b_lo < lo:
+            lo, lo_at = s + b_lo, base + b_lo_at
+    if hi > -lo:
+        return hi, hi_at
+    if hi < -lo:
+        return -lo, lo_at
+    return hi, min(hi_at, lo_at)
+
+
+def _prefixes(shifted: list[int], head: tuple[int, ...], size: int, end: int):
+    """Yield (prefix, fold) for every increasing extension of head to size shifts.
+
+    fold is the XOR of shifted[d] over the prefix.  Consecutive prefixes
+    share a leading part, whose partial folds are kept, so each prefix
+    costs one XOR per shift it does not share with the one before.  Every
+    added shift stays below end - 1, leaving room for the last shift,
+    which the caller loops over itself.  Prefixes come in lexicographic
+    order.
+    """
+    fold = 0
+    for d in head:
+        fold ^= shifted[d]
+    folds = [fold]  # folds[i]: fold of head and the first i added shifts
+    need = size - len(head)
+    previous = (None,) * need
+    for added in combinations(range(head[-1] + 1 if head else 0, end - 1), need):
+        i = 0
+        while i < need and added[i] == previous[i]:
+            i += 1
+        del folds[i + 1:]
+        for d in added[i:]:
+            folds.append(folds[-1] ^ shifted[d])
+        previous = added
+        yield head + added, folds[-1]
+
+
+def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
+    """Minimal (-value, U, D) key over every D that extends one of heads to k shifts.
+
+    For each prefix of k-1 shifts the last shift runs upward, so the row's
+    longest window u_max = n - last shrinks; the loop stops at the first
+    u_max below the best value so far, since no later row can reach it.
+    A row whose u_max equals that value still runs: it may tie the value
+    with a smaller U.  Pure function of the arguments, safe to ship to
+    worker processes.
+    """
+    m = mask(n - k + 1)  # no window is longer
+    shifted = [(data >> j) & m for j in range(n)]
     best = None
+    best_value = 0
     for head in heads:
-        fold_head = 0
-        for dj in head:
-            fold_head ^= data >> dj
-        lo = head[-1] + 1 if head else 0
-        need = k - len(head)
-        if need == 0:
-            combos = [()]
-        else:
-            combos = combinations(range(lo, tail_range), need)
-        for tail in combos:
-            d = head + tail
-            u_max = n - d[-1] if d else 0
-            if u_max < 1:
-                continue
-            if best is not None and u_max < -best[0]:
-                continue  # cannot beat the current best value
-            fold = fold_head
-            for dj in tail:
-                fold ^= data >> dj
-            ones = 0
-            row_best = None
-            for u in range(1, u_max + 1):
-                ones += (fold >> (u - 1)) & 1
-                v = u - 2 * ones
-                key = (-abs(v), u, d)
-                if row_best is None or key < row_best:
-                    row_best = key
-            if best is None or row_best < best:
-                best = row_best
+        for prefix, fold in _prefixes(shifted, head, k - 1, n):
+            for last in range(prefix[-1] + 1 if prefix else 0, n):
+                u_max = n - last
+                if u_max < best_value:
+                    break
+                value, u = _row_best(fold ^ shifted[last], u_max)
+                if value >= best_value:
+                    key = (-value, u, prefix + (last,))
+                    if best is None or key < best:
+                        best, best_value = key, value
     return best
 
 
@@ -165,8 +255,8 @@ def aperiodic_measure(
     if cost > budget:
         raise BudgetExceededError(cost, budget)
     data = seq.data & mask(n)
-    heads = [(d1,) for d1 in range(0, n - k + 1)]
-    best = map_min(_scan_tails, (data, n, k, n), heads, jobs)
+    heads = [(d1,) for d1 in range(n - k + 1)] if k >= 2 else [()]
+    best = map_min(_scan_tails, (data, n, k), heads, jobs)
     value, u, d = -best[0], best[1], best[2]
     return CorrelationResult(k, value, u, d, _classify(value, k, n, False), n)
 
@@ -187,34 +277,44 @@ def periodic_measure(
     if cost > budget:
         raise BudgetExceededError(cost, budget)
     block = seq.data & mask(t)
-    data2 = block | (block << t)  # two periods: shifts up to t-1 never wrap
-    heads = [(0, d2) for d2 in range(1, t - k + 2)] if k >= 2 else [(0,)]
-    best = map_min(_scan_periodic, (data2, t, k), heads, jobs)
-    value, d = -best[0], best[1]
+    if k in (1, t):
+        # the only shift set is (0, ..., k-1): one sum, too little work to pay
+        # for the scan's table of T shifted copies
+        d = tuple(range(k))
+        two, fold = block | (block << t), 0
+        for dj in d:
+            fold ^= two >> dj
+        value = abs(t - 2 * (fold & mask(t)).bit_count())
+    else:
+        # the scan picks the last shift itself; heads fix d_1 = 0 and, from k = 3,
+        # d_2 as well, to give the fan-out its slices
+        heads = [(0, d2) for d2 in range(1, t - k + 2)] if k >= 3 else [(0,)]
+        best = map_min(_scan_periodic, (block, t, k), heads, jobs)
+        value, d = -best[0], best[1]
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 
 
-def _scan_periodic(data2: int, t: int, k: int, heads: list[tuple[int, ...]]):
-    from itertools import combinations
+def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
+    """Minimal (-|v|, D) key over every D that extends one of heads to k shifts.
 
-    best = None
+    Shift sets are visited in lexicographic order, so the first full peak
+    (|v| = T, the largest value possible) is this slice's answer and the
+    scan returns on it; the minimum over slices is then the same for any
+    split of the heads.
+    """
     m = mask(t)
+    two = block | (block << t)  # two periods: shifts up to t-1 never wrap
+    shifted = [(two >> j) & m for j in range(t)]
+    best_value, best_d = -1, None
     for head in heads:
-        fold_head = 0
-        for dj in head:
-            fold_head ^= data2 >> dj
-        need = k - len(head)
-        lo = head[-1] + 1
-        combos = [()] if need == 0 else combinations(range(lo, t), need)
-        for tail in combos:
-            fold = fold_head
-            for dj in tail:
-                fold ^= data2 >> dj
-            v = t - 2 * (fold & m).bit_count()
-            key = (-abs(v), head + tail)
-            if best is None or key < best:
-                best = key
-    return best
+        for prefix, fold in _prefixes(shifted, head, k - 1, t):
+            for last in range(prefix[-1] + 1, t):
+                value = abs(t - 2 * (fold ^ shifted[last]).bit_count())
+                if value > best_value:  # a tie keeps the earlier, smaller D
+                    best_value, best_d = value, prefix + (last,)
+                    if value == t:
+                        return -best_value, best_d
+    return -best_value, best_d
 
 
 def periodic_autocorrelation(seq: BitSequence, shift: int) -> int:

@@ -96,6 +96,12 @@ def test_corr_periodic(ms3, capsys):
     assert doc["classification"] == "full-peak"
 
 
+def test_corr_periodic_rejects_prefix_length(ms3, capsys):
+    code, out, err = run(["corr", ms3, "--k", "3", "--periodic", "--n", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "--n" in err and "--periodic" in err
+
+
 def test_peaks(ms3, capsys):
     code, out, _ = run(["peaks", ms3], capsys)
     assert code == 0

@@ -72,6 +72,20 @@ def test_certificate_agrees_with_exhaustive_scan():
     assert tuple(r.witness_d) == cert.shifts
 
 
+@pytest.mark.parametrize("seq", [
+    *(m_sequence(ell) for ell in range(3, 8)),
+    gold_sequence(5), gold_sequence(6), small_kasami(4), small_kasami(6),
+], ids=["m3", "m4", "m5", "m6", "m7", "gold5", "gold6", "kasami4", "kasami6"])
+def test_smallest_full_peak_order_matches_certificate(seq):
+    # the scan's first order with a full peak is the certificate's weight, and
+    # both break ties by the lexicographically smallest shift set
+    cert = find_periodic_peak(build_span(seq), seq.period)
+    k = 1
+    while (r := periodic_measure(seq, k)).classification != "full-peak":
+        k += 1
+    assert (k, tuple(r.witness_d)) == (cert.order, cert.shifts)
+
+
 def test_certificate_reproduces_under_direct_evaluation():
     seq = gold_sequence(5)  # carries two periods, room for a length-T window
     cert = find_periodic_peak(seq, 7)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from seqmeter.bitseq import BitSequence, mask
 from seqmeter.correlation import (
     BudgetExceededError,
+    _row_best,
     aperiodic_measure,
     correlation_at,
     delta_under_flips,
@@ -27,6 +29,39 @@ def brute_aperiodic(data, n, k):
             v = u - 2 * (fold & mask(u)).bit_count()
             best = max(best, abs(v))
     return best
+
+
+def oracle_aperiodic(bits, n, k):
+    """Smallest (-|v|, U, D) over every window and shift set, summed from the definition."""
+    s = [(bits >> i) & 1 for i in range(n)]
+    best = None
+    for d in itertools.combinations(range(n), k):
+        v = 0
+        for u in range(1, n - d[-1] + 1):
+            v += (-1) ** sum(s[u - 1 + dj] for dj in d)
+            key = (-abs(v), u, d)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def oracle_periodic(bits, t, k):
+    """Smallest (-|v|, D) over full-period sums with d_1 = 0, from the definition."""
+    s = [(bits >> i) & 1 for i in range(t)]
+    rotations = [s[d:] + s[:d] for d in range(t)]  # rotations[d][i] = s[(i + d) % t]
+    best = None
+    for rest in itertools.combinations(range(1, t), k - 1):
+        d = (0,) + rest
+        v = sum((-1) ** sum(column) for column in zip(*(rotations[dj] for dj in d)))
+        key = (-abs(v), d)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def aperiodic_key(bits, n, k):
+    r = aperiodic_measure(BitSequence.from_int(bits, n), k)
+    return (-r.value, r.witness_u, tuple(r.witness_d))
 
 
 def test_all_zero_hits_the_ceiling():
@@ -158,3 +193,80 @@ def test_periodic_matches_bitloop(t, data):
     best = max(abs(periodic_autocorrelation(s, d)) for d in range(1, t)) if t > 1 else 0
     r = periodic_measure(s, 2)
     assert r.value == best
+
+
+def window_walk_best(fold, u_max):
+    """Largest |v_U| over U <= u_max and its smallest U, one bit at a time."""
+    v, best = 0, None
+    for u in range(1, u_max + 1):
+        v += -1 if (fold >> (u - 1)) & 1 else 1
+        if best is None or (-abs(v), u) < best:
+            best = (-abs(v), u)
+    return -best[0], best[1]
+
+
+def test_row_best_matches_window_walk():
+    # every fold of up to 11 bits, plus two bits above the window that must be ignored;
+    # ties between +v and -v only arise in rows that cannot hold the overall maximum,
+    # so the measure-level oracles cannot see them
+    for u_max in range(1, 12):
+        for fold in range(1 << (u_max + 2)):
+            assert _row_best(fold, u_max) == window_walk_best(fold, u_max), (fold, u_max)
+    for fold in range(1 << 16):  # two whole bytes: the running walk carries across
+        assert _row_best(fold, 16) == window_walk_best(fold, 16), fold
+
+
+def test_aperiodic_witness_matches_oracle_exhaustive():
+    for n in range(1, 10):
+        for k in range(1, min(3, n) + 1):
+            for bits in range(1 << n):
+                assert aperiodic_key(bits, n, k) == oracle_aperiodic(bits, n, k), (n, k, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=3), st.data())
+def test_aperiodic_witness_matches_oracle(n, k, data):
+    # n up to 40 puts every window tail length u_max mod 8 in reach
+    if k > n:
+        return
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert aperiodic_key(bits, n, k) == oracle_aperiodic(bits, n, k)
+
+
+def test_periodic_witness_matches_oracle_exhaustive():
+    for t in range(1, 11):
+        for k in range(1, min(4, t) + 1):
+            for bits in range(1 << t):
+                r = periodic_measure(BitSequence.from_int(bits, t, period=t), k)
+                assert (-r.value, tuple(r.witness_d)) == oracle_periodic(bits, t, k), (t, k, bits)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=3, max_value=4), st.data())
+def test_periodic_jobs_do_not_change_the_answer(k, data):
+    # rotated m-sequence blocks have full peaks at k = 3 and 4, where each slice stops early
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(min_value=k, max_value=16))
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
+    else:
+        seq = m_sequence(data.draw(st.sampled_from([3, 4])))
+        t, block = seq.period, seq.data & mask(seq.period)
+        r = data.draw(st.integers(min_value=0, max_value=t - 1))
+        bits = ((block >> r) | (block << (t - r))) & mask(t)
+    s = BitSequence.from_int(bits, t, period=t)
+    assert periodic_measure(s, k).as_dict() == periodic_measure(s, k, jobs=3).as_dict()
+
+
+def test_single_shift_set_orders_run_in_linear_memory():
+    # k = N aperiodic and k in {1, T} periodic each have one shift set: no N-deep
+    # recursion, and no table of N shifted N-bit copies (N**2 / 16 bytes, 25 MB here)
+    n = 20000
+    s = BitSequence.from_int(mask(n), n, period=n)
+    tracemalloc.start()
+    try:
+        answers = [periodic_measure(s, 1), periodic_measure(s, n), aperiodic_measure(s, n)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.value, r.witness_d[-1]) for r in answers] == [(n, 0), (n, n - 1), (1, n - 1)]
+    assert peak < 4 << 20
