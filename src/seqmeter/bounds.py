@@ -153,10 +153,20 @@ def find_half_peak_witness(
 
     Orders whose exhaustive search is cheap are searched outright.  Above
     the fallback cost the witness is built constructively: the windows
-    col_j = (s_j, ..., s_{j+ceil(n/2)-1}), j < floor(n/2), span a space of
-    dimension <= L(S,n), so a low-weight XOR collision among them gives a
-    shift set whose summands are all +1 on a window of length ceil(n/2).
-    Both paths re-verify the witness with correlation_at.
+    col_j = (s_j, ..., s_{j+w-1}), w = ceil(n/2), j < floor(n/2), span a
+    space of dimension <= L(S,n), so a low-weight XOR collision among them
+    gives a shift set whose summands are all +1 on a window of length w.
+
+    The collision search is anchored at 0 when the prefix is reversible:
+    its shortest recurrence has c_0 = 1 (connection polynomial of degree
+    exactly L, so each bit is fixed by the L bits after it), L > 0 and
+    L <= w.  Then every collision shifts down to one holding 0 (see the
+    codes module docstring), and the anchored answer is the full one.
+    Whenever the threshold fires, C(floor(n/2), t) >= 2**L forces
+    L <= floor(n/2) <= w, so there the width condition always holds.
+    Other prefixes keep the full search.  The search raises
+    BudgetExceededError before a level whose hash entries plus probes
+    exceed budget.  Both paths re-verify the witness with correlation_at.
     """
     data = seq.data & mask(n)
     exhausted_all = True
@@ -177,7 +187,9 @@ def find_half_peak_witness(
         return None
     width = n - n // 2  # ceil(n/2)
     cols = [(data >> j) & mask(width) for j in range(n // 2)]
-    support = low_weight_kernel_support(cols, w_min=2, w_max=k_max)
+    l, coeffs = linear_complexity(data, n)
+    reversible = 0 < l <= width and coeffs[0] == 1
+    support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible)
     if support is None:
         return None
     value = correlation_at(seq, width, support, n)

@@ -335,15 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"seqmeter {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
-    parser.add_argument("--json", action="store_true",
-                        help="deprecated; JSON is always emitted")
-    # --quiet/--json are also accepted after the subcommand; SUPPRESS keeps
-    # the subparser from clobbering a value set at the top level.
+    # --quiet is also accepted after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value set at the top level.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="deprecated; JSON is always emitted")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[common], help="generate a reference sequence")

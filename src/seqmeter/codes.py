@@ -11,27 +11,36 @@ for a minimum-weight dual vector works on the coordinate syndromes
 against the span basis: a support D is dual iff the XOR of its columns'
 syndromes vanishes.
 
-C is cyclic, so its dual is cyclic too: rotating a dual support gives
-another dual support of the same weight, and every minimum-weight one
-can be rotated to contain coordinate 0.  A support holding 0 sorts
-before every support that does not, so the lexicographically smallest
-minimum-weight support contains 0, and find_periodic_peak searches only
-those.  Weight 2 is one scan, weight 3 one dictionary pass, and from 4
-up a meet-in-the-middle split hashes the half that holds 0.  The
-anchor is exact only for cyclic columns: low_weight_kernel_support
-keeps the full search for column sets without that symmetry, such as
-the sliding windows of the aperiodic half-peak witness.
+low_weight_kernel_support is the one syndrome search, level by level in
+the weight: weights 2 and 3 scan against a position index of the
+columns, and from 4 up a meet-in-the-middle split hashes the lower
+halves of the supports and probes with the upper halves.  In anchored
+mode it looks only at supports that contain coordinate 0.  A support
+holding 0 sorts before every support that does not, so the anchor is
+exact whenever every minimum-weight support can be moved to one holding
+0 without changing its weight.  Two kinds of columns allow that:
+
+* cyclic columns: C is cyclic, so its dual is cyclic too, and a rotation
+  takes any dual support to one holding 0 (find_periodic_peak);
+* the sliding windows col_j = s[j .. j+w-1] of a prefix whose shortest
+  recurrence runs backwards, i.e. its connection polynomial has degree
+  exactly L (c_0 = 1), with L <= w.  If the windows over D fold to zero
+  and min D > 0, so do those over D - 1: bits 1..w-1 of the new fold are
+  bits 0..w-2 of the old, and bit 0 is a combination of the old bits
+  0..L-1 (bounds.find_half_peak_witness).
+
+Other columns, such as the windows of a prefix whose recurrence cannot
+be reversed, keep the full search.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bitseq import BitSequence, as_shifts, mask
 from .correlation import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
-
-HASH_GATE = 1 << 28  # refuse meet-in-the-middle tables larger than this
 
 
 @dataclass(frozen=True)
@@ -119,12 +128,36 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     ]
 
 
+def _scan_level(cols: list[int], w: int, firsts, index: dict[int, list[int]]):
+    """Min support of weight w with first element in firsts, by scanning its first w-1.
+
+    index maps each column value to its ascending positions.  The first
+    w-1 elements run in lexicographic order and the last is the smallest
+    position after them holding their XOR, so the first hit is the
+    minimum.  It costs up to C(m-1, w-2) lookups per first element,
+    which is below a meet-in-the-middle level only for w <= 3.
+    """
+    m = len(cols)
+    for first in firsts:
+        for rest in combinations(range(first + 1, m), w - 2) if w > 2 else ((),):
+            acc = cols[first]
+            for j in rest:
+                acc ^= cols[j]
+            last = index.get(acc, ())
+            k = bisect_right(last, rest[-1] if rest else first)
+            if k < len(last):
+                return (first, *rest, last[k])
+    return None
+
+
 def _mitm_level(cols: list[int], b: int, a: int, lower_firsts, upper_firsts):
     """Min support of weight b+a with lower half first in lower_firsts, upper in upper_firsts.
 
     The lower half of a sorted support is its first b elements; hashing
     those and probing with the upper halves decomposes every support
-    exactly once because lower[-1] < upper[0].
+    exactly once because lower[-1] < upper[0].  Each bucket lists its
+    lower halves in lexicographic order, so a probe's first fitting
+    entry is its smallest candidate.
     """
     m = len(cols)
     table: dict[int, list[tuple[int, ...]]] = {}
@@ -145,6 +178,7 @@ def _mitm_level(cols: list[int], b: int, a: int, lower_firsts, upper_firsts):
                     cand = (*lower, first, *rest)
                     if best is None or cand < best:
                         best = cand
+                    break
     return best
 
 
@@ -152,73 +186,48 @@ def low_weight_kernel_support(
     cols: list[int],
     w_min: int = 1,
     w_max: int | None = None,
-    hash_gate: int = HASH_GATE,
+    budget: int = DEFAULT_BUDGET,
+    anchored: bool = False,
+    jobs: int = 1,
 ) -> tuple[int, ...] | None:
     """Smallest support D in [w_min, w_max] with XOR of cols[j] over D zero.
 
-    Complete search over arbitrary columns: returns None only when no
-    such support exists.  Ties at the winning weight go to the
-    lexicographically smallest support.  Raises BudgetExceededError
-    before building a meet-in-the-middle table of more than hash_gate
-    entries.
+    w_min >= 1.  Ties at the winning weight go to the lexicographically
+    smallest support.  The full search (anchored=False) is complete over
+    arbitrary columns: it returns None only when no such support exists.
+    anchored=True searches only supports that contain 0, which gives the
+    same answer for the columns named in the module docstring; callers
+    set it from the structure of their columns.
+
+    Weights 2 and 3 scan their first w-1 elements and look the last up
+    in a position index of the columns; they cost at most C(m, 2)
+    lookups and run in this process.  From w = 4 a meet-in-the-middle
+    level hashes a lower half of b elements and probes with the upper
+    w - b; anchored, the lower half starts at 0 and b is ceil(w/2),
+    otherwise b is floor(w/2).  Each such level checks its hash entries
+    plus probes against budget before it allocates, raising
+    BudgetExceededError when over, and jobs > 1 splits its probes by
+    their first element.
     """
     m = len(cols)
-    if w_max is None:
-        w_max = m
-    for w in range(w_min, min(w_max, m) + 1):
-        if w <= 3:
-            for d in combinations(range(m), w):
-                acc = 0
-                for j in d:
-                    acc ^= cols[j]
-                if acc == 0:
-                    return d  # lex order of combinations makes this the min
-            continue
-        b = w // 2
-        entries = math.comb(m, b)
-        if entries > hash_gate:
-            raise BudgetExceededError(entries, hash_gate, "hash-table entries")
-        best = _mitm_level(cols, b, w - b, range(m), range(m))
-        if best is not None:
-            return best
-    return None
-
-
-def _anchored_support(
-    cols: list[int], w_max: int, budget: int, jobs: int
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest min-weight support in [2, w_max] that contains 0.
-
-    For cyclic columns this equals low_weight_kernel_support(cols, 2, w_max)
-    (see the module docstring).  Each level w >= 4 hashes the C(m-1,
-    ceil(w/2)-1) lower halves that start at 0 and probes the C(m-1,
-    floor(w/2)) upper halves; that sum is checked against budget before
-    the level runs.  jobs > 1 splits the probes by their first element.
-    """
-    m = len(cols)
-    w_max = min(w_max, m)
-    if w_max < 2:
-        return None
-    c0 = cols[0]
-    for j in range(1, m):
-        if cols[j] == c0:
-            return (0, j)
-    if w_max < 3:
-        return None
+    w_max = m if w_max is None else min(w_max, m)
+    firsts = [0] if anchored else range(m)
     index: dict[int, list[int]] = {}
-    for j in range(1, m):
-        index.setdefault(cols[j], []).append(j)
-    for j in range(1, m):
-        for k in index.get(c0 ^ cols[j], ()):
-            if k > j:
-                return (0, j, k)
-    for w in range(4, w_max + 1):
-        b = w - w // 2
-        a = w // 2
-        cost = math.comb(m - 1, b - 1) + math.comb(m - 1, a)
-        if cost > budget:
-            raise BudgetExceededError(cost, budget, "hash-table entries and probes")
-        best = map_min(_mitm_level, (cols, b, a, [0]), list(range(1, m)), jobs)
+    for j, c in enumerate(cols):
+        index.setdefault(c, []).append(j)
+    for w in range(w_min, w_max + 1):
+        if w == 1:
+            best = next(((j,) for j in firsts if cols[j] == 0), None)
+        elif w <= 3:
+            best = _scan_level(cols, w, firsts, index)
+        else:
+            b = (w + 1) // 2 if anchored else w // 2
+            a = w - b
+            entries = math.comb(m - 1, b - 1) if anchored else math.comb(m, b)
+            cost = entries + math.comb(m - 1, a)
+            if cost > budget:
+                raise BudgetExceededError(cost, budget, "hash-table entries and probes")
+            best = map_min(_mitm_level, (cols, b, a, firsts), list(range(1, m)), jobs)
         if best is not None:
             return best
     return None
@@ -235,8 +244,9 @@ def find_periodic_peak(
     Complete up to t_max, so None means no dual vector of weight <= t_max
     exists.  Ties go to the lexicographically smallest shift set.  The
     search looks only at shift sets that contain 0, which is exact because
-    the dual of a cyclic span is cyclic; it would not be for the window
-    columns of an aperiodic prefix.  Raises BudgetExceededError before a
+    the dual of a cyclic span is cyclic.  The window columns of a prefix
+    allow the same anchor only when its recurrence runs backwards (see
+    the module docstring).  Raises BudgetExceededError before a
     meet-in-the-middle level whose hash entries plus probes exceed budget.
     Every returned certificate is re-verified exhaustively: the folded
     rotations must sum to zero at all T positions.
@@ -248,7 +258,8 @@ def find_periodic_peak(
         # degenerate: every vector is dual; report the smallest honest witness
         return PeakCertificate(1, (0,), "periodic-full", span.period,
                                note="degenerate zero sequence, weight-1 dual")
-    support = _anchored_support(dual_syndromes(span), t_max, budget, jobs)
+    support = low_weight_kernel_support(dual_syndromes(span), 2, t_max, budget,
+                                        anchored=True, jobs=jobs)
     if support is None:
         return None
     verified = _verify_full_peak(span.block, span.period, support)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter.bitseq import BitSequence
+from seqmeter.bitseq import BitSequence, mask
 from seqmeter.bounds import (
     log_complexity_bound,
     fermat_complexity_bound,
@@ -22,8 +22,9 @@ from seqmeter.complexity import (
     linear_complexity,
     max_order_complexity,
 )
-from seqmeter.correlation import aperiodic_measure, correlation_at
-from seqmeter.generators import m_sequence
+from seqmeter.codes import low_weight_kernel_support
+from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
+from seqmeter.generators import gold_sequence, m_sequence, small_kasami
 
 
 def corr_map(seq, n, k_hi):
@@ -108,6 +109,39 @@ def test_half_peak_witness_constructive_path():
     assert w is not None
     assert w["method"] == "constructive"
     assert 2 * w["value"] >= 70
+
+
+def _window_columns(seq, n):
+    width = n - n // 2
+    return [(seq.data >> j) & mask(width) for j in range(n // 2)]
+
+
+def test_half_peak_witness_keeps_full_search_when_not_reversible():
+    # L = 1 with c_0 = 0: bit 0 is not fixed by the bits after it, and the
+    # smallest weight-2 collision, D = [1, 2], avoids coordinate 0
+    s = BitSequence.from_int(1, 70)
+    assert linear_complexity(s, 70) == (1, (0,))
+    w = find_half_peak_witness(s, 70, 2, budget=10**3)
+    assert (w["method"], w["D"], w["value"]) == ("constructive", [1, 2], 35)
+    assert low_weight_kernel_support(_window_columns(s, 70), 2, 2, anchored=True) is None
+
+
+@pytest.mark.parametrize("seq", [
+    *(m_sequence(ell) for ell in range(3, 8)),
+    gold_sequence(5), gold_sequence(6), small_kasami(4), small_kasami(6),
+], ids=["m3", "m4", "m5", "m6", "m7", "gold5", "gold6", "kasami4", "kasami6"])
+def test_anchored_half_peak_witness_matches_full_search(seq):
+    # two periods, so the prefix's recurrence is the reversible LFSR one.  A
+    # budget of 900 is below every order-2 exhaustive cost, so the witness
+    # is constructive; it admits gold5's anchored levels 4 and 5 (465 and
+    # 870) but not the full search's level 5 (465 + 4060).
+    n = seq.n
+    l, coeffs = linear_complexity(seq, n)
+    assert coeffs[0] == 1 and search_cost(n, 2) > 900
+    _, k_max = half_peak_threshold(n, l)
+    w = find_half_peak_witness(seq, n, k_max, budget=900)
+    assert w["method"] == "constructive"
+    assert tuple(w["D"]) == low_weight_kernel_support(_window_columns(seq, n), 2, k_max)
 
 
 def test_moc_half_peak_on_alternating():

@@ -188,6 +188,20 @@ def test_peak_search_budget_exit(gold5, capsys, monkeypatch):
     assert err.startswith("seqmeter: search needs") and "Traceback" not in err
 
 
+def test_constructive_thm2_budget_exit(gold5, capsys):
+    # order 2 alone would cost 79422 summands, so the window search runs; its
+    # anchored weight-4 level costs 30 + 435 > 464
+    code, out, err = run(["bounds", "verify", "thm2", gold5, "--budget", "464"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("seqmeter: search needs") and "Traceback" not in err
+    assert run(["bounds", "verify", "thm2", gold5, "--budget", "870"], capsys)[0] == 0
+
+
+def test_json_flag_removed(ms3, capsys):
+    for argv in (["--json", "lc", ms3], ["lc", ms3, "--json"]):
+        assert run(argv, capsys)[0] == 2
+
+
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 

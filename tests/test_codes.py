@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seqmeter.bitseq import BitSequence, mask
 from seqmeter.codes import (
@@ -15,6 +15,7 @@ from seqmeter.codes import (
     low_weight_kernel_support,
     minimum_dual_weight_bruteforce,
 )
+from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
 
@@ -110,11 +111,14 @@ def test_peak_search_budget():
     assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
 
 
-def test_kernel_search_hash_gate():
+def test_kernel_search_budget():
+    # the full weight-4 level hashes C(31, 2) pairs and probes C(30, 2)
     syn = dual_syndromes(build_span(gold_sequence(5)))
+    cost = math.comb(31, 2) + math.comb(30, 2)
     with pytest.raises(BudgetExceededError) as exc:
-        low_weight_kernel_support(syn, 4, 4, hash_gate=464)
-    assert (exc.value.cost, exc.value.budget) == (math.comb(31, 2), 464)
+        low_weight_kernel_support(syn, 4, 4, budget=cost - 1)
+    assert (exc.value.cost, exc.value.budget) == (cost, cost - 1)
+    assert low_weight_kernel_support(syn, 4, 4, budget=cost) is None
 
 
 def test_order_cap_validated():
@@ -190,6 +194,13 @@ def test_kernel_search_matches_enumeration(t, data):
     assert low_weight_kernel_support(syn, 1, t) == brute_min_support(syn, t)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=10))
+def test_full_search_matches_enumeration_on_arbitrary_columns(cols):
+    # small values repeat, so every level from 1 up gets collisions
+    assert low_weight_kernel_support(cols, 1, len(cols)) == brute_min_support(cols, len(cols))
+
+
 def _assert_anchored_matches_full_search(t, bits):
     span = build_span(BitSequence.from_int(bits, t, period=t))
     full = low_weight_kernel_support(dual_syndromes(span), w_min=2, w_max=t)
@@ -222,3 +233,47 @@ def test_jobs_do_not_change_certificates(t, data):
         assert b is None
     else:
         assert a.as_dict() == b.as_dict()
+
+
+def _reversible_window_columns(bits, n):
+    """The thm2 window columns of an n-prefix, or None if its recurrence is not reversible."""
+    width = n - n // 2
+    l, coeffs = linear_complexity(bits, n)
+    if not (0 < l <= width and coeffs[0] == 1):
+        return None
+    return [(bits >> j) & mask(width) for j in range(n // 2)]
+
+
+def _assert_anchored_windows_match_full_search(cols, k_max, label):
+    full = low_weight_kernel_support(cols, 2, k_max)
+    assert low_weight_kernel_support(cols, 2, k_max, anchored=True) == full, label
+
+
+def test_anchored_window_search_matches_full_search_exhaustively():
+    # every reversible prefix with 2 <= N <= 13
+    checked = 0
+    for n in range(2, 14):
+        for bits in range(1 << n):
+            cols = _reversible_window_columns(bits, n)
+            if cols is None:
+                continue
+            checked += 1
+            for k_max in (3, 4, 6):
+                _assert_anchored_windows_match_full_search(cols, k_max, (n, bits, k_max))
+    assert checked > 5000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=14, max_value=40), st.data())
+def test_anchored_window_search_matches_full_search(n, data):
+    # low complexity is where thm2 fires, so draw a reversible recurrence
+    # of small order and run it from a random state
+    l = data.draw(st.integers(min_value=1, max_value=n // 4))
+    taps = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1)) | 1
+    bits = data.draw(st.integers(min_value=1, max_value=(1 << l) - 1))
+    for i in range(l, n):
+        bits |= ((taps & (bits >> (i - l))).bit_count() & 1) << i
+    cols = _reversible_window_columns(bits, n)
+    assume(cols is not None)
+    k_max = data.draw(st.sampled_from((3, 4, 6)))
+    _assert_anchored_windows_match_full_search(cols, k_max, (n, bits, k_max))
