@@ -6,6 +6,14 @@ and ``int.bit_count()`` on ``data`` are word-parallel; every correlation
 sum and recurrence check downstream runs on these packed words instead of
 per-bit loops.
 
+`pack` and `unpack` are the one place where that bit order meets a
+string of '0'/'1' characters, s_0 first; every other conversion between
+bits and packed ints goes through them.  Both are linear: CPython parses
+and prints power-of-two bases by copying bits, with no base conversion
+and no `int_max_str_digits` limit.  Building an int with ``|= 1 << i`` or
+reading it with ``(data >> i) & 1`` copies the whole word at every bit
+and goes quadratic.
+
 File format: an optional first line ``period=T``, then the characters
 '0' and '1' with arbitrary whitespace.  The writer emits 64 characters
 per line.
@@ -23,6 +31,16 @@ def mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def pack(s: str) -> int:
+    """The int whose bit i is s[i], for a string of '0' and '1' only."""
+    return int(s[::-1] or "0", 2)
+
+
+def unpack(data: int, n: int) -> str:
+    """Bits 0..n-1 of data as '0'/'1' characters, bit 0 first; needs data < 2**n."""
+    return bin(data | 1 << n)[:2:-1]
+
+
 class BitSequence:
     """Immutable binary word with an optional declared period.
 
@@ -34,15 +52,15 @@ class BitSequence:
     __slots__ = ("data", "n", "period")
 
     def __init__(self, bits: Iterable[int], period: int | None = None):
-        data = 0
-        n = 0
+        chars = []
         for b in bits:
             if b == 1:
-                data |= 1 << n
-            elif b != 0:
-                raise ValueError(f"bit {n} is {b!r}, expected 0 or 1")
-            n += 1
-        self._init(data, n, period)
+                chars.append("1")
+            elif b == 0:
+                chars.append("0")
+            else:
+                raise ValueError(f"bit {len(chars)} is {b!r}, expected 0 or 1")
+        self._init(pack("".join(chars)), len(chars), period)
 
     def _init(self, data: int, n: int, period: int | None) -> None:
         if period is not None:
@@ -79,16 +97,13 @@ class BitSequence:
         return hash((self.data, self.n, self.period))
 
     def __repr__(self) -> str:
-        head = "".join(str(self.bit(i)) for i in range(min(self.n, 32)))
+        head = unpack(self.data & mask(32), min(self.n, 32))
         tail = "..." if self.n > 32 else ""
         per = f", period={self.period}" if self.period is not None else ""
         return f"BitSequence({head}{tail}, n={self.n}{per})"
 
     def __iter__(self) -> Iterator[int]:
-        d = self.data
-        for _ in range(self.n):
-            yield d & 1
-            d >>= 1
+        return map(int, self.to01())
 
     def __setattr__(self, name, value):
         raise AttributeError("BitSequence is immutable")
@@ -138,8 +153,7 @@ class BitSequence:
         return n
 
     def to01(self) -> str:
-        d = self.data
-        return "".join("1" if (d >> i) & 1 else "0" for i in range(self.n))
+        return unpack(self.data, self.n)
 
 
 def loads(text: str) -> BitSequence:
@@ -159,17 +173,13 @@ def loads(text: str) -> BitSequence:
                 raise ValueError(f"bad period line: {stripped!r}") from None
             body_start += len(line)
         break
-    data = 0
-    n = 0
-    for pos, ch in enumerate(text[body_start:]):
-        if ch == "1":
-            data |= 1 << n
-            n += 1
-        elif ch == "0":
-            n += 1
-        elif not ch.isspace():
-            raise ValueError(f"invalid character {ch!r} at offset {body_start + pos}")
-    return BitSequence.from_int(data, n, period)
+    body = "".join(text[body_start:].split())
+    stray = body.lstrip("01")
+    if stray:
+        # the first stray character is not whitespace, so it occurs nowhere earlier
+        ch = stray[0]
+        raise ValueError(f"invalid character {ch!r} at offset {text.index(ch, body_start)}")
+    return BitSequence.from_int(pack(body), len(body), period)
 
 
 def dumps(seq: BitSequence) -> str:

@@ -67,16 +67,14 @@ def _env_budget() -> int:
         raise _usage(f"SEQMETER_BUDGET must be an integer, got {raw!r}")
 
 
-def _manifest(args, **extra) -> dict:
-    man = {
+def _manifest(args) -> dict:
+    return {
         "argv": sys.argv[1:],
         "version": __version__,
         "budget": getattr(args, "budget", None),
         "jobs": getattr(args, "jobs", None),
         "seed": getattr(args, "seed", None),
     }
-    man.update(extra)
-    return man
 
 
 def _emit(args, payload: dict, human: str | None = None) -> None:
@@ -343,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[common], help="generate a reference sequence")
+    gen.set_defaults(func=cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     for kind in ("msequence", "gold", "kasami-small"):
         g = gen_sub.add_parser(kind, parents=[common])
@@ -434,8 +433,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is None and hasattr(args, "budget"):
         args.budget = _env_budget()
-    if args.command == "gen":
-        args.func = cmd_gen
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -38,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitseq import BitSequence, as_shifts, mask
+from .bitseq import BitSequence, as_shifts, mask, pack, unpack
 from .correlation import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 
@@ -121,11 +121,12 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     """Per-coordinate syndromes: bit r of syndrome j is basis[r]'s bit j.
 
     A support D indexes a dual vector iff XOR of its syndromes is zero.
+    Syndrome j is column j of the unpacked basis rows.
     """
-    return [
-        sum(((row >> j) & 1) << r for r, row in enumerate(span.basis))
-        for j in range(span.period)
-    ]
+    rows = [unpack(row, span.period) for row in span.basis]
+    if not rows:
+        return [0] * span.period
+    return [pack("".join(col)) for col in zip(*rows)]
 
 
 def _scan_level(cols: list[int], w: int, firsts, index: dict[int, list[int]]):

@@ -25,7 +25,7 @@ can be checked against the bare definitions.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitseq import BitSequence, mask
+from .bitseq import BitSequence, mask, unpack
 
 KERROR_MAX_N = 24
 
@@ -63,14 +63,14 @@ def _berlekamp_massey(data: int, n: int, want_profile: bool = False):
     The connection polynomial bitmask has bit j = coefficient of x^j, with
     C(x) = 1 + C_1 x + ... annihilating the prefix: s[i] = sum_j C_j s[i-j].
     The reversed-prefix register makes each discrepancy one AND plus one
-    popcount on packed words.
+    popcount on packed words; the bits are read once, through `unpack`.
     """
     c, b = 1, 1
     l, m = 0, -1
     rev = 0  # bits s_i..s_0, most recent at bit 0
     profile = [] if want_profile else None
-    for i in range(n):
-        rev = (rev << 1) | ((data >> i) & 1)
+    for i, bit in enumerate(map(int, unpack(data, n))):
+        rev = (rev << 1) | bit
         if (c & rev).bit_count() & 1:
             t = c
             c ^= b << (i - m)
@@ -83,7 +83,7 @@ def _berlekamp_massey(data: int, n: int, want_profile: bool = False):
 
 def _recurrence_from_connection(conn: int, l: int) -> tuple[int, ...]:
     # c_m = C_{L-m}: coefficient of s[i+m] in the prediction of s[i+L]
-    return tuple((conn >> (l - m)) & 1 for m in range(l))
+    return tuple(map(int, unpack(conn, l + 1)[:0:-1]))
 
 
 def linear_complexity(seq: BitSequence | int, n: int | None = None) -> tuple[int, tuple[int, ...]]:
@@ -150,8 +150,8 @@ def _moc_profile(data: int, n: int) -> list[int]:
     one only on the suffix-link walk of an appended bit c, or as a clone,
     which copies those of a longer state.  So M >= length[p] + 1 whenever
     the walk gives p successor c while it already has 1 - c, and nothing
-    else can raise M.  The bits are read once, from a string: shifting the
-    n-bit int at each step would make the pass quadratic again.
+    else can raise M.  The bits are read once, through `unpack`: shifting
+    the n-bit int at each step would make the pass quadratic again.
     """
     length = [0]
     link = [-1]
@@ -159,7 +159,7 @@ def _moc_profile(data: int, n: int) -> list[int]:
     last = 0
     m = 0
     values = []
-    for c in map(int, bin(data | 1 << n)[:2:-1]):
+    for c in map(int, unpack(data, n)):
         cur = len(length)
         length.append(length[last] + 1)
         link.append(0)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitseq import BitSequence, ShiftSet, as_shifts, mask
+from .bitseq import BitSequence, as_shifts, mask
 from .parallel import map_min
 
 DEFAULT_BUDGET = 10**9

@@ -12,7 +12,7 @@ and exact minimal-period scans downstream).
 
 from dataclasses import dataclass
 
-from .bitseq import BitSequence, mask
+from .bitseq import BitSequence, pack, unpack
 from .complexity import linear_complexity
 
 
@@ -122,33 +122,28 @@ def default_lfsr_spec(ell: int) -> LfsrSpec:
     return LfsrSpec.from_exponents(ell, DEFAULT_TAPS[ell])
 
 
-def _msequence_period(spec: LfsrSpec) -> int:
-    """One full period as a packed int, certifying the full cycle on the way."""
+def _msequence_period(spec: LfsrSpec) -> str:
+    """One full period as a bit string, certifying the full cycle on the way."""
     ell = spec.degree
     taps = spec.taps_mask
     seed = spec.seed_mask
     T = (1 << ell) - 1
     top = ell - 1
     state = seed
-    # bytearray accumulation keeps this linear; |= (1 << i) on a growing int
-    # would copy the whole word each step and go quadratic past ell ~ 16
-    buf = bytearray((T + 7) >> 3)
+    bits = []
     for i in range(T):
-        if state & 1:
-            buf[i >> 3] |= 1 << (i & 7)
+        bits.append("01"[state & 1])
         state = (state >> 1) | (((state & taps).bit_count() & 1) << top)
         if state == seed:
             if i + 1 < T:
                 raise NonPrimitiveTapsError(ell, i + 1)
-            return int.from_bytes(buf, "little")
+            return "".join(bits)
     raise NonPrimitiveTapsError(ell, None)
 
 
-def _tile(block: int, block_len: int, copies: int) -> int:
-    data = 0
-    for r in range(copies):
-        data |= block << (r * block_len)
-    return data
+def _tile(block: str, copies: int) -> BitSequence:
+    """`copies` periods of the bit string `block`, with its length declared as the period."""
+    return BitSequence.from_int(pack(block * copies), len(block) * copies, period=len(block))
 
 
 def m_sequence(spec: LfsrSpec | int, periods: int = 2) -> BitSequence:
@@ -161,17 +156,7 @@ def m_sequence(spec: LfsrSpec | int, periods: int = 2) -> BitSequence:
         spec = default_lfsr_spec(spec)
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    T = (1 << spec.degree) - 1
-    block = _msequence_period(spec)
-    return BitSequence.from_int(_tile(block, T, periods), T * periods, period=T)
-
-
-def _rotate_right(block: int, length: int, shift: int) -> int:
-    # bit i of the result is bit (i+shift) mod length of the input
-    shift %= length
-    if shift == 0:
-        return block
-    return ((block >> shift) | (block << (length - shift))) & mask(length)
+    return _tile(_msequence_period(spec), periods)
 
 
 def gold_sequence(
@@ -196,12 +181,12 @@ def gold_sequence(
     T = (1 << ell) - 1
     u = _msequence_period(LfsrSpec.from_exponents(ell, taps_pair[0]))
     v = _msequence_period(LfsrSpec.from_exponents(ell, taps_pair[1]))
-    block = u ^ _rotate_right(v, T, shift)
-    data = _tile(block, T, max(periods, 2))
-    observed, _ = linear_complexity(data, 2 * T)
+    shift %= T
+    block = unpack(pack(u) ^ pack(v[shift:] + v[:shift]), T)
+    observed, _ = linear_complexity(pack(block * 2), 2 * T)
     if observed != 2 * ell:
         raise NotPreferredPairError(2 * ell, observed)
-    return BitSequence.from_int(data & mask(T * periods), T * periods, period=T)
+    return _tile(block, periods)
 
 
 def small_kasami(ell: int, shift: int = 0, periods: int = 2) -> BitSequence:
@@ -215,17 +200,13 @@ def small_kasami(ell: int, shift: int = 0, periods: int = 2) -> BitSequence:
     T = (1 << ell) - 1
     u = _msequence_period(default_lfsr_spec(ell))
     d = (1 << (ell // 2)) + 1
-    buf = bytearray((T + 7) >> 3)
-    for i in range(T):
-        if (u >> (d * (i + shift) % T)) & 1:
-            buf[i >> 3] |= 1 << (i & 7)
-    block = u ^ int.from_bytes(buf, "little")
-    data = _tile(block, T, max(periods, 2))
-    observed, _ = linear_complexity(data, 2 * T)
+    decimated = "".join(u[d * (i + shift) % T] for i in range(T))
+    block = unpack(pack(u) ^ pack(decimated), T)
+    observed, _ = linear_complexity(pack(block * 2), 2 * T)
     expected = 3 * ell // 2
     if observed != expected:
         raise ValueError(f"decimation degenerated: combined complexity {observed}, want {expected}")
-    return BitSequence.from_int(data & mask(T * periods), T * periods, period=T)
+    return _tile(block, periods)
 
 
 def is_prime(n: int) -> bool:
@@ -300,12 +281,8 @@ def hall_sextic(spec: HallSpec | int, periods: int = 2) -> BitSequence:
     for e in range(T - 1):
         cls[v] = e % 6
         v = v * g % T
-    buf = bytearray((T + 7) >> 3)
-    for n in range(1, T):
-        if cls[n] in (0, 1, 3):
-            buf[n >> 3] |= 1 << (n & 7)
-    block = int.from_bytes(buf, "little")
-    return BitSequence.from_int(_tile(block, T, periods), T * periods, period=T)
+    block = "0" + "".join("1" if cls[n] in (0, 1, 3) else "0" for n in range(1, T))
+    return _tile(block, periods)
 
 
 @dataclass(frozen=True)
@@ -339,9 +316,5 @@ def fermat_threshold(spec: FermatSpec | int, periods: int = 2) -> BitSequence:
         spec = FermatSpec(spec)
     p = spec.p
     T = p * p
-    buf = bytearray((T + 7) >> 3)
-    for u in range(T):
-        if 2 * fermat_quotient(p, u) >= p:
-            buf[u >> 3] |= 1 << (u & 7)
-    block = int.from_bytes(buf, "little")
-    return BitSequence.from_int(_tile(block, T, periods), T * periods, period=T)
+    block = "".join("1" if 2 * fermat_quotient(p, u) >= p else "0" for u in range(T))
+    return _tile(block, periods)

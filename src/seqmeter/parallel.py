@@ -22,7 +22,7 @@ def map_min(fn, args: tuple, items: list, jobs: int):
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return fn(*args, items)
-    chunks = [c for c in (items[i::workers] for i in range(workers)) if c]
+    chunks = [items[i::workers] for i in range(workers)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

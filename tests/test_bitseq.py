@@ -1,13 +1,32 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from seqmeter.bitseq import BitSequence, ShiftSet, as_shifts, dumps, loads, mask
+from seqmeter.bitseq import BitSequence, ShiftSet, as_shifts, dumps, loads, mask, pack, unpack
+from seqmeter.generators import m_sequence
 
 
 def test_mask():
     assert mask(0) == 0
     assert mask(1) == 1
     assert mask(7) == 0b1111111
+
+
+def test_pack_unpack_bit_order():
+    assert pack("110100") == 0b1011  # s_0 first
+    assert unpack(0b1011, 6) == "110100"
+    assert pack("") == 0 and unpack(0, 0) == ""
+    # base-2 conversion is exempt from the int_max_str_digits limit
+    assert unpack(pack("1" * 100_000), 100_000) == "1" * 100_000
+
+
+@given(st.integers(min_value=0, max_value=300), st.data())
+def test_pack_unpack_roundtrip(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    s = unpack(bits, n)
+    assert len(s) == n and pack(s) == bits
+    assert [int(c) for c in s] == [(bits >> i) & 1 for i in range(n)]
 
 
 def test_from_int_and_bits():
@@ -65,6 +84,34 @@ def test_dumps_wraps_long_lines():
     assert loads(dumps(s)) == s
 
 
+def test_loads_reports_first_stray_character():
+    with pytest.raises(ValueError, match=r"^invalid character 'a' at offset 15$"):
+        loads("period=3\n01 1\n0a1")
+    # CR, LF and tab are whitespace, so the offset counts them
+    with pytest.raises(ValueError, match=r"^invalid character '2' at offset 6$"):
+        loads("0\r\n1\r\n2")
+    assert loads("0\t1\r\n1\x0b0").to01() == "0110"
+
+
+def test_loads_empty():
+    s = loads("")
+    assert s.n == 0 and s.period is None and s.to01() == ""
+
+
+def test_constructor_names_first_bad_bit():
+    with pytest.raises(ValueError, match=r"^bit 3 is '1', expected 0 or 1$"):
+        BitSequence([1, True, 0, "1"])
+    assert BitSequence([1, True, 0, False]).to01() == "1100"
+
+
+def test_long_roundtrip_is_linear():
+    # 2,097,150 bits; a per-bit codec takes minutes here, the linear one ~0.05 s
+    s = m_sequence(20)
+    start = time.perf_counter()
+    assert loads(dumps(s)) == s
+    assert time.perf_counter() - start < 2
+
+
 def test_loads_rejects_junk():
     with pytest.raises(ValueError):
         loads("01012")
@@ -89,6 +136,15 @@ def test_roundtrip_periodic(period, reps, data):
         out |= block << (r * period)
     s = BitSequence.from_int(out, period * reps, period=period)
     assert loads(dumps(s)) == s
+
+
+@given(st.integers(min_value=0, max_value=200), st.data())
+def test_iteration_and_repr_match_to01(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    s = BitSequence.from_int(bits, n)
+    assert "".join(map(str, s)) == s.to01()
+    assert BitSequence(s) == s
+    assert repr(s).startswith(f"BitSequence({s.to01()[:32]}{'...' if n > 32 else ''}, n={n}")
 
 
 @given(st.integers(min_value=1, max_value=200), st.data())

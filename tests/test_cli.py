@@ -1,12 +1,17 @@
 import concurrent.futures
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from seqmeter import verify
+from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import main
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def run(argv, capsys):
@@ -197,6 +202,26 @@ def test_constructive_thm2_budget_exit(gold5, capsys):
     assert run(["bounds", "verify", "thm2", gold5, "--budget", "870"], capsys)[0] == 0
 
 
+def test_thm2_constructive_witnesses(tmp_path, capsys):
+    # the exhaustive order-2 search is priced above its fallback cost, so the
+    # window-collision search answers
+    ms6 = tmp_path / "ms6.txt"
+    assert run(["gen", "msequence", "--ell", "6", "-o", str(ms6)], capsys)[0] == 0
+    code, out, _ = run(["bounds", "verify", "thm2", str(ms6)], capsys)
+    assert code == 0
+    # c_0 = 1 and L = 6 <= N/2: the search anchored at coordinate 0
+    assert json.loads(out)["witness"] == {
+        "D": [0, 1, 6], "U": 63, "k": 3, "method": "constructive", "value": 63}
+    one = tmp_path / "one70.txt"
+    save(BitSequence.from_int(1, 70), one)
+    code, out, _ = run(["bounds", "verify", "thm2", str(one), "--budget", "1000"], capsys)
+    assert code == 0
+    # 10...0 has L = 1 with c_0 = 0, so its recurrence cannot run backwards: the full search;
+    # the budget prices out the exhaustive order-2 search
+    assert json.loads(out)["witness"] == {
+        "D": [1, 2], "U": 35, "k": 2, "method": "constructive", "value": 35}
+
+
 def test_json_flag_removed(ms3, capsys):
     for argv in (["--json", "lc", ms3], ["lc", ms3, "--json"]):
         assert run(argv, capsys)[0] == 2
@@ -287,3 +312,12 @@ def test_subprocess_roundtrip(tmp_path):
         capture_output=True, text=True)
     assert lc.returncode == 0
     assert json.loads(lc.stdout)["value"] == 10
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_outside_checkout(script, tmp_path):
+    # each script puts the checkout's src/ on sys.path itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,3 +174,60 @@ def test_msequence_periods_parameter(ell, periods):
     base = m_sequence(ell, periods=1).data
     for r in range(periods):
         assert (seq.data >> (r * t)) & mask(t) == base
+
+
+# First 16 hex digits of the SHA-256 of each generator's packed bits,
+# data.to_bytes((n + 7) // 8, "little"), recorded before the generators
+# were moved onto the string codec; any change to the emitted bits shows.
+GENERATOR_DIGESTS = {
+    "m2": "3973e022e93220f9", "m3": "5b67345601e4f980", "m4": "3f77946124f67ab1",
+    "m5": "abc8dcb4b727c6ba", "m6": "c6a2f6582946ad4c", "m7": "4fb4d9348dbaef8e",
+    "m8": "7ea3b39e473ed48f", "m9": "25e1a105f420997d", "m10": "0c3133e12cb80207",
+    "m11": "7294f8ddc194aac9", "m12": "a97985eec92a2909", "m13": "ac4ae4bb2bcade34",
+    "m14": "0534eb96bce79be3", "m15": "61ae37f94ddb5516", "m16": "4a55d74c070133d9",
+    "m17": "4812e37ba96418cd", "m18": "08f64ce063a201f6", "m19": "d996d6fa721b8a52",
+    "m20": "857458bd993af647", "m5x7": "bd9aafb527197d82", "gold5s0": "e9cafff4712776c5",
+    "gold5s3": "b1473ac002d1c0da", "gold6s0": "c9faf914ec281ba3", "gold6s3": "a6f8824d41f8cc1d",
+    "gold7s0": "3b5bce922a2addd6", "gold7s3": "84d121618d34bfdb", "gold9s0": "9386b8f43526b79e",
+    "gold9s3": "fab2d5fdee486410", "gold10s0": "f4020813966268d9", "gold10s3": "64c39fd7ea7e5519",
+    "gold11s0": "d9765682ccc9411f", "gold11s3": "8e232e90c5572c61", "kasami4s0": "643dbfbab0f127f7",
+    "kasami4s5": "6f5a663eff7c87d6", "kasami6s0": "255b3548ee232af8", "kasami6s5": "3188d21bf77d5176",
+    "kasami8s0": "3e9f0f7e58459f41", "kasami8s5": "edbf7810c233dc93", "kasami10s0": "407ed4c6a05c805b",
+    "kasami10s5": "e4d996aa33f21e1a", "kasami12s0": "7883925ceef4a89d", "kasami12s5": "4a955960b17f97da",
+    "hall7": "6da43b944e494e88", "hall13": "7a146a49a8e12204", "hall19": "8df0adf21f08f032",
+    "hall31": "8484c92c0f80b741", "hall37": "a2270512bb832697", "hall43": "af24f03b49e1e6db",
+    "hall61": "b3e1afffc7a180f2", "hall67": "65f217f3600e5a15", "hall73": "9ca1e1ba0aa1d73b",
+    "hall79": "5e226be1d852216a", "hall97": "ec969b2352805e4e", "hall103": "cdf45a9a1fc05be3",
+    "hall109": "306e6f43d79b5b14", "hall127": "88ac21b28e062952", "hall139": "841365cf5992e369",
+    "hall151": "67e252e76e916577", "hall157": "c3d8ed700da0c76d", "hall163": "1ae9aa2d76209df3",
+    "hall181": "5b063ab22b72b62f", "hall193": "d018b8fa42c59df6", "hall199": "025103148d2d99db",
+    "fermat3": "8f7bf9aeb242d57d", "fermat5": "72bfcf23b79aa8e1", "fermat7": "96118b6e1fa21b4d",
+    "fermat11": "11c25b30a639d69d", "fermat13": "78edbc8e30c76d3f", "fermat17": "2a27861f11d3c033",
+    "fermat19": "2f205faf6c58d2da", "fermat23": "6e84aa28f8b5e971", "fermat29": "7310040b1b6bd708",
+    "fermat31": "783c9f18f79d1ad3", "fermat37": "2039fe3428e5bb7e",
+}
+
+
+def _generator_cases():
+    cases = {f"m{ell}": lambda ell=ell: m_sequence(ell) for ell in DEFAULT_TAPS}
+    cases["m5x7"] = lambda: m_sequence(5, periods=7)
+    for ell in GOLD_PAIRS:
+        for s in (0, 3):
+            cases[f"gold{ell}s{s}"] = lambda ell=ell, s=s: gold_sequence(ell, shift=s)
+    for ell in range(4, 13, 2):
+        for s in (0, 5):
+            cases[f"kasami{ell}s{s}"] = lambda ell=ell, s=s: small_kasami(ell, shift=s, periods=3)
+    for t in filter(is_prime, range(7, 200, 6)):
+        cases[f"hall{t}"] = lambda t=t: hall_sextic(t, periods=1)
+    for p in filter(is_prime, range(3, 38, 2)):
+        cases[f"fermat{p}"] = lambda p=p: fermat_threshold(p)
+    return cases
+
+
+def test_generator_bits_pinned():
+    cases = _generator_cases()
+    assert cases.keys() == GENERATOR_DIGESTS.keys()
+    for name, make in cases.items():
+        seq = make()
+        digest = hashlib.sha256(seq.data.to_bytes((seq.n + 7) // 8, "little")).hexdigest()
+        assert digest[:16] == GENERATOR_DIGESTS[name], name
