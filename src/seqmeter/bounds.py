@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 from .bitseq import BitSequence, mask
+from .budget import DEFAULT_BUDGET
 from .codes import full_peak_threshold, low_weight_kernel_support
 from .complexity import linear_complexity, max_order_complexity
 from .correlation import (
-    DEFAULT_BUDGET,
     aperiodic_measure,
     correlation_at,
     delta_under_flips,

@@ -4,6 +4,9 @@ JSON goes to stdout (keys sorted, so identical runs are byte-identical
 up to the timing fields of `verify all`); human-readable notes go to
 stderr.  Exit codes: 0 ok, 1 check failed, 2 usage error, 3 search
 budget exceeded.
+
+Each command handler imports the modules it runs, so a process loads and
+compiles only those (see `seqmeter/__init__.py`).
 """
 
 import argparse
@@ -12,39 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .bitseq import BitSequence, load, save, dumps
-from .bounds import (
-    log_complexity_bound,
-    find_half_peak_witness,
-    half_peak_threshold,
-    kerror_bound,
-    moc_half_peak_check,
-    table1,
-)
-from .codes import build_span, find_periodic_peak, full_peak_threshold
-from .complexity import (
-    kerror_linear_complexity,
-    linear_complexity,
-    linear_complexity_profile,
-    max_order_complexity,
-    max_order_complexity_profile,
-)
-from .correlation import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    aperiodic_measure,
-    periodic_measure,
-)
-from .generators import (
-    LfsrSpec,
-    default_lfsr_spec,
-    fermat_threshold,
-    gold_sequence,
-    hall_sextic,
-    m_sequence,
-    small_kasami,
-)
-from .verify import DEFAULT_SEED, run_all
+from .budget import DEFAULT_BUDGET, BudgetExceededError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,7 +57,9 @@ def _emit(args, payload: dict, human: str | None = None) -> None:
         print(human, file=sys.stderr)
 
 
-def _load(path: str) -> BitSequence:
+def _load(path: str):
+    from .bitseq import load
+
     try:
         return load(path)
     except (OSError, ValueError) as exc:
@@ -101,6 +74,18 @@ def _parse_hex(text: str, what: str) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .bitseq import dumps, save
+    from .generators import (
+        HallSpec,
+        LfsrSpec,
+        default_lfsr_spec,
+        fermat_threshold,
+        gold_sequence,
+        hall_sextic,
+        m_sequence,
+        small_kasami,
+    )
+
     if args.kind == "msequence":
         if args.taps is not None:
             spec = LfsrSpec.from_masks(args.ell, _parse_hex(args.taps, "--taps"),
@@ -113,8 +98,6 @@ def cmd_gen(args) -> int:
     elif args.kind == "kasami-small":
         seq = small_kasami(args.ell, shift=args.shift, periods=args.periods)
     elif args.kind == "hall":
-        from .generators import HallSpec
-
         seq = hall_sextic(HallSpec(args.t, args.g), periods=args.periods)
     else:
         seq = fermat_threshold(args.p, periods=args.periods)
@@ -129,6 +112,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_lc(args) -> int:
+    from .complexity import linear_complexity, linear_complexity_profile
+
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n
     if args.profile:
@@ -143,6 +128,8 @@ def cmd_lc(args) -> int:
 
 
 def cmd_moc(args) -> int:
+    from .complexity import max_order_complexity, max_order_complexity_profile
+
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n
     if args.profile:
@@ -155,6 +142,8 @@ def cmd_moc(args) -> int:
 
 
 def cmd_kerror(args) -> int:
+    from .complexity import kerror_linear_complexity
+
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n
     value = kerror_linear_complexity(seq, n, errors=args.k)
@@ -164,6 +153,8 @@ def cmd_kerror(args) -> int:
 
 
 def cmd_corr(args) -> int:
+    from .correlation import aperiodic_measure, periodic_measure
+
     seq = _load(args.file)
     if args.periodic:
         if seq.period is None:
@@ -179,6 +170,8 @@ def cmd_corr(args) -> int:
 
 
 def cmd_peaks(args) -> int:
+    from .codes import build_span, find_periodic_peak, full_peak_threshold
+
     seq = _load(args.file)
     if seq.period is None:
         raise _usage("peak search needs a declared period in the file")
@@ -204,6 +197,8 @@ def cmd_peaks(args) -> int:
 
 
 def _bounds_table1(args) -> int:
+    from .bounds import table1
+
     rows = table1(args.ell_max)
     if args.csv:
         import csv
@@ -226,6 +221,8 @@ def _bounds_table1(args) -> int:
 
 
 def _bounds_thm2(args) -> int:
+    from .bounds import half_peak_threshold
+
     th = half_peak_threshold(args.n, args.l)
     if th is None:
         _emit(args, {"N": args.n, "L": args.l, "fired": False},
@@ -238,6 +235,8 @@ def _bounds_thm2(args) -> int:
 
 
 def _bounds_cor3(args) -> int:
+    from .bounds import log_complexity_bound
+
     try:
         value = log_complexity_bound(args.k, args.n, args.delta)
     except ValueError as exc:
@@ -250,6 +249,8 @@ def _bounds_cor3(args) -> int:
 def _bounds_verify(args) -> int:
     seq = _load(args.file)
     if args.claim == "thm1":
+        from .codes import build_span, find_periodic_peak, full_peak_threshold
+
         if seq.period is None:
             raise _usage("this check needs a declared period")
         span = build_span(seq)
@@ -267,6 +268,9 @@ def _bounds_verify(args) -> int:
         _emit(args, payload, f"full-peak guarantee {'verified' if ok else 'VIOLATED'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.claim == "thm2":
+        from .bounds import find_half_peak_witness, half_peak_threshold
+        from .complexity import linear_complexity
+
         n = seq.n if args.n is None else args.n
         l, _ = linear_complexity(seq, n)
         th = half_peak_threshold(n, l)
@@ -281,6 +285,8 @@ def _bounds_verify(args) -> int:
         _emit(args, payload, f"half-peak guarantee {'verified' if ok else 'VIOLATED'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     # thm4
+    from .bounds import moc_half_peak_check
+
     n = seq.n if args.n is None else args.n
     report = moc_half_peak_check(seq, n, budget=args.budget)
     payload = report.as_dict()
@@ -293,6 +299,8 @@ def _bounds_verify(args) -> int:
 
 
 def _bounds_kerror(args) -> int:
+    from .bounds import kerror_bound
+
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n
     report = kerror_bound(seq, n, k=args.k, flips=args.flips, budget=args.budget)
@@ -302,6 +310,10 @@ def _bounds_kerror(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import DEFAULT_SEED, run_all
+
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
     results = run_all(scale=args.scale, seed=args.seed)
     payload = {
         "scale": args.scale,
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="verify_command", required=True)
     va = vsub.add_parser("all", parents=[common])
     va.add_argument("--scale", choices=["quick", "full"], default="quick")
-    va.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    va.add_argument("--seed", type=int, default=None)
     va.set_defaults(func=cmd_verify)
 
     return parser

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitseq import BitSequence, as_shifts, mask, pack, unpack
-from .correlation import DEFAULT_BUDGET, BudgetExceededError
+from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 
 

@@ -35,18 +35,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitseq import BitSequence, as_shifts, mask
+from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
 from .parallel import map_min
-
-DEFAULT_BUDGET = 10**9
-
-
-class BudgetExceededError(RuntimeError):
-    """Search-space size above the configured budget, raised before the search runs."""
-
-    def __init__(self, cost: int, budget: int, unit: str = "summand evaluations"):
-        self.cost = cost
-        self.budget = budget
-        super().__init__(f"search needs ~{cost} {unit}, budget is {budget}")
 
 
 def search_cost(n: int, k: int) -> int:

@@ -143,6 +143,8 @@ def _msequence_period(spec: LfsrSpec) -> str:
 
 def _tile(block: str, copies: int) -> BitSequence:
     """`copies` periods of the bit string `block`, with its length declared as the period."""
+    if copies < 1:
+        raise ValueError("periods must be >= 1")
     return BitSequence.from_int(pack(block * copies), len(block) * copies, period=len(block))
 
 
@@ -154,8 +156,6 @@ def m_sequence(spec: LfsrSpec | int, periods: int = 2) -> BitSequence:
     """
     if isinstance(spec, int):
         spec = default_lfsr_spec(spec)
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     return _tile(_msequence_period(spec), periods)
 
 

@@ -11,7 +11,8 @@ from seqmeter import verify
 from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import main
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def run(argv, capsys):
@@ -162,6 +163,15 @@ def test_bounds_kerror(ms3, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["inputs"]["flips"] == 1
+
+
+@pytest.mark.parametrize("argv", [["msequence", "--ell", "3"], ["gold", "--ell", "5"],
+                                  ["kasami-small", "--ell", "4"], ["hall", "--t", "7"],
+                                  ["fermat", "--p", "3"]], ids=lambda a: a[0])
+def test_gen_rejects_zero_periods(argv, capsys):
+    code, out, err = run(["gen", *argv, "--periods", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "periods must be >= 1" in err
 
 
 def test_usage_errors(ms3, tmp_path, capsys):
@@ -321,3 +331,37 @@ def test_script_help_outside_checkout(script, tmp_path):
     res = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+RUN_MAIN = """
+import contextlib, io
+from seqmeter.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+assert code == 0, code
+"""
+CLI = ["budget", "cli"]
+
+
+@pytest.mark.parametrize("setup,loaded", [
+    ("import seqmeter", []),
+    ("import seqmeter.cli", CLI),
+    (RUN_MAIN.format(argv=["--version"]), CLI),
+    (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
+    (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]), CLI + ["bitseq", "correlation", "parallel"]),
+    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
+    (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
+    (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "complexity", "generators"]),
+], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen"])
+def test_import_footprint(setup, loaded, tmp_path, capsys):
+    # each command loads only the modules it runs
+    assert run(["gen", "msequence", "--ell", "3", "-o", str(tmp_path / "ms3.txt")], capsys)[0] == 0
+    code = f"{setup}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('seqmeter')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str(sorted(["seqmeter", *(f"seqmeter.{m}" for m in loaded)]))
