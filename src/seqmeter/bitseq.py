@@ -19,9 +19,8 @@ File format: an optional first line ``period=T``, then the characters
 per line.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 BITS_PER_LINE = 64
 
@@ -201,20 +200,24 @@ def save(seq: BitSequence, path: str | Path) -> None:
     Path(path).write_text(dumps(seq))
 
 
-@dataclass(frozen=True)
-class ShiftSet:
-    """Strictly increasing non-negative shifts d_1 < d_2 < ... < d_k."""
-
+class _ShiftSetFields(NamedTuple):
     shifts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        if not self.shifts:
+
+class ShiftSet(_ShiftSetFields):
+    """Strictly increasing non-negative shifts d_1 < d_2 < ... < d_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, shifts: Iterable[int]):
+        shifts = tuple(shifts)
+        if not shifts:
             raise ValueError("shift set must be non-empty")
-        if self.shifts[0] < 0:
+        if shifts[0] < 0:
             raise ValueError("shifts must be non-negative")
-        if any(a >= b for a, b in zip(self.shifts, self.shifts[1:])):
-            raise ValueError(f"shifts must be strictly increasing, got {self.shifts}")
+        if any(a >= b for a, b in zip(shifts, shifts[1:])):
+            raise ValueError(f"shifts must be strictly increasing, got {shifts}")
+        return super().__new__(cls, shifts)
 
     @property
     def order(self) -> int:
@@ -225,6 +228,10 @@ class ShiftSet:
 
     def __len__(self):
         return len(self.shifts)
+
+    def __getnewargs__(self):
+        # the tuple-based default would iterate, which yields the shifts
+        return (self.shifts,)
 
 
 def as_shifts(shifts: Iterable[int]) -> tuple[int, ...]:

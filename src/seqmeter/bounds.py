@@ -13,29 +13,24 @@ peak is forced.  All fired/not-fired decisions use exact integers; only
 display values are floats.
 
 Convention: every logarithm here is log base 2.
+
+Each function imports the search modules (codes, complexity,
+correlation) it calls, so the pure-arithmetic calculators load none of
+them.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bitseq import BitSequence, mask
 from .budget import DEFAULT_BUDGET
-from .codes import full_peak_threshold, low_weight_kernel_support
-from .complexity import linear_complexity, max_order_complexity
-from .correlation import (
-    aperiodic_measure,
-    correlation_at,
-    delta_under_flips,
-    search_cost,
-)
 
 # exhaustive order-k search is only attempted below this many summands
 # before falling back to the constructive window-collision argument
 EXHAUSTIVE_FALLBACK_COST = 250_000
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     inputs: dict
     value: float | int | None
@@ -168,6 +163,8 @@ def find_half_peak_witness(
     BudgetExceededError before a level whose hash entries plus probes
     exceed budget.  Both paths re-verify the witness with correlation_at.
     """
+    from .correlation import aperiodic_measure, correlation_at, search_cost
+
     data = seq.data & mask(n)
     exhausted_all = True
     for k in range(2, k_max + 1):
@@ -185,6 +182,9 @@ def find_half_peak_witness(
             }
     if exhausted_all:
         return None
+    from .codes import low_weight_kernel_support  # constructive path only
+    from .complexity import linear_complexity
+
     width = n - n // 2  # ceil(n/2)
     cols = [(data >> j) & mask(width) for j in range(n // 2)]
     l, coeffs = linear_complexity(data, n)
@@ -217,6 +217,9 @@ def moc_half_peak_check(
     located; such a pair exists by pigeonhole on the 2**M + 1 windows of
     length M starting at 0..2**M.
     """
+    from .complexity import max_order_complexity
+    from .correlation import aperiodic_measure
+
     if n is None:
         n = seq.n
     m = max_order_complexity(seq, n)
@@ -255,8 +258,7 @@ def _agreeing_pair(data: int, n: int, m: int) -> tuple[int, int] | None:
 # Two claims sit below the exact cap at every degree, so exact counting does
 # not support them: 5-term-trace claims 11 (exact 13 from ell = 11 on), and
 # welch-gong claims the non-integer (2^(ell/3)+1)/ell.
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     key: str
     valid: object  # ell -> bool
     dimension: object  # ell -> int
@@ -277,6 +279,8 @@ TABLE_FAMILIES: tuple[FamilyRow, ...] = (
 
 def table1_row(family: str, ell: int) -> dict:
     """One family/degree cell: period, dimension, exact threshold, claimed cap."""
+    from .codes import full_peak_threshold
+
     row = next((f for f in TABLE_FAMILIES if f.key == family), None)
     if row is None:
         raise ValueError(f"unknown family {family!r}")
@@ -364,6 +368,8 @@ def kerror_bound(
     The result holds for every sequence within Hamming distance F of the
     prefix.
     """
+    from .correlation import aperiodic_measure, delta_under_flips
+
     if n is None:
         n = seq.n
     if k < 1:

@@ -181,8 +181,9 @@ def cmd_peaks(args) -> int:
         t_max = full_peak_threshold(seq.period, span.dimension)
         if t_max is None:
             _emit(args, {"found": False, "dimension": span.dimension,
-                         "reason": "dimension exceeds period; no weight guarantee"},
-                  "no weight cap available; pass --tmax explicitly")
+                         "reason": "dimension equals period; the dual code is {0}, "
+                                   "so no full peak exists"},
+                  "full-rank span: no full peak at any order")
             return EXIT_OK
     cert = find_periodic_peak(span, t_max, budget=_env_budget(), jobs=args.jobs)
     if cert is None:
@@ -257,7 +258,7 @@ def _bounds_verify(args) -> int:
         cap = full_peak_threshold(seq.period, span.dimension)
         if cap is None:
             _emit(args, {"fired": False, "dimension": span.dimension},
-                  "threshold undefined (dimension exceeds period)")
+                  "threshold not fired (full-rank span: no full peak exists)")
             return EXIT_OK
         cert = find_periodic_peak(span, cap, budget=args.budget)
         ok = cert is not None

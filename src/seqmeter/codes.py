@@ -35,16 +35,15 @@ be reversed, keep the full search.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, mask, pack, unpack
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 
 
-@dataclass(frozen=True)
-class CyclicSpan:
+class CyclicSpan(NamedTuple):
     """Row space of the T cyclic rotations of one period block."""
 
     period: int
@@ -61,8 +60,7 @@ class CyclicSpan:
         return v == 0
 
 
-@dataclass(frozen=True)
-class PeakCertificate:
+class PeakCertificate(NamedTuple):
     """A verified full peak in the periodic correlation measure."""
 
     order: int
@@ -282,12 +280,13 @@ def full_peak_threshold(t: int, l: int) -> int | None:
 
     Sphere-packing contrapositive: at this cap a dual vector of weight
     <= tt must exist, so the sequence has a full periodic peak of some
-    order 1 < k <= tt.  None when l > t (the sum can never reach 2**l;
-    no dual guarantee at any weight).
+    order 1 < k <= tt.  None when l >= t: at l = t the span is the whole
+    space, its dual is {0} and no full peak exists, and for l > t the sum
+    never reaches 2**l.
     """
     if not 0 <= l:
         raise ValueError("dimension must be non-negative")
-    if l > t:
+    if l >= t:
         return None
     goal = 1 << l
     total = 1  # i = 0 term

@@ -22,16 +22,15 @@ Both measures come with small-scale exhaustive oracles so the fast paths
 can be checked against the bare definitions.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitseq import BitSequence, mask, unpack
 
 KERROR_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Per-N values of a complexity measure over prefixes 1..N."""
 
     kind: str  # "linear" or "maximum-order"

@@ -31,8 +31,8 @@ of the slice can beat.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, mask
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
@@ -53,8 +53,7 @@ def periodic_search_cost(t: int, k: int) -> int:
     return math.comb(t - 1, k - 1) * t
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     order: int
     value: int
     witness_u: int

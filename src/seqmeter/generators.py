@@ -10,7 +10,7 @@ over `periods` full periods (default 2, enough for recurrence synthesis
 and exact minimal-period scans downstream).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitseq import BitSequence, pack, unpack
 from .complexity import linear_complexity
@@ -62,27 +62,31 @@ GOLD_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class LfsrSpec:
+class _LfsrFields(NamedTuple):
+    degree: int
+    taps: tuple[int, ...]
+    seed: tuple[int, ...]
+
+
+class LfsrSpec(_LfsrFields):
     """Degree-ell binary LFSR: s[i+ell] = c_{ell-1} s[i+ell-1] + ... + c_0 s[i].
 
     taps holds (c_0, ..., c_{ell-1}); seed holds (s_0, ..., s_{ell-1}).
     """
 
-    degree: int
-    taps: tuple[int, ...]
-    seed: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError(f"degree must be >= 2, got {self.degree}")
-        for name, bits in (("taps", self.taps), ("seed", self.seed)):
-            if len(bits) != self.degree:
-                raise ValueError(f"{name} must have length {self.degree}, got {len(bits)}")
+    def __new__(cls, degree: int, taps: tuple[int, ...], seed: tuple[int, ...]):
+        if degree < 2:
+            raise ValueError(f"degree must be >= 2, got {degree}")
+        for name, bits in (("taps", taps), ("seed", seed)):
+            if len(bits) != degree:
+                raise ValueError(f"{name} must have length {degree}, got {len(bits)}")
             if any(b not in (0, 1) for b in bits):
                 raise ValueError(f"{name} must be 0/1 valued")
-        if not any(self.seed):
+        if not any(seed):
             raise ValueError("seed must be nonzero")
+        return super().__new__(cls, degree, taps, seed)
 
     @classmethod
     def from_masks(cls, degree: int, taps: int, seed: int = 1) -> "LfsrSpec":
@@ -244,21 +248,24 @@ def smallest_primitive_root(t: int) -> int:
     raise ValueError(f"no primitive root modulo {t}")
 
 
-@dataclass(frozen=True)
-class HallSpec:
+class _HallFields(NamedTuple):
+    period: int
+    generator: int | None  # None = smallest primitive root
+
+
+class HallSpec(_HallFields):
     """Hall sextic residue parameters: prime T = 1 (mod 6) and a primitive root."""
 
-    period: int
-    generator: int | None = None  # None = smallest primitive root
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.period):
-            raise ValueError(f"period {self.period} is not prime")
-        if self.period % 6 != 1:
-            raise ValueError(f"period {self.period} is not 1 mod 6")
-        if (self.generator is not None
-                and multiplicative_order(self.generator, self.period) != self.period - 1):
-            raise ValueError(f"{self.generator} is not a primitive root modulo {self.period}")
+    def __new__(cls, period: int, generator: int | None = None):
+        if not is_prime(period):
+            raise ValueError(f"period {period} is not prime")
+        if period % 6 != 1:
+            raise ValueError(f"period {period} is not 1 mod 6")
+        if generator is not None and multiplicative_order(generator, period) != period - 1:
+            raise ValueError(f"{generator} is not a primitive root modulo {period}")
+        return super().__new__(cls, period, generator)
 
     def resolved_generator(self) -> int:
         if self.generator is None:
@@ -285,17 +292,21 @@ def hall_sextic(spec: HallSpec | int, periods: int = 2) -> BitSequence:
     return _tile(block, periods)
 
 
-@dataclass(frozen=True)
-class FermatSpec:
-    """Fermat quotient threshold parameters: an odd prime p (word-size)."""
-
+class _FermatFields(NamedTuple):
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.p >= 1 << 31:
+
+class FermatSpec(_FermatFields):
+    """Fermat quotient threshold parameters: an odd prime p (word-size)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if p >= 1 << 31:
             raise ValueError("p must fit in 31 bits")
+        return super().__new__(cls, p)
 
 
 def fermat_quotient(p: int, u: int) -> int:

@@ -9,8 +9,8 @@ seed reproduces failures bit for bit on any platform.
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitseq import BitSequence, mask
 from .bounds import (
@@ -34,8 +34,7 @@ from .generators import gold_sequence, m_sequence, small_kasami
 DEFAULT_SEED = 20240917
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

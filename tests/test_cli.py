@@ -124,6 +124,22 @@ def test_peaks_needs_period(tmp_path, capsys):
     assert code == 2
 
 
+def test_full_rank_span_reports_no_peak(tmp_path, capsys):
+    # period 7 with all 7 rotations independent: the dual code is {0}
+    path = tmp_path / "full7.txt"
+    save(BitSequence([1, 0, 0, 0, 0, 0, 0] * 2, period=7), path)
+    code, out, _ = run(["peaks", str(path)], capsys)
+    doc = json.loads(out)
+    assert (code, doc["found"], doc["dimension"]) == (0, False, 7)
+    assert "tmax" not in doc and "no full peak exists" in doc["reason"]
+    code, out, _ = run(["bounds", "verify", "thm1", str(path)], capsys)
+    doc = json.loads(out)
+    assert (code, doc["fired"], doc["dimension"]) == (0, False, 7)
+    assert "holds" not in doc and "tmax" not in doc
+    code, out, _ = run(["peaks", str(path), "--tmax", "3"], capsys)
+    assert code == 0 and json.loads(out)["found"] is False
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(["bounds", "table1", "--ell-max", "6"], capsys)
     assert code == 0
@@ -355,7 +371,19 @@ CLI = ["budget", "cli"]
     (RUN_MAIN.format(argv=["peaks", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
     (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "complexity", "generators"]),
-], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen"])
+    (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
+    (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]), CLI + ["bitseq", "complexity"]),
+    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "codes", "parallel"]),
+    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["bitseq", "bounds"]),
+    (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]), CLI + ["bitseq", "bounds"]),
+    (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
+     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel"]),
+    (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
+     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel"]),
+    (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
+     CLI + ["bitseq", "bounds", "correlation", "parallel"]),
+], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
+        "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):
     # each command loads only the modules it runs
     assert run(["gen", "msequence", "--ell", "3", "-o", str(tmp_path / "ms3.txt")], capsys)[0] == 0

@@ -133,6 +133,33 @@ def test_full_peak_threshold_values():
     assert full_peak_threshold(15, 6) == 5
     assert full_peak_threshold(10, 0) == 2
     assert full_peak_threshold(5, 9) is None
+    assert full_peak_threshold(7, 6) == 7
+
+
+def test_full_rank_span_has_no_threshold():
+    # at l = t the span is the whole space and its dual is {0}
+    for t in range(1, 40):
+        assert full_peak_threshold(t, t) is None
+        assert full_peak_threshold(t, t + 1) is None
+        assert full_peak_threshold(t, t - 1) is not None
+    span = build_span(BitSequence([1, 0, 0, 0, 0, 0, 0] * 2, period=7))
+    assert span.dimension == 7
+    assert minimum_dual_weight_bruteforce(span) is None
+    assert find_periodic_peak(span, 7) is None
+
+
+def test_threshold_guarantee_exhaustive():
+    # every block up to period 8: a cap exists exactly when the dual is
+    # nonzero, and then a dual vector of weight <= cap exists
+    for t in range(1, 9):
+        for block in range(1 << t):
+            span = build_span(BitSequence([(block >> i) & 1 for i in range(t)], period=t))
+            cap = full_peak_threshold(t, span.dimension)
+            weight = minimum_dual_weight_bruteforce(span)
+            assert (cap is None) == (weight is None) == (span.dimension == t)
+            if cap is not None:
+                assert weight <= cap
+                assert find_periodic_peak(span, cap) is not None
 
 
 def test_threshold_is_tightest():

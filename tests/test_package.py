@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +60,27 @@ def test_unknown_name_and_unlisted_submodule():
 def test_budget_error_identity():
     assert seqmeter.BudgetExceededError is correlation.BudgetExceededError is budget.BudgetExceededError
     assert correlation.DEFAULT_BUDGET is budget.DEFAULT_BUDGET
+
+
+def test_star_import_skips_dataclasses_and_inspect():
+    # records are NamedTuples, so no module pulls in dataclasses (and with it inspect)
+    code = ("from seqmeter import *\nimport sys\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
+def test_records_are_tuples():
+    # the one API difference from frozen dataclasses: len, iteration and == with a tuple
+    r = seqmeter.CorrelationResult(2, 5, 6, (0, 3), "half-peak", 10)
+    assert isinstance(r, tuple) and len(r) == 7
+    assert r == (2, 5, 6, (0, 3), "half-peak", 10, False)
+    order, value, *_ = r
+    assert (order, value) == (2, 5)
+    assert tuple(seqmeter.HallSpec(7)) == (7, None)
+    # ShiftSet keeps its length and iteration over the shifts
+    s = seqmeter.ShiftSet((0, 2, 5))
+    assert (len(s), list(s), s == ((0, 2, 5),)) == (3, [0, 2, 5], True)
