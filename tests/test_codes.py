@@ -142,10 +142,6 @@ def test_full_rank_span_has_no_threshold():
         assert full_peak_threshold(t, t) is None
         assert full_peak_threshold(t, t + 1) is None
         assert full_peak_threshold(t, t - 1) is not None
-    span = build_span(BitSequence([1, 0, 0, 0, 0, 0, 0] * 2, period=7))
-    assert span.dimension == 7
-    assert minimum_dual_weight_bruteforce(span) is None
-    assert find_periodic_peak(span, 7) is None
 
 
 def test_threshold_guarantee_exhaustive():

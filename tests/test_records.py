@@ -75,7 +75,7 @@ def test_repr(name):
 @pytest.mark.parametrize("name", FROZEN)
 def test_fields_cannot_be_assigned(name):
     rec = RECORDS[name][0]()
-    field = repr(rec).split("(", 1)[1].split("=", 1)[0]
+    field = repr(rec).split("(", 1)[1].split("=", 1)[0]  # the first field's name
     with pytest.raises(AttributeError):
         setattr(rec, field, None)
     assert repr(rec) == RECORDS[name][1]
