@@ -129,8 +129,11 @@ def log_complexity_bound(k: int, n: int, delta: float = 0.0) -> float:
     """(K/2)(log2 N + 1 - log2 K) - (1/2) log2 K + delta.
 
     Valid as a linear-complexity lower bound when C_j(S,N) < N/2 for
-    every j < K.  delta is an unpinned additive constant, default 0.
+    every j < K.  delta is an unpinned additive constant, default 0; it
+    must be finite.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if k < 2:
         raise ValueError(f"K must be >= 2, got {k}")
     if k * k >= n:

@@ -11,14 +11,14 @@ for a minimum-weight dual vector works on the coordinate syndromes
 against the span basis: a support D is dual iff the XOR of its columns'
 syndromes vanishes.
 
-low_weight_kernel_support is the one syndrome search, level by level in
-the weight: weights 2 and 3 scan against a position index of the
-columns, and from 4 up a meet-in-the-middle split hashes the lower
-halves of the supports and probes with the upper halves.  In anchored
-mode it looks only at supports that contain coordinate 0.  A support
-holding 0 sorts before every support that does not, so the anchor is
-exact whenever every minimum-weight support can be moved to one holding
-0 without changing its weight.  Two kinds of columns allow that:
+low_weight_kernel_support is the one syndrome search, one level per
+weight: it hashes the supports' tails and walks their heads in
+lexicographic order, so the first head that meets a tail gives the
+level's minimum.  In anchored mode it looks only at supports that
+contain coordinate 0.  A support holding 0 sorts before every support
+that does not, so the anchor is exact whenever every minimum-weight
+support can be moved to one holding 0 without changing its weight.  Two
+kinds of columns allow that:
 
 * cyclic columns: C is cyclic, so its dual is cyclic too, and a rotation
   takes any dual support to one holding 0 (find_periodic_peak);
@@ -127,58 +127,40 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     return [pack("".join(col)) for col in zip(*rows)]
 
 
-def _scan_level(cols: list[int], w: int, firsts, index: dict[int, list[int]]):
-    """Min support of weight w with first element in firsts, by scanning its first w-1.
+def _level(cols: list[int], a: int, h: int, prefixes) -> tuple[int, ...] | None:
+    """Lex-min support of weight h+a whose first h elements extend one of prefixes.
 
-    index maps each column value to its ascending positions.  The first
-    w-1 elements run in lexicographic order and the last is the smallest
-    position after them holding their XOR, so the first hit is the
-    minimum.  It costs up to C(m-1, w-2) lookups per first element,
-    which is below a meet-in-the-middle level only for w <= 3.
-    """
-    m = len(cols)
-    for first in firsts:
-        for rest in combinations(range(first + 1, m), w - 2) if w > 2 else ((),):
-            acc = cols[first]
-            for j in rest:
-                acc ^= cols[j]
-            last = index.get(acc, ())
-            k = bisect_right(last, rest[-1] if rest else first)
-            if k < len(last):
-                return (first, *rest, last[k])
-    return None
-
-
-def _mitm_level(cols: list[int], b: int, a: int, lower_firsts, upper_firsts):
-    """Min support of weight b+a with lower half first in lower_firsts, upper in upper_firsts.
-
-    The lower half of a sorted support is its first b elements; hashing
-    those and probing with the upper halves decomposes every support
-    exactly once because lower[-1] < upper[0].  Each bucket lists its
-    lower halves in lexicographic order, so a probe's first fitting
-    entry is its smallest candidate.
+    A sorted support splits into its head, the first h elements, and its
+    tail, the last a.  Tails are hashed by their columns' XOR, each bucket
+    in lexicographic order; heads are walked in lexicographic order, and
+    a head fits the first tail in its fold's bucket that starts after
+    the head ends.  prefixes are non-empty and in lexicographic order,
+    so the heads arrive in the supports' order and the first fit is the
+    minimum.
     """
     m = len(cols)
     table: dict[int, list[tuple[int, ...]]] = {}
-    for first in lower_firsts:
-        for rest in combinations(range(first + 1, m), b - 1):
-            acc = cols[first]
+    for tail in combinations(range(1, m), a):
+        acc = 0
+        for j in tail:
+            acc ^= cols[j]
+        table.setdefault(acc, []).append(tail)
+    for prefix in prefixes:
+        base = 0
+        for j in prefix:
+            base ^= cols[j]
+        more = h - len(prefix)
+        for rest in combinations(range(prefix[-1] + 1, m), more) if more else ((),):
+            acc = base
             for j in rest:
                 acc ^= cols[j]
-            table.setdefault(acc, []).append((first, *rest))
-    best: tuple[int, ...] | None = None
-    for first in upper_firsts:
-        for rest in combinations(range(first + 1, m), a - 1):
-            acc = cols[first]
-            for j in rest:
-                acc ^= cols[j]
-            for lower in table.get(acc, ()):
-                if lower[-1] < first:
-                    cand = (*lower, first, *rest)
-                    if best is None or cand < best:
-                        best = cand
-                    break
-    return best
+            bucket = table.get(acc)
+            if bucket:
+                head = prefix + rest
+                k = bisect_right(bucket, (head[-1], m))
+                if k < len(bucket):
+                    return head + bucket[k]
+    return None
 
 
 def low_weight_kernel_support(
@@ -198,35 +180,29 @@ def low_weight_kernel_support(
     same answer for the columns named in the module docstring; callers
     set it from the structure of their columns.
 
-    Weights 2 and 3 scan their first w-1 elements and look the last up
-    in a position index of the columns; they cost at most C(m, 2)
-    lookups and run in this process.  From w = 4 a meet-in-the-middle
-    level hashes a lower half of b elements and probes with the upper
-    w - b; anchored, the lower half starts at 0 and b is ceil(w/2),
-    otherwise b is floor(w/2).  Each such level checks its hash entries
-    plus probes against budget before it allocates, raising
-    BudgetExceededError when over, and jobs > 1 splits its probes by
-    their first element.
+    Each weight w from 2 up is one head/tail level: a tail of
+    a = max(1, ceil(w/2) - 1) elements anchored, floor(w/2) otherwise,
+    and a head of the rest, which starts at 0 when anchored.  A level
+    costs its tails plus its heads.  Levels below 4 run in this process;
+    from 4 each checks its cost against budget before it allocates,
+    raising BudgetExceededError when over, and jobs > 1 splits its heads
+    by their first free element.
     """
     m = len(cols)
     w_max = m if w_max is None else min(w_max, m)
-    firsts = [0] if anchored else range(m)
-    index: dict[int, list[int]] = {}
-    for j, c in enumerate(cols):
-        index.setdefault(c, []).append(j)
+    lead = (0,) if anchored else ()
     for w in range(w_min, w_max + 1):
         if w == 1:
-            best = next(((j,) for j in firsts if cols[j] == 0), None)
-        elif w <= 3:
-            best = _scan_level(cols, w, firsts, index)
+            best = next(((j,) for j in (lead or range(m)) if cols[j] == 0), None)
         else:
-            b = (w + 1) // 2 if anchored else w // 2
-            a = w - b
-            entries = math.comb(m - 1, b - 1) if anchored else math.comb(m, b)
-            cost = entries + math.comb(m - 1, a)
-            if cost > budget:
-                raise BudgetExceededError(cost, budget, "hash-table entries and probes")
-            best = map_min(_mitm_level, (cols, b, a, firsts), list(range(1, m)), jobs)
+            a = max(1, (w + 1) // 2 - 1) if anchored else w // 2
+            h = w - a
+            if w >= 4:
+                cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
+                if cost > budget:
+                    raise BudgetExceededError(cost, budget, "hash-table entries and probes")
+            prefixes = [(*lead, d) for d in range(len(lead), m)] if h > len(lead) else [lead]
+            best = map_min(_level, (cols, a, h), prefixes, jobs if w >= 4 else 1)
         if best is not None:
             return best
     return None
@@ -234,25 +210,27 @@ def low_weight_kernel_support(
 
 def find_periodic_peak(
     source: CyclicSpan | BitSequence,
-    t_max: int,
+    t_max: int | None,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> PeakCertificate | None:
     """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak.
 
-    Complete up to t_max, so None means no dual vector of weight <= t_max
-    exists.  Ties go to the lexicographically smallest shift set.  The
-    search looks only at shift sets that contain 0, which is exact because
-    the dual of a cyclic span is cyclic.  The window columns of a prefix
-    allow the same anchor only when its recurrence runs backwards (see
-    the module docstring).  Raises BudgetExceededError before a
-    meet-in-the-middle level whose hash entries plus probes exceed budget.
-    Every returned certificate is re-verified exhaustively: the folded
-    rotations must sum to zero at all T positions.
+    t_max=None caps nothing, so the chain find_periodic_peak(span,
+    full_peak_threshold(T, L)) also runs on a full-rank span, whose dual
+    is {0}: it returns None.  Otherwise None means no dual vector of
+    weight <= t_max exists.  Ties go to the lexicographically smallest
+    shift set.  The search is low_weight_kernel_support on the dual
+    syndromes, anchored at 0 because the dual of a cyclic span is cyclic,
+    and raises BudgetExceededError as it does.  Every returned
+    certificate is re-verified exhaustively: the folded rotations must
+    sum to zero at all T positions.
     """
-    span = source if isinstance(source, CyclicSpan) else build_span(source)
-    if t_max < 1:
+    if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    span = source if isinstance(source, CyclicSpan) else build_span(source)
+    if span.dimension == span.period:
+        return None
     if span.dimension == 0:
         # degenerate: every vector is dual; report the smallest honest witness
         return PeakCertificate(1, (0,), "periodic-full", span.period,

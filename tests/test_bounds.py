@@ -52,6 +52,12 @@ def test_log_bound_values():
         log_complexity_bound(4, 16)  # K^2 must stay under N
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_log_bound_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite"):
+        log_complexity_bound(2, 16, delta)
+
+
 def test_lc_scan_fires_on_msequence():
     # shift set (0,1,3) pushes C_3 to 11 on the 14-bit window, so the
     # first self-consistent point of the scan is 14 - 11 = 3

@@ -167,6 +167,14 @@ def test_bounds_cor3(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_bounds_cor3_non_finite_delta_is_usage_error(delta, capsys):
+    # NaN and Infinity are not JSON, so the value is refused, not printed
+    code, out, err = run(["bounds", "cor3", "--k", "2", "--n", "16", f"--delta={delta}"], capsys)
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
 def test_bounds_verify_claims(ms3, capsys):
     for claim in ("thm1", "thm2", "thm4"):
         code, out, _ = run(["bounds", "verify", claim, ms3], capsys)

@@ -1,10 +1,12 @@
+import concurrent.futures
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seqmeter.bitseq import BitSequence, mask
+from seqmeter.bitseq import BitSequence, loads, mask
 from seqmeter.codes import (
     build_span,
     dual_basis,
@@ -18,6 +20,7 @@ from seqmeter.codes import (
 from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
+from test_cli import RecordingExecutor
 
 
 def test_span_dimensions():
@@ -121,9 +124,30 @@ def test_kernel_search_budget():
     assert low_weight_kernel_support(syn, 4, 4, budget=cost) is None
 
 
+def test_odd_unanchored_level_price():
+    # C(30, 2) tails of floor(5/2) from columns 1..30, C(31, 3) heads of ceil(5/2)
+    syn = dual_syndromes(build_span(gold_sequence(5)))
+    with pytest.raises(BudgetExceededError) as exc:
+        low_weight_kernel_support(syn, 5, 5, budget=4929)
+    assert (exc.value.cost, exc.value.budget) == (4930, 4929)
+
+
 def test_order_cap_validated():
     with pytest.raises(ValueError):
         find_periodic_peak(m_sequence(3), 0)
+
+
+def test_uncapped_peak_search_and_full_rank_chain():
+    # 1000000 has seven independent rotations, so its dual is {0} and the
+    # threshold is None, which find_periodic_peak reads as no weight cap
+    span = build_span(loads("period=7\n10000001000000\n"))
+    assert span.dimension == span.period == 7
+    assert find_periodic_peak(span, full_peak_threshold(7, span.dimension)) is None
+    with pytest.raises(ValueError):
+        find_periodic_peak(span, 0)
+    # below full rank, no cap is the same as a cap of T
+    for seq in (m_sequence(3), gold_sequence(5), small_kasami(4)):
+        assert find_periodic_peak(seq, None) == find_periodic_peak(seq, seq.period)
 
 
 def test_full_peak_threshold_values():
@@ -222,6 +246,20 @@ def test_kernel_search_matches_enumeration(t, data):
 def test_full_search_matches_enumeration_on_arbitrary_columns(cols):
     # small values repeat, so every level from 1 up gets collisions
     assert low_weight_kernel_support(cols, 1, len(cols)) == brute_min_support(cols, len(cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=10))
+def test_unanchored_fan_out_matches_enumeration(cols):
+    # four cores and an in-process executor: levels from 4 up split their
+    # heads three ways without forking
+    with mock.patch("os.cpu_count", return_value=4), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
+            mock.patch.object(RecordingExecutor, "seen", []):
+        best = low_weight_kernel_support(cols, 1, len(cols), jobs=3)
+        assert best == brute_min_support(cols, len(cols))
+        if len(cols) >= 4 and (best is None or len(best) >= 4):
+            assert RecordingExecutor.seen[0] == 3
 
 
 def _assert_anchored_matches_full_search(t, bits):
