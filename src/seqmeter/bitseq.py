@@ -14,11 +14,17 @@ and no `int_max_str_digits` limit.  Building an int with ``|= 1 << i`` or
 reading it with ``(data >> i) & 1`` copies the whole word at every bit
 and goes quadratic.
 
+`fold_extensions` enumerates increasing index tuples with the XOR of
+their packed values, sharing the folds of common leading indices.  The
+correlation scans (shift sets over shifted copies) and the dual search in
+`codes` (supports over syndrome columns) both walk their sets with it.
+
 File format: an optional first line ``period=T``, then the characters
 '0' and '1' with arbitrary whitespace.  The writer emits 64 characters
 per line.
 """
 
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -237,3 +243,31 @@ class ShiftSet(_ShiftSetFields):
 def as_shifts(shifts: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a shift iterable to a tuple."""
     return ShiftSet(tuple(shifts)).shifts
+
+
+def fold_extensions(values: list[int], head: tuple[int, ...], size: int, start: int, end: int):
+    """Yield (prefix, fold) for every increasing extension of head to size indices.
+
+    The added indices are drawn from start..end-1, every one of them above
+    head's; fold is the XOR of values[j] over the whole prefix.
+    Consecutive prefixes share a leading part, whose partial folds are
+    kept, so each prefix costs one XOR per index it does not share with
+    the one before.  Prefixes come in lexicographic order.  Callers that
+    pick one more index above the prefix loop over it themselves, which
+    makes that index one XOR each.
+    """
+    fold = 0
+    for j in head:
+        fold ^= values[j]
+    folds = [fold]  # folds[i]: fold of head and the first i added indices
+    need = size - len(head)
+    previous = (None,) * need
+    for added in combinations(range(start, end), need):
+        i = 0
+        while i < need and added[i] == previous[i]:
+            i += 1
+        del folds[i + 1:]
+        for j in added[i:]:
+            folds.append(folds[-1] ^ values[j])
+        previous = added
+        yield head + added, folds[-1]

@@ -155,6 +155,14 @@ def find_half_peak_witness(
     space of dimension <= L(S,n), so a low-weight XOR collision among them
     gives a shift set whose summands are all +1 on a window of length w.
 
+    When L <= w each column keeps only its first L bits.  The shortest
+    recurrence holds across the whole prefix, so it extends those L bits
+    to the full window by one linear map, the same for every j and the
+    identity on its first L bits, hence injective.  An XOR of windows
+    therefore vanishes exactly when the XOR of their first L bits does,
+    and both sets of columns give the same support; the short ones hash
+    and fold L-bit ints instead of w-bit ones.
+
     The collision search is anchored at 0 when the prefix is reversible:
     its shortest recurrence has c_0 = 1 (connection polynomial of degree
     exactly L, so each bit is fixed by the L bits after it), L > 0 and
@@ -189,8 +197,8 @@ def find_half_peak_witness(
     from .complexity import linear_complexity
 
     width = n - n // 2  # ceil(n/2)
-    cols = [(data >> j) & mask(width) for j in range(n // 2)]
     l, coeffs = linear_complexity(data, n)
+    cols = [(data >> j) & mask(min(l, width)) for j in range(n // 2)]
     reversible = 0 < l <= width and coeffs[0] == 1
     support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible)
     if support is None:

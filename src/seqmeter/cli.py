@@ -146,7 +146,7 @@ def cmd_kerror(args) -> int:
 
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n
-    value = kerror_linear_complexity(seq, n, errors=args.k)
+    value = kerror_linear_complexity(seq, n, errors=args.k, budget=args.budget)
     _emit(args, {"n": n, "k": args.k, "value": value},
           f"{args.k}-error linear complexity of first {n} bits: {value}")
     return EXIT_OK
@@ -384,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("file")
     ke.add_argument("--n", type=int, help="prefix length (default: whole file)")
     ke.add_argument("--k", type=int, required=True, help="max bit flips")
+    ke.add_argument("--budget", type=int, default=None, help="BM bit-step budget")
     ke.set_defaults(func=cmd_kerror)
 
     corr = sub.add_parser("corr", parents=[common], help="order-k correlation measure, exhaustive")

@@ -11,10 +11,19 @@ for a minimum-weight dual vector works on the coordinate syndromes
 against the span basis: a support D is dual iff the XOR of its columns'
 syndromes vanishes.
 
+Both steps before the search use the span's dimension L, not its period
+T.  build_span eliminates rotations only until the first one that
+depends on the earlier ones, at most L+1 of them.  The span is the set
+of T-periodic sequences that satisfy one recurrence of length L, so its
+first L coordinates are an information set: the pivots are 0..L-1, and
+dual_syndromes steps that recurrence, x^j mod f, to get syndrome j.
+
 low_weight_kernel_support is the one syndrome search, one level per
 weight: it hashes the supports' tails and walks their heads in
 lexicographic order, so the first head that meets a tail gives the
-level's minimum.  In anchored mode it looks only at supports that
+level's minimum.  Both walks come from bitseq.fold_extensions, with the
+last element looped over directly, so each head or tail costs one XOR
+and one dict probe.  In anchored mode it looks only at supports that
 contain coordinate 0.  A support holding 0 sorts before every support
 that does not, so the anchor is exact whenever every minimum-weight
 support can be moved to one holding 0 without changing its weight.  Two
@@ -35,10 +44,9 @@ be reversed, keep the full search.
 
 import math
 from bisect import bisect_right
-from itertools import combinations
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, mask, pack, unpack
+from .bitseq import BitSequence, as_shifts, fold_extensions, mask
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 
@@ -80,38 +88,43 @@ class PeakCertificate(NamedTuple):
         }
 
 
-def _rotations(block: int, t: int):
-    m = mask(t)
-    v = block & m
-    for _ in range(t):
-        yield v
-        v = (v >> 1) | ((v & 1) << (t - 1))
-
-
 def build_span(seq: BitSequence) -> CyclicSpan:
-    """Gaussian elimination over the T cyclic rotations of the period block."""
+    """Gaussian elimination over the cyclic rotations of the period block.
+
+    Rotation j+1 is the cyclic shift of rotation j, so once one rotation
+    reduces to zero against the earlier ones every later rotation lies in
+    their span too.  The loop stops there, after at most L+1 rotations.
+    Rows are kept reduced against each other, each with its lowest set
+    bit as its pivot, and the reduced echelon basis of a space is unique,
+    so basis and pivots are those of all T rotations.
+    """
     if seq.period is None:
         raise ValueError("span construction needs a declared period")
     t = seq.period
+    m = mask(t)
+    row = seq.data & m
     basis: list[int] = []
     pivots: list[int] = []
-    for row in _rotations(seq.data, t):
+    for _ in range(t):
+        v = row
         for b, p in zip(basis, pivots):
-            if (row >> p) & 1:
-                row ^= b
-        if row:
-            p = (row & -row).bit_length() - 1
-            # keep rows reduced against each other so pivots stay unique
-            basis = [b ^ row if (b >> p) & 1 else b for b in basis]
-            basis.append(row)
-            pivots.append(p)
+            if (v >> p) & 1:
+                v ^= b
+        if not v:
+            break
+        p = (v & -v).bit_length() - 1
+        # keep rows reduced against each other so pivots stay unique
+        basis = [b ^ v if (b >> p) & 1 else b for b in basis]
+        basis.append(v)
+        pivots.append(p)
+        row = (row >> 1) | ((row & 1) << (t - 1))
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return CyclicSpan(
         period=t,
         dimension=len(basis),
         basis=tuple(basis[i] for i in order),
         pivots=tuple(pivots[i] for i in order),
-        block=seq.data & mask(t),
+        block=seq.data & m,
     )
 
 
@@ -119,47 +132,77 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     """Per-coordinate syndromes: bit r of syndrome j is basis[r]'s bit j.
 
     A support D indexes a dual vector iff XOR of its syndromes is zero.
-    Syndrome j is column j of the unpacked basis rows.
+    Any L consecutive coordinates of a cyclic span of dimension L are an
+    information set, so the pivots are 0..L-1 and basis[r] is the
+    codeword that starts with the unit vector e_r.  Syndrome j < L is
+    then 1 << j, and column L of the basis is the recurrence c of every
+    codeword, s_{i+L} = sum_r c_r s_{i+r}.  Stepping the recurrence one
+    coordinate multiplies by x modulo f = x^L + c, so syndrome j is
+    x^j mod f: one shift and one conditional XOR per coordinate.
+    Raises ValueError when the pivots are not 0..L-1, which no span of
+    build_span has.
     """
-    rows = [unpack(row, span.period) for row in span.basis]
-    if not rows:
-        return [0] * span.period
-    return [pack("".join(col)) for col in zip(*rows)]
+    l = span.dimension
+    if span.pivots != tuple(range(l)):
+        raise ValueError(f"pivots {span.pivots} are not 0..{l - 1}; not a cyclic span")
+    c = 0
+    for r, row in enumerate(span.basis):
+        c |= ((row >> l) & 1) << r
+    f = c | (1 << l)
+    syndromes = [1 << j for j in range(l)]
+    u = c
+    for _ in range(l, span.period):
+        syndromes.append(u)
+        u <<= 1
+        if u >> l:
+            u ^= f
+    return syndromes
 
 
-def _level(cols: list[int], a: int, h: int, prefixes) -> tuple[int, ...] | None:
+def _tails(cols: list[int], a: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every a-element support in 1..m-1, bucketed by its columns' XOR, in lexicographic order."""
+    m = len(cols)
+    index = list(range(m))  # one int per column, shared by every tail that holds it
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for prefix, fold in fold_extensions(cols, (), a - 1, 1, m - 1):
+        for last in index[prefix[-1] + 1 if prefix else 1:]:
+            key = fold ^ cols[last]
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [prefix + (last,)]
+            else:
+                bucket.append(prefix + (last,))
+    return table
+
+
+def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] | None:
     """Lex-min support of weight h+a whose first h elements extend one of prefixes.
 
     A sorted support splits into its head, the first h elements, and its
-    tail, the last a.  Tails are hashed by their columns' XOR, each bucket
-    in lexicographic order; heads are walked in lexicographic order, and
-    a head fits the first tail in its fold's bucket that starts after
-    the head ends.  prefixes are non-empty and in lexicographic order,
-    so the heads arrive in the supports' order and the first fit is the
-    minimum.
+    tail, the last a.  Tails are hashed by their columns' XOR (tails is
+    that table, or None to build it here); heads are walked in
+    lexicographic order, and a head fits the first tail in its fold's
+    bucket that starts after the head ends.  A head's last element loops
+    on its own below m - a, leaving room for a tail: one XOR and one
+    probe per head.  prefixes are in lexicographic order and each head
+    adds elements above its prefix, so the heads arrive in the supports'
+    order and the first fit is the minimum.
     """
     m = len(cols)
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for tail in combinations(range(1, m), a):
-        acc = 0
-        for j in tail:
-            acc ^= cols[j]
-        table.setdefault(acc, []).append(tail)
+    if tails is None:
+        tails = _tails(cols, a)
+    probe = tails.get
     for prefix in prefixes:
-        base = 0
-        for j in prefix:
-            base ^= cols[j]
-        more = h - len(prefix)
-        for rest in combinations(range(prefix[-1] + 1, m), more) if more else ((),):
-            acc = base
-            for j in rest:
-                acc ^= cols[j]
-            bucket = table.get(acc)
-            if bucket:
-                head = prefix + rest
-                k = bisect_right(bucket, (head[-1], m))
-                if k < len(bucket):
-                    return head + bucket[k]
+        fixed = len(prefix) == h  # anchored weight 2, whose one head is (0,)
+        lead = prefix[:-1] if fixed else prefix
+        start = lead[-1] + 1 if lead else 0
+        for head, fold in fold_extensions(cols, lead, h - 1, start, m - a - 1):
+            for last in prefix[-1:] if fixed else range(head[-1] + 1 if head else 0, m - a):
+                bucket = probe(fold ^ cols[last])
+                if bucket:
+                    k = bisect_right(bucket, (last, m))
+                    if k < len(bucket):
+                        return head + (last,) + bucket[k]
     return None
 
 
@@ -183,14 +226,16 @@ def low_weight_kernel_support(
     Each weight w from 2 up is one head/tail level: a tail of
     a = max(1, ceil(w/2) - 1) elements anchored, floor(w/2) otherwise,
     and a head of the rest, which starts at 0 when anchored.  A level
-    costs its tails plus its heads.  Levels below 4 run in this process;
-    from 4 each checks its cost against budget before it allocates,
-    raising BudgetExceededError when over, and jobs > 1 splits its heads
-    by their first free element.
+    costs its tails plus its heads.  The levels with one-element tails
+    (2, 3 and, anchored, 4) share one table of them.  Levels below 4 run
+    in this process; from 4 each checks its cost against budget before
+    it allocates, raising BudgetExceededError when over, and jobs > 1
+    splits its heads by their first free element.
     """
     m = len(cols)
     w_max = m if w_max is None else min(w_max, m)
     lead = (0,) if anchored else ()
+    ones = None  # the one-element tail table, shared by the levels with a = 1
     for w in range(w_min, w_max + 1):
         if w == 1:
             best = next(((j,) for j in (lead or range(m)) if cols[j] == 0), None)
@@ -201,8 +246,11 @@ def low_weight_kernel_support(
                 cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
                 if cost > budget:
                     raise BudgetExceededError(cost, budget, "hash-table entries and probes")
-            prefixes = [(*lead, d) for d in range(len(lead), m)] if h > len(lead) else [lead]
-            best = map_min(_level, (cols, a, h), prefixes, jobs if w >= 4 else 1)
+            if a == 1 and ones is None:
+                ones = _tails(cols, 1)
+            # from 4 the heads are split by their first free element; below, one slice
+            prefixes = [(*lead, d) for d in range(len(lead), m)] if w >= 4 else [lead]
+            best = map_min(_level, (cols, a, h, ones if a == 1 else None), prefixes, jobs)
         if best is not None:
             return best
     return None

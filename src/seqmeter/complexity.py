@@ -22,12 +22,12 @@ Both measures come with small-scale exhaustive oracles so the fast paths
 can be checked against the bare definitions.
 """
 
+import math
 from itertools import combinations
 from typing import NamedTuple
 
 from .bitseq import BitSequence, mask, unpack
-
-KERROR_MAX_N = 24
+from .budget import DEFAULT_BUDGET, BudgetExceededError
 
 
 class ComplexityProfile(NamedTuple):
@@ -231,17 +231,24 @@ def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None
     return 0 if n == 0 else n
 
 
-def kerror_linear_complexity(seq: BitSequence | int, n: int | None = None, errors: int = 0) -> int:
+def kerror_linear_complexity(
+    seq: BitSequence | int,
+    n: int | None = None,
+    errors: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> int:
     """Minimum L(S',N) over all S' within Hamming distance `errors` of the prefix.
 
-    Exhaustive over every flip pattern of weight <= errors, so n is capped
-    at KERROR_MAX_N.
+    Exhaustive over every flip pattern of weight <= errors, one BM pass of
+    N bit-steps each.  Raises BudgetExceededError before any work when
+    those N * sum_{i <= errors} C(N, i) bit-steps exceed budget.
     """
     data, n = _data_n(seq, n)
-    if n > KERROR_MAX_N:
-        raise ValueError(f"exhaustive k-error search is capped at n <= {KERROR_MAX_N}")
     if errors < 0 or errors > n:
         raise ValueError(f"error count {errors} out of range 0..{n}")
+    cost = n * sum(math.comb(n, w) for w in range(errors + 1))
+    if cost > budget:
+        raise BudgetExceededError(cost, budget, "BM bit-steps")
     best = _berlekamp_massey(data, n)[0]
     for w in range(1, errors + 1):
         if best == 0:

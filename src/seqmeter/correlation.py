@@ -13,15 +13,16 @@ d_1 = 0.
 Search is exhaustive and exponential in k, so every entry point is gated
 by an explicit summand budget, priced for the full search.
 
-Both scans share one shift-set enumerator.  A slice shifts the packed
-sequence once per offset; the copies hold about as many bits as the
-search has summands at most, so the budget bounds them too.  `_prefixes`
-enumerates the first k-1 shifts in lexicographic order, keeping the folds
-of shared leading shifts, and the scan loops over the last shift itself:
-one XOR per shift set.  The periodic scan popcounts that fold.  The
-aperiodic scan needs every window U of the row, and `_row_best` walks
-them a byte at a time through precomputed prefix tables, so a row costs
-~U/8 table steps.
+Both scans share one shift-set enumerator, `bitseq.fold_extensions`,
+which the dual search in `codes` walks its supports with too.  A slice
+shifts the packed sequence once per offset; the copies hold about as
+many bits as the search has summands at most, so the budget bounds them
+too.  The enumerator yields the first k-1 shifts in lexicographic order,
+keeping the folds of shared leading shifts, and the scan loops over the
+last shift itself: one XOR per shift set.  The periodic scan popcounts
+that fold.  The aperiodic scan needs every window U of the row, and
+`_row_best` walks them a byte at a time through precomputed prefix
+tables, so a row costs ~U/8 table steps.
 
 Two stops skip work without changing the answer.  The aperiodic scan
 ends a last-shift loop once the longest window left is shorter than the
@@ -31,10 +32,9 @@ of the slice can beat.
 """
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, mask
+from .bitseq import BitSequence, as_shifts, fold_extensions, mask
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
 from .parallel import map_min
 
@@ -166,33 +166,6 @@ def _row_best(fold: int, u_max: int) -> tuple[int, int]:
     return hi, min(hi_at, lo_at)
 
 
-def _prefixes(shifted: list[int], head: tuple[int, ...], size: int, end: int):
-    """Yield (prefix, fold) for every increasing extension of head to size shifts.
-
-    fold is the XOR of shifted[d] over the prefix.  Consecutive prefixes
-    share a leading part, whose partial folds are kept, so each prefix
-    costs one XOR per shift it does not share with the one before.  Every
-    added shift stays below end - 1, leaving room for the last shift,
-    which the caller loops over itself.  Prefixes come in lexicographic
-    order.
-    """
-    fold = 0
-    for d in head:
-        fold ^= shifted[d]
-    folds = [fold]  # folds[i]: fold of head and the first i added shifts
-    need = size - len(head)
-    previous = (None,) * need
-    for added in combinations(range(head[-1] + 1 if head else 0, end - 1), need):
-        i = 0
-        while i < need and added[i] == previous[i]:
-            i += 1
-        del folds[i + 1:]
-        for d in added[i:]:
-            folds.append(folds[-1] ^ shifted[d])
-        previous = added
-        yield head + added, folds[-1]
-
-
 def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
     """Minimal (-value, U, D) key over every D that extends one of heads to k shifts.
 
@@ -208,7 +181,8 @@ def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
     best = None
     best_value = 0
     for head in heads:
-        for prefix, fold in _prefixes(shifted, head, k - 1, n):
+        start = head[-1] + 1 if head else 0
+        for prefix, fold in fold_extensions(shifted, head, k - 1, start, n - 1):
             for last in range(prefix[-1] + 1 if prefix else 0, n):
                 u_max = n - last
                 if u_max < best_value:
@@ -296,7 +270,7 @@ def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
     shifted = [(two >> j) & m for j in range(t)]
     best_value, best_d = -1, None
     for head in heads:
-        for prefix, fold in _prefixes(shifted, head, k - 1, t):
+        for prefix, fold in fold_extensions(shifted, head, k - 1, head[-1] + 1, t - 1):
             for last in range(prefix[-1] + 1, t):
                 value = abs(t - 2 * (fold ^ shifted[last]).bit_count())
                 if value > best_value:  # a tie keeps the earlier, smaller D

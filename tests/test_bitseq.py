@@ -1,9 +1,15 @@
+import itertools
+import random
 import time
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from seqmeter.bitseq import BitSequence, ShiftSet, as_shifts, dumps, loads, mask, pack, unpack
+from seqmeter.bitseq import (
+    BitSequence, ShiftSet, as_shifts, dumps, fold_extensions, loads, mask, pack, unpack,
+)
 from seqmeter.generators import m_sequence
 
 
@@ -174,3 +180,19 @@ def test_shiftset_validation():
     with pytest.raises(ValueError):
         as_shifts(())
     assert ShiftSet((1, 4)).order == 2
+
+
+def test_fold_extensions_match_combinations():
+    # every head below start, every size, every end <= 10: the same prefixes in
+    # the same order as combinations, each with the XOR of its values
+    values = [random.Random(j).getrandbits(32) for j in range(10)]
+    for end in range(11):
+        for start in range(end + 1):
+            for head in itertools.chain.from_iterable(
+                    itertools.combinations(range(start), r) for r in range(start + 1)):
+                for size in range(len(head), len(head) + end - start + 1):
+                    expected = [(head + added, reduce(xor, (values[j] for j in head + added), 0))
+                                for added in itertools.combinations(range(start, end),
+                                                                    size - len(head))]
+                    assert list(fold_extensions(values, head, size, start, end)) == expected, \
+                        (head, start, size, end)

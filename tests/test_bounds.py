@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter.bitseq import BitSequence, mask
+from seqmeter import codes
+from seqmeter.bitseq import BitSequence, loads, mask
 from seqmeter.bounds import (
     log_complexity_bound,
     fermat_complexity_bound,
@@ -130,6 +132,34 @@ def test_half_peak_witness_keeps_full_search_when_not_reversible():
     w = find_half_peak_witness(s, 70, 2, budget=10**3)
     assert (w["method"], w["D"], w["value"]) == ("constructive", [1, 2], 35)
     assert low_weight_kernel_support(_window_columns(s, 70), 2, 2, anchored=True) is None
+
+
+def _searched_columns(seq, n):
+    """The columns find_half_peak_witness hands to the kernel search, constructive path forced."""
+    seen = []
+
+    def record(cols, *args, **kwargs):
+        seen.append(cols)
+        return search(cols, *args, **kwargs)
+
+    search = codes.low_weight_kernel_support
+    with mock.patch.object(codes, "low_weight_kernel_support", record):
+        find_half_peak_witness(seq, n, 3, budget=0)
+    return seen[0]
+
+
+def test_half_peak_columns_keep_the_first_l_bits():
+    s = m_sequence(3, periods=10)  # n = 70, L = 3 <= w = 35
+    assert _searched_columns(s, 70) == [(s.data >> j) & mask(3) for j in range(35)]
+
+
+def test_half_peak_columns_stay_full_width_above_the_window():
+    # L = 11 > w = 10: no recurrence of length <= w extends the windows
+    s = loads("10110010011010000010")
+    assert linear_complexity(s, 20)[0] == 11
+    cols = _searched_columns(s, 20)
+    assert cols == _window_columns(s, 20)
+    assert max(c.bit_length() for c in cols) == 10
 
 
 @pytest.mark.parametrize("seq", [

@@ -86,6 +86,22 @@ def test_kerror(ms3, capsys):
     assert doc["value"] <= 3
 
 
+def test_kerror_priced_by_budget(tmp_path, capsys, monkeypatch):
+    # one flip at N = 64 costs 64 * 65 = 4160 BM bit-steps
+    path = tmp_path / "ms6.txt"
+    assert run(["gen", "msequence", "--ell", "6", "-o", str(path)], capsys)[0] == 0
+    code, out, _ = run(["kerror", str(path), "--k", "1", "--n", "64"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] <= 6
+    assert run(["kerror", str(path), "--k", "1", "--n", "64", "--budget", "4159"], capsys)[:2] == (3, "")
+    monkeypatch.setenv("SEQMETER_BUDGET", "4159")
+    code, out, err = run(["kerror", str(path), "--k", "1", "--n", "64"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("seqmeter: search needs ~4160 BM bit-steps")
+    monkeypatch.setenv("SEQMETER_BUDGET", "4160")
+    assert run(["kerror", str(path), "--k", "1", "--n", "64"], capsys)[0] == 0
+
+
 def test_corr_aperiodic(ms3, capsys):
     code, out, _ = run(["corr", ms3, "--k", "2"], capsys)
     assert code == 0

@@ -6,8 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seqmeter.bitseq import BitSequence, loads, mask
+from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
 from seqmeter.codes import (
+    CyclicSpan,
     build_span,
     dual_basis,
     dual_syndromes,
@@ -21,6 +22,80 @@ from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
 from test_cli import RecordingExecutor
+
+
+def _span_oracle(seq):
+    """The span by elimination over all T rotations, with no early stop."""
+    t = seq.period
+    basis, pivots = [], []
+    v = seq.data & mask(t)
+    for _ in range(t):
+        row = v
+        for b, p in zip(basis, pivots):
+            if (row >> p) & 1:
+                row ^= b
+        if row:
+            p = (row & -row).bit_length() - 1
+            basis = [b ^ row if (b >> p) & 1 else b for b in basis]
+            basis.append(row)
+            pivots.append(p)
+        v = (v >> 1) | ((v & 1) << (t - 1))
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return CyclicSpan(t, len(basis), tuple(basis[i] for i in order),
+                      tuple(pivots[i] for i in order), seq.data & mask(t))
+
+
+def _syndromes_oracle(span):
+    """Syndrome j as column j of the basis, transposed through '0'/'1' strings."""
+    rows = [unpack(row, span.period) for row in span.basis]
+    if not rows:
+        return [0] * span.period
+    return [pack("".join(col)) for col in zip(*rows)]
+
+
+def _assert_span_matches_oracle(seq):
+    span = build_span(seq)
+    assert span == _span_oracle(seq), seq
+    assert span.pivots == tuple(range(span.dimension))
+    assert dual_syndromes(span) == _syndromes_oracle(span), seq
+
+
+def test_span_and_syndromes_match_full_elimination_exhaustively():
+    # every block with T <= 12: 8190 spans
+    for t in range(1, 13):
+        for bits in range(1 << t):
+            _assert_span_matches_oracle(BitSequence.from_int(bits, t, period=t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8), st.data())
+def test_span_and_syndromes_match_full_elimination_on_low_rank_blocks(p, q, data):
+    # the XOR of a period-p and a period-q pattern satisfies the short recurrence
+    # (x^p - 1)(x^q - 1), so its span has rank <= p + q and the rotations stop early
+    lcm = math.lcm(p, q)
+    t = lcm * data.draw(st.integers(min_value=1, max_value=64 // lcm))
+    a = data.draw(st.integers(min_value=0, max_value=(1 << p) - 1))
+    b = data.draw(st.integers(min_value=0, max_value=(1 << q) - 1))
+    block = sum((((a >> (i % p)) ^ (b >> (i % q))) & 1) << i for i in range(t))
+    _assert_span_matches_oracle(BitSequence.from_int(block, t, period=t))
+
+
+@pytest.mark.parametrize("seq", [
+    *(m_sequence(ell) for ell in range(2, 13)),
+    *(gold_sequence(ell) for ell in (5, 6, 7, 9, 11)),
+    *(small_kasami(ell) for ell in (4, 6, 8, 10, 12)),
+], ids=[*(f"m{ell}" for ell in range(2, 13)), *(f"gold{ell}" for ell in (5, 6, 7, 9, 11)),
+        *(f"kasami{ell}" for ell in (4, 6, 8, 10, 12))])
+def test_family_spans_match_full_elimination(seq):
+    _assert_span_matches_oracle(seq)
+
+
+def test_dual_syndromes_need_leading_pivots():
+    # no block's rotations reduce to one row with its pivot at 1, so column 1
+    # of this hand-built span is no recurrence
+    span = CyclicSpan(period=4, dimension=1, basis=(0b0110,), pivots=(1,), block=0b0110)
+    with pytest.raises(ValueError, match="pivots"):
+        dual_syndromes(span)
 
 
 def test_span_dimensions():
@@ -296,31 +371,39 @@ def test_jobs_do_not_change_certificates(t, data):
         assert a.as_dict() == b.as_dict()
 
 
-def _reversible_window_columns(bits, n):
-    """The thm2 window columns of an n-prefix, or None if its recurrence is not reversible."""
+def _window_columns(bits, n):
+    """thm2's columns of an n-prefix: its w-bit windows, their first min(L, w) bits,
+    and whether the prefix is reversible."""
     width = n - n // 2
     l, coeffs = linear_complexity(bits, n)
-    if not (0 < l <= width and coeffs[0] == 1):
-        return None
-    return [(bits >> j) & mask(width) for j in range(n // 2)]
+    full = [(bits >> j) & mask(width) for j in range(n // 2)]
+    short = [(bits >> j) & mask(min(l, width)) for j in range(n // 2)]
+    return full, short, 0 < l <= width and coeffs[0] == 1
 
 
-def _assert_anchored_windows_match_full_search(cols, k_max, label):
-    full = low_weight_kernel_support(cols, 2, k_max)
-    assert low_weight_kernel_support(cols, 2, k_max, anchored=True) == full, label
+def _assert_window_searches_agree(full, short, reversible, k_max, label):
+    # the recurrence extends the first L bits of a window to all w of them by
+    # one injective map, so both columns give one support in either mode; the
+    # anchor gives the full search's support when the prefix is reversible
+    expected = low_weight_kernel_support(full, 2, k_max)
+    assert low_weight_kernel_support(short, 2, k_max) == expected, label
+    anchored = low_weight_kernel_support(full, 2, k_max, anchored=True)
+    assert low_weight_kernel_support(short, 2, k_max, anchored=True) == anchored, label
+    if reversible:
+        assert anchored == expected, label
 
 
 def test_anchored_window_search_matches_full_search_exhaustively():
-    # every reversible prefix with 2 <= N <= 13
+    # every prefix with 2 <= N <= 13 and 0 < L <= w
     checked = 0
     for n in range(2, 14):
         for bits in range(1 << n):
-            cols = _reversible_window_columns(bits, n)
-            if cols is None:
+            if not 0 < linear_complexity(bits, n)[0] <= n - n // 2:
                 continue
-            checked += 1
+            full, short, reversible = _window_columns(bits, n)
+            checked += reversible
             for k_max in (3, 4, 6):
-                _assert_anchored_windows_match_full_search(cols, k_max, (n, bits, k_max))
+                _assert_window_searches_agree(full, short, reversible, k_max, (n, bits, k_max))
     assert checked > 5000
 
 
@@ -334,7 +417,7 @@ def test_anchored_window_search_matches_full_search(n, data):
     bits = data.draw(st.integers(min_value=1, max_value=(1 << l) - 1))
     for i in range(l, n):
         bits |= ((taps & (bits >> (i - l))).bit_count() & 1) << i
-    cols = _reversible_window_columns(bits, n)
-    assume(cols is not None)
+    full, short, reversible = _window_columns(bits, n)
+    assume(reversible)
     k_max = data.draw(st.sampled_from((3, 4, 6)))
-    _assert_anchored_windows_match_full_search(cols, k_max, (n, bits, k_max))
+    _assert_window_searches_agree(full, short, reversible, k_max, (n, bits, k_max))

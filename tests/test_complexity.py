@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter.bitseq import BitSequence
+from seqmeter.bitseq import BitSequence, mask
+from seqmeter.budget import BudgetExceededError
 from seqmeter.complexity import (
     linear_complexity,
     linear_complexity_bruteforce,
@@ -12,6 +13,7 @@ from seqmeter.complexity import (
     max_order_complexity_profile,
     recurrence_holds,
 )
+from seqmeter.generators import m_sequence
 
 
 def seq(bits):
@@ -131,10 +133,20 @@ def test_kerror_reaches_zero():
     assert kerror_linear_complexity(s, errors=1) == 0
 
 
-def test_kerror_rejects_oversize():
+def test_kerror_answers_long_prefix_within_budget():
+    # one flip at N = 40 costs 40 * 41 BM bit-steps
+    s = BitSequence.from_int((m_sequence(5).data & mask(40)) ^ (1 << 17), 40)
+    best = min(linear_complexity(BitSequence.from_int(s.data ^ f, 40))[0]
+               for f in (0, *(1 << i for i in range(40))))
+    assert kerror_linear_complexity(s, errors=1) == best <= 5
+
+
+def test_kerror_rejects_over_budget():
     s = BitSequence.from_int(0, 40)
-    with pytest.raises(ValueError):
-        kerror_linear_complexity(s, errors=1)
+    with pytest.raises(BudgetExceededError) as exc:
+        kerror_linear_complexity(s, errors=1, budget=40 * 41 - 1)
+    assert (exc.value.cost, exc.value.budget) == (40 * 41, 40 * 41 - 1)
+    assert kerror_linear_complexity(s, errors=1, budget=40 * 41) == 0
 
 
 @settings(max_examples=60)
