@@ -22,7 +22,6 @@ _EXPORTS = {
         "BoundReport",
         "fermat_complexity_bound",
         "find_half_peak_witness",
-        "half_peak_threshold",
         "hall_complexity_bound",
         "kerror_bound",
         "lc_correlation_bound",
@@ -37,8 +36,6 @@ _EXPORTS = {
         "PeakCertificate",
         "build_span",
         "find_periodic_peak",
-        "full_peak_threshold",
-        "hamming_condition",
     ),
     "complexity": (
         "ComplexityProfile",
@@ -70,6 +67,7 @@ _EXPORTS = {
         "small_kasami",
     ),
     "parallel": (),
+    "thresholds": ("full_peak_threshold", "half_peak_threshold", "hamming_condition"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

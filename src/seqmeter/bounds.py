@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .bitseq import BitSequence, mask
 from .budget import DEFAULT_BUDGET
+from .thresholds import full_peak_threshold, half_peak_threshold  # half_peak_threshold re-exported
 
 # exhaustive order-k search is only attempted below this many summands
 # before falling back to the constructive window-collision argument
@@ -106,23 +107,6 @@ def moc_correlation_bound(corr: dict, n: int) -> BoundReport:
         False,
         "no self-consistent point within the supplied correlation orders",
     )
-
-
-def half_peak_threshold(n: int, l: int) -> tuple[int, int] | None:
-    """Smallest t with C(floor(n/2), t) >= 2**l, and the order cap 2t.
-
-    When it exists, a half peak C_k >= n/2 is guaranteed for some order
-    1 < k <= 2t.  None when no t works (the binomial peaks at n/4 and
-    may never reach 2**l).
-    """
-    if l < 0 or n < 2:
-        raise ValueError("need l >= 0 and n >= 2")
-    goal = 1 << l
-    half = n // 2
-    for t in range(1, half + 1):
-        if math.comb(half, t) >= goal:
-            return t, 2 * t
-    return None
 
 
 def log_complexity_bound(k: int, n: int, delta: float = 0.0) -> float:
@@ -290,8 +274,6 @@ TABLE_FAMILIES: tuple[FamilyRow, ...] = (
 
 def table1_row(family: str, ell: int) -> dict:
     """One family/degree cell: period, dimension, exact threshold, claimed cap."""
-    from .codes import full_peak_threshold
-
     row = next((f for f in TABLE_FAMILIES if f.key == family), None)
     if row is None:
         raise ValueError(f"unknown family {family!r}")

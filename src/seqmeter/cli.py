@@ -170,7 +170,8 @@ def cmd_corr(args) -> int:
 
 
 def cmd_peaks(args) -> int:
-    from .codes import build_span, find_periodic_peak, full_peak_threshold
+    from .codes import build_span, find_periodic_peak
+    from .thresholds import full_peak_threshold
 
     seq = _load(args.file)
     if seq.period is None:
@@ -222,7 +223,7 @@ def _bounds_table1(args) -> int:
 
 
 def _bounds_thm2(args) -> int:
-    from .bounds import half_peak_threshold
+    from .thresholds import half_peak_threshold
 
     th = half_peak_threshold(args.n, args.l)
     if th is None:
@@ -250,7 +251,8 @@ def _bounds_cor3(args) -> int:
 def _bounds_verify(args) -> int:
     seq = _load(args.file)
     if args.claim == "thm1":
-        from .codes import build_span, find_periodic_peak, full_peak_threshold
+        from .codes import build_span, find_periodic_peak
+        from .thresholds import full_peak_threshold
 
         if seq.period is None:
             raise _usage("this check needs a declared period")
@@ -269,8 +271,9 @@ def _bounds_verify(args) -> int:
         _emit(args, payload, f"full-peak guarantee {'verified' if ok else 'VIOLATED'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.claim == "thm2":
-        from .bounds import find_half_peak_witness, half_peak_threshold
+        from .bounds import find_half_peak_witness
         from .complexity import linear_complexity
+        from .thresholds import half_peak_threshold
 
         n = seq.n if args.n is None else args.n
         l, _ = linear_complexity(seq, n)

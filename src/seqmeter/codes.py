@@ -49,6 +49,7 @@ from typing import NamedTuple
 from .bitseq import BitSequence, as_shifts, fold_extensions, mask
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
+from .thresholds import full_peak_threshold, hamming_condition  # re-exported
 
 
 class CyclicSpan(NamedTuple):
@@ -299,41 +300,6 @@ def _verify_full_peak(block: int, t: int, support: tuple[int, ...]) -> bool:
     for d in support:
         fold ^= data2 >> d
     return fold & mask(t) == 0
-
-
-def full_peak_threshold(t: int, l: int) -> int | None:
-    """Smallest weight cap tt >= 2 with sum_{i <= (tt-1)//2} C(t, i) >= 2**l.
-
-    Sphere-packing contrapositive: at this cap a dual vector of weight
-    <= tt must exist, so the sequence has a full periodic peak of some
-    order 1 < k <= tt.  None when l >= t: at l = t the span is the whole
-    space, its dual is {0} and no full peak exists, and for l > t the sum
-    never reaches 2**l.
-    """
-    if not 0 <= l:
-        raise ValueError("dimension must be non-negative")
-    if l >= t:
-        return None
-    goal = 1 << l
-    total = 1  # i = 0 term
-    if total >= goal:
-        return 2
-    j = 0
-    while True:
-        j += 1
-        total += math.comb(t, j)
-        if total >= goal:
-            return 2 * j + 1
-
-
-def hamming_condition(p: int, t: int, dim: int, w: int) -> bool:
-    """Sphere-packing test: sum_{i <= (w-1)//2} C(t,i)(p-1)^i > p^(t-dim), exact ints."""
-    if w < 1:
-        raise ValueError("weight must be >= 1")
-    if not 0 <= dim <= t:
-        raise ValueError(f"dimension must be in 0..{t}")
-    total = sum(math.comb(t, i) * (p - 1) ** i for i in range((w - 1) // 2 + 1))
-    return total > p ** (t - dim)
 
 
 def dual_basis(span: CyclicSpan) -> list[int]:

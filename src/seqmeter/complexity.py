@@ -18,12 +18,16 @@ automaton (DAWG) of the prefix finds these strings as they appear, for
 every N at once and in linear time (Blumer et al. 1985; Jansen & Boekee,
 CRYPTO '89).
 
+The k-error L is the minimum L over every flip pattern of weight <= k.
+A depth-first walk over the patterns steps the same Berlekamp-Massey
+routine, `_bm_run`, that computes L, so patterns sharing their first
+flips share those steps, and a branch ends once its L reaches the best.
+
 Both measures come with small-scale exhaustive oracles so the fast paths
 can be checked against the bare definitions.
 """
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 from .bitseq import BitSequence, mask, unpack
@@ -56,28 +60,41 @@ def _data_n(seq: BitSequence | int, n: int | None, fallback_n: int | None = None
     return seq & mask(n), n
 
 
-def _berlekamp_massey(data: int, n: int, want_profile: bool = False):
-    """Core synthesis. Returns (L, connection poly as bitmask, profile or None).
+_BM_START = (1, 1, 0, -1, 0)  # (c, b, l, m, rev) before the first bit
 
-    The connection polynomial bitmask has bit j = coefficient of x^j, with
-    C(x) = 1 + C_1 x + ... annihilating the prefix: s[i] = sum_j C_j s[i-j].
-    The reversed-prefix register makes each discrepancy one AND plus one
-    popcount on packed words; the bits are read once, through `unpack`.
+
+def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = None):
+    """Berlekamp-Massey from `state` over bits, the first of them at position start.
+
+    Returns the state after the last bit, or None as soon as l reaches
+    stop.  A state is (c, b, l, m, rev).  The connection polynomial c has
+    bit j = coefficient of x^j, with C(x) = 1 + C_1 x + ... annihilating
+    the prefix: s[i] = sum_j C_j s[i-j].  b and m are the polynomial and
+    the position of the last length change, and the reversed-prefix
+    register rev holds s_i..s_0, most recent at bit 0, so each discrepancy
+    is one AND plus one popcount on packed words.  l changes only at a
+    length change, and never decreases, so only there is it checked
+    against stop.  profile, when given, receives l after each bit.
     """
-    c, b = 1, 1
-    l, m = 0, -1
-    rev = 0  # bits s_i..s_0, most recent at bit 0
-    profile = [] if want_profile else None
-    for i, bit in enumerate(map(int, unpack(data, n))):
+    c, b, l, m, rev = state
+    for i, bit in enumerate(bits, start):
         rev = (rev << 1) | bit
         if (c & rev).bit_count() & 1:
             t = c
             c ^= b << (i - m)
             if 2 * l <= i:
                 l, m, b = i + 1 - l, i, t
+                if l >= stop:
+                    return None
         if profile is not None:
             profile.append(l)
-    return l, c, profile
+    return c, b, l, m, rev
+
+
+def _berlekamp_massey(data: int, n: int, profile: list | None = None) -> tuple[int, int]:
+    """(L, connection polynomial bitmask) of the n-bit prefix; the bits are read once."""
+    conn, _, l, _, _ = _bm_run(map(int, unpack(data, n)), 0, _BM_START, n + 1, profile)
+    return l, conn
 
 
 def _recurrence_from_connection(conn: int, l: int) -> tuple[int, ...]:
@@ -92,14 +109,15 @@ def linear_complexity(seq: BitSequence | int, n: int | None = None) -> tuple[int
     the all-zero prefix.
     """
     data, n = _data_n(seq, n)
-    l, conn, _ = _berlekamp_massey(data, n)
+    l, conn = _berlekamp_massey(data, n)
     return l, _recurrence_from_connection(conn, l)
 
 
 def linear_complexity_profile(seq: BitSequence | int, n: int | None = None) -> ComplexityProfile:
     data, n = _data_n(seq, n)
-    l, conn, prof = _berlekamp_massey(data, n, want_profile=True)
-    return ComplexityProfile("linear", tuple(prof), _recurrence_from_connection(conn, l))
+    profile = []
+    l, conn = _berlekamp_massey(data, n, profile)
+    return ComplexityProfile("linear", tuple(profile), _recurrence_from_connection(conn, l))
 
 
 def recurrence_holds(seq: BitSequence | int, coeffs: tuple[int, ...], n: int | None = None) -> bool:
@@ -231,6 +249,29 @@ def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None
     return 0 if n == 0 else n
 
 
+def _kerror_walk(bits: list[int], start: int, state: tuple, flips: int, best: int) -> int:
+    """Smallest final l below best over every way to flip at most `flips` of bits[start:].
+
+    state is the BM state before bit start, with l < best; returns best
+    when no pattern goes below it.  Patterns are walked depth first with
+    their flips in increasing order: at each position the flipped bit's
+    subtree first, then the unflipped bit, so the patterns that agree
+    below a position share the BM steps up to it.  l never decreases as
+    bits are added, so a branch ends once its l reaches best.
+    """
+    if not flips:
+        end = _bm_run(bits[start:], start, state, best)
+        return best if end is None else end[2]
+    for i in range(start, len(bits)):
+        flipped = _bm_run((1 - bits[i],), i, state, best)
+        if flipped is not None:
+            best = _kerror_walk(bits, i + 1, flipped, flips - 1, best)
+        state = _bm_run((bits[i],), i, state, best)
+        if state is None or state[2] >= best:
+            return best
+    return state[2]
+
+
 def kerror_linear_complexity(
     seq: BitSequence | int,
     n: int | None = None,
@@ -239,9 +280,13 @@ def kerror_linear_complexity(
 ) -> int:
     """Minimum L(S',N) over all S' within Hamming distance `errors` of the prefix.
 
-    Exhaustive over every flip pattern of weight <= errors, one BM pass of
-    N bit-steps each.  Raises BudgetExceededError before any work when
-    those N * sum_{i <= errors} C(N, i) bit-steps exceed budget.
+    Exact by a depth-first walk over the flip patterns of weight <=
+    errors (`_kerror_walk`), seeded with the unflipped L, which shares BM
+    steps between patterns and cuts every branch whose L already reaches
+    the best found.  The price is the worst case without that sharing
+    or cutting, N * sum_{i <= errors} C(N, i) BM bit-steps, one pass per
+    pattern; BudgetExceededError is raised before any work when it
+    exceeds budget.
     """
     data, n = _data_n(seq, n)
     if errors < 0 or errors > n:
@@ -249,17 +294,8 @@ def kerror_linear_complexity(
     cost = n * sum(math.comb(n, w) for w in range(errors + 1))
     if cost > budget:
         raise BudgetExceededError(cost, budget, "BM bit-steps")
-    best = _berlekamp_massey(data, n)[0]
-    for w in range(1, errors + 1):
-        if best == 0:
-            break
-        for pos in combinations(range(n), w):
-            flip = 0
-            for p in pos:
-                flip |= 1 << p
-            l = _berlekamp_massey(data ^ flip, n)[0]
-            if l < best:
-                best = l
-                if best == 0:
-                    break
+    bits = list(map(int, unpack(data, n)))
+    best = _bm_run(bits, 0, _BM_START, n + 1)[2]
+    if errors and best:
+        best = _kerror_walk(bits, 0, _BM_START, errors, best)
     return best

@@ -24,11 +24,14 @@ that fold.  The aperiodic scan needs every window U of the row, and
 `_row_best` walks them a byte at a time through precomputed prefix
 tables, so a row costs ~U/8 table steps.
 
-Two stops skip work without changing the answer.  The aperiodic scan
+Three stops skip work without changing the answer.  The aperiodic scan
 ends a last-shift loop once the longest window left is shorter than the
-best value, because windows only shrink as the last shift grows.  A
-periodic slice returns at its first full peak, which no later shift set
-of the slice can beat.
+best value, because windows only shrink as the last shift grows.  It
+skips a row without walking its windows when one popcount bounds them
+all below the best value: a +-1 walk has |v_U| <= U and |v_U| <=
+|v_{u_max}| + (u_max - U), so no window exceeds (u_max + |v_{u_max}|)/2.
+A periodic slice returns at its first full peak, which no later shift
+set of the slice can beat.
 """
 
 import math
@@ -43,7 +46,8 @@ def search_cost(n: int, k: int) -> int:
     """Summand-evaluation count for the exhaustive order-k search at length n."""
     if k < 1 or k > n:
         return 0
-    return sum(math.comb(n - u, k - 1) * (n - u + 1) for u in range(1, n - k + 2))
+    # sum_{m=k-1}^{n-1} C(m, k-1) * (m+1) = k * sum_{j=k}^{n} C(j, k), hockey-stick identity
+    return k * math.comb(n + 1, k + 1)
 
 
 def periodic_search_cost(t: int, k: int) -> int:
@@ -172,9 +176,11 @@ def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
     For each prefix of k-1 shifts the last shift runs upward, so the row's
     longest window u_max = n - last shrinks; the loop stops at the first
     u_max below the best value so far, since no later row can reach it.
-    A row whose u_max equals that value still runs: it may tie the value
-    with a smaller U.  Pure function of the arguments, safe to ship to
-    worker processes.
+    A row is skipped when u_max + |v_{u_max}| < 2 * best value, which
+    bounds twice every |v_U| of the row (module docstring).  Both tests
+    are strict, so a row that may tie the value with a smaller U still
+    runs.  Pure function of the arguments, safe to ship to worker
+    processes.
     """
     m = mask(n - k + 1)  # no window is longer
     shifted = [(data >> j) & m for j in range(n)]
@@ -187,7 +193,10 @@ def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
                 u_max = n - last
                 if u_max < best_value:
                     break
-                value, u = _row_best(fold ^ shifted[last], u_max)
+                row = fold ^ shifted[last]
+                if u_max + abs(u_max - 2 * (row & ((1 << u_max) - 1)).bit_count()) < 2 * best_value:
+                    continue
+                value, u = _row_best(row, u_max)
                 if value >= best_value:
                     key = (-value, u, prefix + (last,))
                     if best is None or key < best:

@@ -15,12 +15,11 @@ from typing import NamedTuple
 from .bitseq import BitSequence, mask
 from .bounds import (
     find_half_peak_witness,
-    half_peak_threshold,
     kerror_bound,
     moc_half_peak_check,
     table1,
 )
-from .codes import build_span, find_periodic_peak, full_peak_threshold
+from .codes import build_span, find_periodic_peak
 from .complexity import (
     kerror_linear_complexity,
     linear_complexity,
@@ -30,6 +29,7 @@ from .complexity import (
 )
 from .correlation import aperiodic_measure, delta_under_flips
 from .generators import gold_sequence, m_sequence, small_kasami
+from .thresholds import full_peak_threshold, half_peak_threshold
 
 DEFAULT_SEED = 20240917
 

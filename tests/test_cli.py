@@ -392,20 +392,22 @@ CLI = ["budget", "cli"]
     (RUN_MAIN.format(argv=["--version"]), CLI),
     (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
     (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]), CLI + ["bitseq", "correlation", "parallel"]),
-    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
-    (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel"]),
+    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel", "thresholds"]),
+    (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]),
+     CLI + ["bitseq", "codes", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "complexity", "generators"]),
     (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
     (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]), CLI + ["bitseq", "complexity"]),
-    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "codes", "parallel"]),
-    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["bitseq", "bounds"]),
-    (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]), CLI + ["bitseq", "bounds"]),
+    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "thresholds"]),
+    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["thresholds"]),
+    (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]),
+     CLI + ["bitseq", "bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel"]),
+     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel"]),
+     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
-     CLI + ["bitseq", "bounds", "correlation", "parallel"]),
+     CLI + ["bitseq", "bounds", "correlation", "parallel", "thresholds"]),
 ], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
         "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,3 +164,44 @@ def test_kerror_bruteforce_definition(n, data):
         if bin(f).count("1") <= e
     )
     assert kerror_linear_complexity(s, errors=e) == best
+
+
+def kerror_by_patterns(bits, n, errors, lc):
+    """[min L over flip patterns of weight <= e for e in 0..errors], one pattern at a time.
+
+    lc(data) is the linear complexity of an n-bit word; the enumeration
+    shares nothing between patterns and never stops early.
+    """
+    best = [lc(bits)]
+    for w in range(1, errors + 1):
+        flips = (sum(1 << p for p in pos) for pos in itertools.combinations(range(n), w))
+        best.append(min(best[-1], min(lc(bits ^ f) for f in flips)))
+    return best
+
+
+def test_kerror_walk_matches_pattern_enumeration_exhaustive():
+    for n in range(13):
+        table = [linear_complexity(bits, n)[0] for bits in range(1 << n)]
+        for bits in range(1 << n):
+            want = kerror_by_patterns(bits, n, min(3, n), table.__getitem__)
+            got = [kerror_linear_complexity(bits, n, errors=e) for e in range(len(want))]
+            assert got == want, (n, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=20), st.data())
+def test_kerror_walk_matches_pattern_enumeration(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    e = data.draw(st.integers(min_value=0, max_value=min(3, n)))
+    want = kerror_by_patterns(bits, n, e, lambda d: linear_complexity(d, n)[0])[-1]
+    assert kerror_linear_complexity(bits, n, errors=e) == want
+
+
+def test_kerror_walk_at_full_depth():
+    # every error count up to F = N = 16: the walk may place a flip at every position
+    n = 16
+    table = [linear_complexity(bits, n)[0] for bits in range(1 << n)]
+    for bits in (0b1011001110001011, 0b0110100110010110, 0xFFFF):
+        want = kerror_by_patterns(bits, n, n, table.__getitem__)
+        assert [kerror_linear_complexity(bits, n, errors=e) for e in range(n + 1)] == want
+        assert want[-1] == 0

@@ -23,9 +23,10 @@ PUBLIC = [
     "m_sequence", "max_order_complexity", "max_order_complexity_profile",
     "moc_correlation_bound", "moc_half_peak_check", "parallel",
     "periodic_autocorrelation", "periodic_measure", "save", "search_cost",
-    "small_kasami", "table1", "table1_row",
+    "small_kasami", "table1", "table1_row", "thresholds",
 ]
-SUBMODULES = ["bitseq", "bounds", "codes", "complexity", "correlation", "generators", "parallel"]
+SUBMODULES = ["bitseq", "bounds", "codes", "complexity", "correlation", "generators", "parallel",
+              "thresholds"]
 
 
 def test_public_names_pinned():
