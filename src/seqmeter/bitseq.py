@@ -259,8 +259,11 @@ def fold_extensions(values: list[int], head: tuple[int, ...], size: int, start: 
     fold = 0
     for j in head:
         fold ^= values[j]
-    folds = [fold]  # folds[i]: fold of head and the first i added indices
     need = size - len(head)
+    if not need:  # combinations would copy all of start..end-1 to yield one empty tuple
+        yield head, fold
+        return
+    folds = [fold]  # folds[i]: fold of head and the first i added indices
     previous = (None,) * need
     for added in combinations(range(start, end), need):
         i = 0

@@ -154,9 +154,17 @@ def find_half_peak_witness(
     codes module docstring), and the anchored answer is the full one.
     Whenever the threshold fires, C(floor(n/2), t) >= 2**L forces
     L <= floor(n/2) <= w, so there the width condition always holds.
-    Other prefixes keep the full search.  The search raises
-    BudgetExceededError before a level whose hash entries plus probes
-    exceed budget.  Both paths re-verify the witness with correlation_at.
+    Other prefixes keep the full search.
+
+    The window at j is the recurrence's state at j, A^j times the first
+    one, where A is the companion matrix of f = x^L + sum_r c_r x^r.  The
+    first window's annihilator is f itself, or the prefix would satisfy
+    a shorter recurrence, so the windows over D fold to zero exactly when
+    f divides sum_{d in D} x^d.  A reversible prefix therefore hands f to
+    the search as its recurrence, which lets Gold-like prefixes take the
+    zeros path (see low_weight_kernel_support).  The search raises
+    BudgetExceededError before a level whose price exceeds budget.  Both
+    paths re-verify the witness with correlation_at.
     """
     from .correlation import aperiodic_measure, correlation_at, search_cost
 
@@ -184,7 +192,8 @@ def find_half_peak_witness(
     l, coeffs = linear_complexity(data, n)
     cols = [(data >> j) & mask(min(l, width)) for j in range(n // 2)]
     reversible = 0 < l <= width and coeffs[0] == 1
-    support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible)
+    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l if reversible else None
+    support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible, recurrence=f)
     if support is None:
         return None
     value = correlation_at(seq, width, support, n)

@@ -40,6 +40,13 @@ kinds of columns allow that:
 
 Other columns, such as the windows of a prefix whose recurrence cannot
 be reversed, keep the full search.
+
+Both kinds of anchored columns come with their recurrence f: a support D
+is dual exactly when f divides sum_{d in D} x^d.  When f's zeros are
+those of a Gold or small-Kasami span, each level from weight 4 walks
+only its heads and solves for the last two elements from field tables
+(seqmeter.zeros), which is loaded only then.  Every other zero pattern,
+and every level below 4, keeps the syndrome search.
 """
 
 import math
@@ -144,20 +151,26 @@ def dual_syndromes(span: CyclicSpan) -> list[int]:
     build_span has.
     """
     l = span.dimension
-    if span.pivots != tuple(range(l)):
-        raise ValueError(f"pivots {span.pivots} are not 0..{l - 1}; not a cyclic span")
-    c = 0
-    for r, row in enumerate(span.basis):
-        c |= ((row >> l) & 1) << r
-    f = c | (1 << l)
+    f = _recurrence(span)
     syndromes = [1 << j for j in range(l)]
-    u = c
+    u = f ^ (1 << l)
     for _ in range(l, span.period):
         syndromes.append(u)
         u <<= 1
         if u >> l:
             u ^= f
     return syndromes
+
+
+def _recurrence(span: CyclicSpan) -> int:
+    """f = x^L + sum_r c_r x^r, with c column L of the basis (bit r = c_r)."""
+    l = span.dimension
+    if span.pivots != tuple(range(l)):
+        raise ValueError(f"pivots {span.pivots} are not 0..{l - 1}; not a cyclic span")
+    f = 1 << l
+    for r, row in enumerate(span.basis):
+        f |= ((row >> l) & 1) << r
+    return f
 
 
 def _tails(cols: list[int], a: int) -> dict[int, list[tuple[int, ...]]]:
@@ -214,6 +227,7 @@ def low_weight_kernel_support(
     budget: int = DEFAULT_BUDGET,
     anchored: bool = False,
     jobs: int = 1,
+    recurrence: int | None = None,
 ) -> tuple[int, ...] | None:
     """Smallest support D in [w_min, w_max] with XOR of cols[j] over D zero.
 
@@ -232,26 +246,52 @@ def low_weight_kernel_support(
     in this process; from 4 each checks its cost against budget before
     it allocates, raising BudgetExceededError when over, and jobs > 1
     splits its heads by their first free element.
+
+    recurrence, when given with anchored=True, is a polynomial f (bit r
+    = coefficient of x^r) such that a support D is dual exactly when f
+    divides sum_{d in D} x^d, as for the syndromes x^d mod f.  Then each
+    level from 4 whose Gold zeros (seqmeter.zeros) fit, and whose price,
+    C(m-1, w-3) heads plus 2^ell field-table entries, is no more than
+    the syndrome level's, walks its heads with zeros_level instead,
+    after checking that price against budget.  The answer is the same
+    either way, and no budget refuses a level that the syndrome price
+    would let through.
     """
     m = len(cols)
     w_max = m if w_max is None else min(w_max, m)
     lead = (0,) if anchored else ()
     ones = None  # the one-element tail table, shared by the levels with a = 1
+    field = zeros = None  # the Gold zeros of recurrence, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
         if w == 1:
             best = next(((j,) for j in (lead or range(m)) if cols[j] == 0), None)
         else:
             a = max(1, (w + 1) // 2 - 1) if anchored else w // 2
             h = w - a
+            level = None
             if w >= 4:
                 cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
-                if cost > budget:
+                if anchored and recurrence and field is None:
+                    from . import zeros as gf  # only levels from 4 with a recurrence load it
+
+                    field = gf.zeros_field(recurrence, m, cost.bit_length()) or False
+                if field and (price := math.comb(m - 1, w - 3) + (1 << field[0])) <= cost:
+                    if price > budget:
+                        raise BudgetExceededError(price, budget, "heads and field-table entries")
+                    zeros = zeros or gf.gold_zeros(recurrence, m, *field)
+                    if zeros:
+                        level = gf.zeros_level, (zeros, w - 2)
+                    else:
+                        field = False  # the zeros do not fit; every later level hashes syndromes
+                if level is None and cost > budget:
                     raise BudgetExceededError(cost, budget, "hash-table entries and probes")
-            if a == 1 and ones is None:
-                ones = _tails(cols, 1)
+            if level is None:
+                if a == 1 and ones is None:
+                    ones = _tails(cols, 1)
+                level = _level, (cols, a, h, ones if a == 1 else None)
             # from 4 the heads are split by their first free element; below, one slice
             prefixes = [(*lead, d) for d in range(len(lead), m)] if w >= 4 else [lead]
-            best = map_min(_level, (cols, a, h, ones if a == 1 else None), prefixes, jobs)
+            best = map_min(*level, prefixes, jobs)
         if best is not None:
             return best
     return None
@@ -270,8 +310,9 @@ def find_periodic_peak(
     is {0}: it returns None.  Otherwise None means no dual vector of
     weight <= t_max exists.  Ties go to the lexicographically smallest
     shift set.  The search is low_weight_kernel_support on the dual
-    syndromes, anchored at 0 because the dual of a cyclic span is cyclic,
-    and raises BudgetExceededError as it does.  Every returned
+    syndromes, anchored at 0 because the dual of a cyclic span is cyclic
+    and given the span's recurrence for the zeros path, and raises
+    BudgetExceededError as it does.  Every returned
     certificate is re-verified exhaustively: the folded rotations must
     sum to zero at all T positions.
     """
@@ -285,7 +326,7 @@ def find_periodic_peak(
         return PeakCertificate(1, (0,), "periodic-full", span.period,
                                note="degenerate zero sequence, weight-1 dual")
     support = low_weight_kernel_support(dual_syndromes(span), 2, t_max, budget,
-                                        anchored=True, jobs=jobs)
+                                        anchored=True, jobs=jobs, recurrence=_recurrence(span))
     if support is None:
         return None
     verified = _verify_full_peak(span.block, span.period, support)

@@ -28,6 +28,7 @@ can be checked against the bare definitions.
 """
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from .bitseq import BitSequence, mask, unpack
@@ -61,23 +62,41 @@ def _data_n(seq: BitSequence | int, n: int | None, fallback_n: int | None = None
 
 
 _BM_START = (1, 1, 0, -1, 0)  # (c, b, l, m, rev) before the first bit
+_JUMP = 32  # quiet bits beyond l after which one product looks ahead
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_bytes(data: int, n: int) -> bytes:
+    """Bits 0..n-1 of data as one byte each, 0 or 1, bit 0 first."""
+    return unpack(data, n).encode().translate(_TO_BITS)
 
 
 def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = None):
     """Berlekamp-Massey from `state` over bits, the first of them at position start.
 
-    Returns the state after the last bit, or None as soon as l reaches
-    stop.  A state is (c, b, l, m, rev).  The connection polynomial c has
-    bit j = coefficient of x^j, with C(x) = 1 + C_1 x + ... annihilating
-    the prefix: s[i] = sum_j C_j s[i-j].  b and m are the polynomial and
-    the position of the last length change, and the reversed-prefix
-    register rev holds s_i..s_0, most recent at bit 0, so each discrepancy
-    is one AND plus one popcount on packed words.  l changes only at a
-    length change, and never decreases, so only there is it checked
-    against stop.  profile, when given, receives l after each bit.
+    bits is a sequence of 0/1 ints (bytes, list or tuple).  Returns the
+    state after the last bit, or None as soon as l reaches stop.  A state
+    is (c, b, l, m, rev).  The connection polynomial c has bit j =
+    coefficient of x^j, with C(x) = 1 + C_1 x + ... annihilating the
+    prefix: s[i] = sum_j C_j s[i-j].  b and m are the polynomial and the
+    position of the last length change, and the reversed-prefix register
+    rev holds s_i..s_0, most recent at bit 0, so each discrepancy is one
+    AND plus one popcount on packed words.  l changes only at a length
+    change, and never decreases, so only there is it checked against
+    stop.  profile, when given, receives l after each bit.
+
+    The discrepancy at position i is bit i of the carry-less product
+    c * s, and c only changes where it is nonzero.  So once _JUMP + l bits
+    in a row have had none, `_quiet` computes that product over every
+    remaining bit at once, and the run jumps to the next nonzero one, or
+    to the end, appending l to profile for each bit it skips.  The wait
+    of at least l bits pays for the product's one shift per term of c.
     """
     c, b, l, m, rev = state
-    for i, bit in enumerate(bits, start):
+    it = enumerate(bits, start)
+    ahead = start + l + _JUMP
+    for i, bit in it:
         rev = (rev << 1) | bit
         if (c & rev).bit_count() & 1:
             t = c
@@ -86,14 +105,42 @@ def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = No
                 l, m, b = i + 1 - l, i, t
                 if l >= stop:
                     return None
+            ahead = i + l + _JUMP
+        elif i >= ahead:
+            rest = bytes(bits[i + 1 - start:])
+            skip = _quiet(c, rev, rest)
+            if skip:
+                rev = (rev << skip) | int(rest[:skip].translate(_TO_CHARS), 2)
+                next(islice(it, skip - 1, None), None)
+                if profile is not None:
+                    profile.extend([l] * skip)
         if profile is not None:
             profile.append(l)
     return c, b, l, m, rev
 
 
+def _quiet(c: int, rev: int, rest: bytes) -> int:
+    """How many of the bits in rest, which follow rev's, have zero discrepancy under c.
+
+    With r = deg c, the packed word f holds the last r bits of rev in
+    order, then rest, so bit r + x of the carry-less product c * f is the
+    discrepancy at rest[x]: one shifted copy of f per term of c.
+    """
+    r = c.bit_length() - 1
+    f = int(rest[::-1].translate(_TO_CHARS) or b"0", 2) << r
+    if r:
+        f |= int(unpack(rev & mask(r), r), 2)  # int(.., 2) reads bit 0 as the top bit
+    product = 0
+    for j, term in enumerate(unpack(c, r + 1)):
+        if term == "1":
+            product ^= f << j
+    ahead = (product >> r) & mask(len(rest))
+    return (ahead & -ahead).bit_length() - 1 if ahead else len(rest)
+
+
 def _berlekamp_massey(data: int, n: int, profile: list | None = None) -> tuple[int, int]:
     """(L, connection polynomial bitmask) of the n-bit prefix; the bits are read once."""
-    conn, _, l, _, _ = _bm_run(map(int, unpack(data, n)), 0, _BM_START, n + 1, profile)
+    conn, _, l, _, _ = _bm_run(_bit_bytes(data, n), 0, _BM_START, n + 1, profile)
     return l, conn
 
 
@@ -249,7 +296,7 @@ def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None
     return 0 if n == 0 else n
 
 
-def _kerror_walk(bits: list[int], start: int, state: tuple, flips: int, best: int) -> int:
+def _kerror_walk(bits: bytes, start: int, state: tuple, flips: int, best: int) -> int:
     """Smallest final l below best over every way to flip at most `flips` of bits[start:].
 
     state is the BM state before bit start, with l < best; returns best
@@ -294,7 +341,7 @@ def kerror_linear_complexity(
     cost = n * sum(math.comb(n, w) for w in range(errors + 1))
     if cost > budget:
         raise BudgetExceededError(cost, budget, "BM bit-steps")
-    bits = list(map(int, unpack(data, n)))
+    bits = _bit_bytes(data, n)
     best = _bm_run(bits, 0, _BM_START, n + 1)[2]
     if errors and best:
         best = _kerror_walk(bits, 0, _BM_START, errors, best)

@@ -52,6 +52,9 @@ DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
 
 # Preferred pairs for the Gold construction, as (taps_a, taps_b) exponent
 # lists.  Shipped for these degrees only; other degrees need explicit taps.
+# From degree 13 on, taps_a are DEFAULT_TAPS and taps_b are the shortest
+# recurrence (Berlekamp-Massey) of that m-sequence decimated by 3 = 2 + 1,
+# a preferred pair at every odd degree; the pairs at 5, 9 and 11 are too.
 GOLD_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     5: ((2, 0), (4, 3, 2, 0)),
     6: ((1, 0), (5, 2, 1, 0)),
@@ -59,6 +62,8 @@ GOLD_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     9: ((4, 0), (6, 4, 3, 0)),
     10: ((3, 0), (9, 8, 6, 3, 2, 0)),
     11: ((2, 0), (8, 5, 2, 0)),
+    13: ((4, 3, 1, 0), (10, 9, 7, 5, 4, 0)),
+    15: ((1, 0), (10, 5, 1, 0)),
 }
 
 

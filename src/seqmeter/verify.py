@@ -93,9 +93,12 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
     """Every generated instance yields a verified full periodic peak within its threshold."""
     start = time.perf_counter()
     instances = [("m-sequence", m_sequence(e)) for e in range(2, 8 if scale != "quick" else 6)]
+    # Gold peaks have weight 5 and come from the zeros path
     instances.append(("gold-5", gold_sequence(5)))
+    instances.append(("gold-7", gold_sequence(7)))
     instances.append(("small-kasami-4", small_kasami(4)))
     if scale != "quick":
+        instances.append(("gold-9", gold_sequence(9)))
         instances.append(("small-kasami-6", small_kasami(6)))
     failures = []
     for name, seq in instances:

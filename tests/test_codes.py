@@ -7,8 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
+from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
     CyclicSpan,
+    _level,
+    _recurrence,
+    _tails,
+    _verify_full_peak,
     build_span,
     dual_basis,
     dual_syndromes,
@@ -20,8 +25,10 @@ from seqmeter.codes import (
 )
 from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
-from seqmeter.generators import gold_sequence, m_sequence, small_kasami
+from seqmeter.generators import GOLD_PAIRS, gold_sequence, m_sequence, small_kasami
+from seqmeter.zeros import _pdiv, gold_zeros, zeros_field, zeros_level
 from test_cli import RecordingExecutor
+from test_generators import decimated_pair
 
 
 def _span_oracle(seq):
@@ -180,13 +187,25 @@ def test_degenerate_zero_sequence():
 
 
 def test_peak_search_budget():
-    # gold ell=5 needs the weight-4 and weight-5 levels: 30 + 435 at w = 4
+    # the syndrome search on gold ell=5 needs the weight-4 and weight-5 levels:
+    # 30 + 435 at w = 4
+    syn = dual_syndromes(build_span(gold_sequence(5)))
     with pytest.raises(BudgetExceededError) as exc:
-        find_periodic_peak(gold_sequence(5), 7, budget=464)
+        low_weight_kernel_support(syn, 2, 7, budget=464, anchored=True)
     assert (exc.value.cost, exc.value.budget) == (465, 464)
-    assert find_periodic_peak(gold_sequence(5), 7, budget=465 + 435).order == 5
+    assert low_weight_kernel_support(syn, 2, 7, budget=465 + 435, anchored=True) == (0, 1, 4, 19, 22)
     # a search that ends at weight 3 never reaches a budgeted level
     assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
+
+
+def test_zeros_search_budget():
+    # find_periodic_peak walks gold ell=5 from weight 4 by its zeros:
+    # C(30, w - 3) heads plus 2^5 field-table entries, 62 at w = 4, 467 at w = 5
+    for budget, cost in ((61, 62), (466, 467)):
+        with pytest.raises(BudgetExceededError) as exc:
+            find_periodic_peak(gold_sequence(5), 7, budget=budget)
+        assert (exc.value.cost, exc.value.budget) == (cost, budget)
+    assert find_periodic_peak(gold_sequence(5), 7, budget=467).shifts == (0, 1, 4, 19, 22)
 
 
 def test_kernel_search_budget():
@@ -421,3 +440,196 @@ def test_anchored_window_search_matches_full_search(n, data):
     assume(reversible)
     k_max = data.draw(st.sampled_from((3, 4, 6)))
     _assert_window_searches_agree(full, short, reversible, k_max, (n, bits, k_max))
+
+
+# --- the Gold zeros path -----------------------------------------------------
+
+
+def _clmul(a, b):
+    out = 0
+    for j in range(b.bit_length()):
+        if b >> j & 1:
+            out ^= a << j
+    return out
+
+
+def _minimal_polynomial(ell, d):
+    """Minimal polynomial of rho^d, rho a zero of DEFAULT_TAPS[ell]: BM on the d-decimation."""
+    t = (1 << ell) - 1
+    u = unpack(m_sequence(ell, periods=1).data, t)
+    v = "".join(u[d * i % t] for i in range(t))
+    l, coeffs = linear_complexity(pack(v * 2), 2 * t)
+    return sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+
+
+def _zeros_of(cols, f):
+    m = len(cols)
+    field = zeros_field(f, m, 64)
+    return field and gold_zeros(f, m, *field)
+
+
+def _assert_zeros_match_syndromes(cols, f, w_max, label):
+    # every level from 4, one at a time, with either factor's zero as rho
+    # (one of the two takes the swapped order), then the whole search both
+    # ways; levels above the first with an answer only at small sizes
+    m = len(cols)
+    ell, g = zeros_field(f, m, 64)
+    tables = [gold_zeros(f, m, ell, g)]
+    if _pdiv(f, g).bit_length() - 1 == ell:
+        tables.append(gold_zeros(f, m, ell, _pdiv(f, g)))
+    assert all(tables), label
+    prefixes = [(0, d) for d in range(1, m)]
+    for w in range(4, w_max + 1):
+        want = low_weight_kernel_support(cols, w, w, anchored=True)
+        for zeros in tables:
+            assert zeros_level(zeros, w - 2, prefixes) == want, (label, w)
+        if want and m > 511:
+            break
+    if m <= 511:
+        # weight 5 within single prefixes (0, d), whose heads include ones that
+        # sum to 0 and ones that a lower-weight support completes
+        pairs = _tails(cols, 2)
+        for d in range(1, min(m, 40)):
+            want = _level(cols, 2, 3, pairs, [(0, d)])
+            assert all(zeros_level(zeros, 3, [(0, d)]) == want for zeros in tables), (label, d)
+    assert (low_weight_kernel_support(cols, 4, w_max, anchored=True, recurrence=f)
+            == low_weight_kernel_support(cols, 4, w_max, anchored=True)), label
+
+
+GOLD_CASES = [(f"gold{ell}", ell, GOLD_PAIRS[ell]) for ell in (5, 6, 7, 9)]
+GOLD_CASES += [(f"gold{ell}-3dec", ell, decimated_pair(ell)) for ell in (5, 7, 9)]
+
+
+@pytest.mark.parametrize("label,ell,pair", GOLD_CASES, ids=[c[0] for c in GOLD_CASES])
+def test_gold_zeros_match_syndrome_search(label, ell, pair):
+    # the shipped gold-7 pair has its second zero at rho^53, and 53^-1 = 12 is
+    # conjugate to 3, so it takes the swapped order; gold-6 has a kernel GF(4)
+    seq = gold_sequence(ell, taps_pair=pair)
+    span = build_span(seq)
+    _assert_zeros_match_syndromes(dual_syndromes(span), _recurrence(span), 5, label)
+
+
+@pytest.mark.parametrize("ell", [4, 6, 8, 10, 12])
+def test_kasami_zeros_match_syndrome_search(ell):
+    # small Kasami peaks have weight 3; from weight 4 the zeros rho and
+    # rho^(2^(ell/2)+1) have a kernel GF(2^(ell/2)), 2^(ell/2-1) pairs per head
+    span = build_span(small_kasami(ell))
+    _assert_zeros_match_syndromes(dual_syndromes(span), _recurrence(span), 5, ell)
+
+
+@pytest.mark.parametrize("make", [lambda: gold_sequence(5), lambda: gold_sequence(7),
+                                  lambda: gold_sequence(9, shift=3), lambda: small_kasami(8)],
+                         ids=["gold5", "gold7", "gold9s3", "kasami8"])
+def test_zeros_match_syndromes_on_window_columns(make):
+    # thm2's columns of a 2T prefix: the first L bits of each window, with the
+    # prefix's own recurrence; T columns fit the field
+    seq = make()
+    n = 2 * seq.period
+    _, short, reversible = _window_columns(seq.data, n)
+    l, coeffs = linear_complexity(seq.data, n)
+    assert reversible
+    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    _assert_zeros_match_syndromes(short, f, 6, n)
+
+
+def test_zeros_fall_back_with_more_columns_than_the_field():
+    # a 4T prefix has 2T columns, so columns d and d + T are one field element
+    seq = gold_sequence(5, periods=4)
+    n = 4 * seq.period
+    _, short, _ = _window_columns(seq.data, n)
+    l, coeffs = linear_complexity(seq.data, n)
+    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    assert zeros_field(f, len(short), 64) is None
+    assert zeros_field(f, seq.period, 64) is not None
+    assert (low_weight_kernel_support(short, 4, 5, anchored=True, recurrence=f)
+            == low_weight_kernel_support(short, 4, 5, anchored=True))
+
+
+def test_zeros_fall_back_on_irreversible_prefix():
+    # flipping the first bit of a Gold prefix adds the factor x to its
+    # recurrence (c_0 = 0): the search is unanchored and skips the zeros
+    seq = gold_sequence(5)
+    n = 2 * seq.period
+    bits = seq.data ^ 1
+    full, short, reversible = _window_columns(bits, n)
+    assert not reversible
+    witness = find_half_peak_witness(BitSequence.from_int(bits, n), n, 6)
+    assert tuple(witness["D"]) == low_weight_kernel_support(full, 2, 6)
+
+
+ZERO_PATTERNS = [_recurrence(build_span(s)) for s in (gold_sequence(5), gold_sequence(6),
+                                                     small_kasami(4), small_kasami(6))]
+# small Kasami 6 times x^2 + x + 1, the minimal polynomial of rho^21: a third
+# coset, which the zeros of rho and rho^9 alone would miss
+ZERO_PATTERNS.append(_clmul(ZERO_PATTERNS[3], 0b111))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.data())
+def test_recurrence_changes_no_answer(l, data):
+    # columns x^d mod f for a random f with f(0) = 1, or for a Gold or Kasami
+    # f over fewer columns than its period: whether or not the zeros fit, the
+    # recurrence changes no answer
+    f = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1)) | 1 | 1 << l
+    if data.draw(st.booleans()):
+        f = data.draw(st.sampled_from(ZERO_PATTERNS))
+        l = f.bit_length() - 1
+    m = data.draw(st.integers(min_value=4, max_value=40))
+    cols, u = [], 1
+    for _ in range(m):
+        cols.append(u)
+        u <<= 1
+        if u >> l:
+            u ^= f
+    assert (low_weight_kernel_support(cols, 2, 6, anchored=True, recurrence=f)
+            == low_weight_kernel_support(cols, 2, 6, anchored=True))
+
+
+def test_zeros_fit_only_the_gold_pattern():
+    span = build_span(gold_sequence(7))
+    f = _recurrence(span)
+    assert zeros_field(f, 127, 64)[0] == 7
+    assert zeros_field(f, 128, 64) is None  # more columns than nonzero field elements
+    assert zeros_field(f, 127, 6) is None  # a field above the price cap
+    assert zeros_field(f << 1, 127, 64) is None  # a zero at 0
+    # an m-sequence's zeros are one coset
+    assert zeros_field(_recurrence(build_span(m_sequence(7))), 127, 64) is None
+    seq = small_kasami(6)
+    assert _zeros_of(dual_syndromes(build_span(seq)), _recurrence(build_span(seq)))
+    # small Kasami 6: rho from x^6 + x + 1, and rho^9; a third coset, rho^21,
+    # leaves f(rho^9) = 0 but adds two zeros that the sums over rho and rho^9 miss
+    kasami = _recurrence(build_span(seq))
+    ell, g = zeros_field(kasami, 63, 64)
+    assert g == 0b1000011
+    assert gold_zeros(_clmul(kasami, 0b111), 63, ell, g) is None
+    # rho^3 has degree 6 but order 21, so it gives no log table, although
+    # (rho^3)^9 = rho^27 is the other zero
+    g3 = _minimal_polynomial(6, 3)
+    assert g3.bit_length() - 1 == 6
+    assert gold_zeros(_clmul(g3, _minimal_polynomial(6, 27)), 63, 6, g3) is None
+
+
+@pytest.mark.parametrize("ell,shifts", [
+    (11, (0, 1, 3, 1777, 1924)),
+    (13, (0, 1, 2, 118, 5474)),
+    (15, (0, 1, 5, 25469, 32346)),
+])
+def test_large_gold_certificates_are_minimal(ell, shifts):
+    # re-verified over a whole period; weights 2 and 3 exhaust the syndrome
+    # levels' heads and weight 4 the zeros level's, so weight 5 is the minimum
+    span = build_span(gold_sequence(ell))
+    cert = find_periodic_peak(span, 7)
+    assert cert.shifts == shifts
+    assert _verify_full_peak(span.block, span.period, shifts)
+    syn = dual_syndromes(span)
+    assert low_weight_kernel_support(syn, 2, 3, anchored=True) is None
+    zeros = _zeros_of(syn, _recurrence(span))
+    assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None
+
+
+def test_zeros_levels_fan_out_to_the_same_certificate():
+    with mock.patch("os.cpu_count", return_value=4), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
+            mock.patch.object(RecordingExecutor, "seen", []):
+        assert find_periodic_peak(gold_sequence(7), 7, jobs=3) == find_periodic_peak(gold_sequence(7), 7)
+        assert RecordingExecutor.seen == [3, 3]

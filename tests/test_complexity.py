@@ -55,6 +55,50 @@ def test_profile_monotone_and_final():
             assert b == i + 1 - a
 
 
+def bm_reference(bits, n):
+    """Textbook Berlekamp-Massey, one bit at a time with no look-ahead.
+
+    Returns the profile and the connection polynomial (bit j = C_j).
+    """
+    c, b, l, m = 1, 1, 0, -1
+    profile = []
+    for i in range(n):
+        d = 0
+        for j in range(min(i, c.bit_length() - 1) + 1):
+            d ^= (c >> j) & (bits >> (i - j)) & 1
+        if d:
+            t = c
+            c ^= b << (i - m)
+            if 2 * l <= i:
+                l, m, b = i + 1 - l, i, t
+        profile.append(l)
+    return profile, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=400),
+       st.lists(st.integers(min_value=0, max_value=399), max_size=3), st.data())
+def test_bm_look_ahead_matches_reference(l, n, flips, data):
+    # a recurrence of order l run over n bits stays quiet long enough for the
+    # look-ahead product; flipped bits put discrepancies after the quiet stretches
+    taps = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1))
+    for i in range(l, n):
+        bits |= ((taps & (bits >> (i - l))).bit_count() & 1) << i
+    for f in flips:
+        bits ^= 1 << f
+    bits &= mask(n)
+    profile, conn = bm_reference(bits, n)
+    got = linear_complexity_profile(bits, n)
+    final = profile[-1] if profile else 0
+    assert list(got.values) == profile
+    assert got.coefficients == tuple((conn >> (final - j)) & 1 for j in range(final))
+    if 0 < n <= 80:
+        # the k-error walk's unflipped tails jump too
+        lc = lambda d: (bm_reference(d, n)[0] or [0])[-1]
+        assert kerror_linear_complexity(bits, n, errors=1) == kerror_by_patterns(bits, n, 1, lc)[-1]
+
+
 def test_moc_conventions():
     assert max_order_complexity(seq("0000")) == 0
     assert max_order_complexity(seq("1111")) == 0  # constants need no window

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter.bitseq import mask
+from seqmeter.bitseq import mask, pack, unpack
 from seqmeter.complexity import linear_complexity
 from seqmeter.generators import (
     DEFAULT_TAPS,
@@ -81,6 +81,20 @@ def test_gold_linear_complexity(ell):
     seq = gold_sequence(ell)
     assert seq.period == (1 << ell) - 1
     assert linear_complexity(seq)[0] == 2 * ell
+
+
+def decimated_pair(ell):
+    """DEFAULT_TAPS[ell] and the shortest recurrence of its m-sequence decimated by 3."""
+    t = (1 << ell) - 1
+    u = unpack(m_sequence(ell, periods=1).data, t)
+    v = "".join(u[3 * i % t] for i in range(t))
+    l, coeffs = linear_complexity(pack(v * 2), 2 * t)
+    return DEFAULT_TAPS[ell], tuple(j for j in reversed(range(l)) if coeffs[j])
+
+
+@pytest.mark.parametrize("ell", [5, 9, 11, 13, 15])
+def test_shipped_gold_pairs_are_3_decimations(ell):
+    assert GOLD_PAIRS[ell] == decimated_pair(ell)
 
 
 def test_gold_shift_changes_sequence():
@@ -190,7 +204,9 @@ GENERATOR_DIGESTS = {
     "gold5s3": "b1473ac002d1c0da", "gold6s0": "c9faf914ec281ba3", "gold6s3": "a6f8824d41f8cc1d",
     "gold7s0": "3b5bce922a2addd6", "gold7s3": "84d121618d34bfdb", "gold9s0": "9386b8f43526b79e",
     "gold9s3": "fab2d5fdee486410", "gold10s0": "f4020813966268d9", "gold10s3": "64c39fd7ea7e5519",
-    "gold11s0": "d9765682ccc9411f", "gold11s3": "8e232e90c5572c61", "kasami4s0": "643dbfbab0f127f7",
+    "gold11s0": "d9765682ccc9411f", "gold11s3": "8e232e90c5572c61", "gold13s0": "675c0833be0fd64d",
+    "gold13s3": "fa7fc90cfe9439a1", "gold15s0": "7bb2d353d5837bf6", "gold15s3": "c6485abde68e54b1",
+    "kasami4s0": "643dbfbab0f127f7",
     "kasami4s5": "6f5a663eff7c87d6", "kasami6s0": "255b3548ee232af8", "kasami6s5": "3188d21bf77d5176",
     "kasami8s0": "3e9f0f7e58459f41", "kasami8s5": "edbf7810c233dc93", "kasami10s0": "407ed4c6a05c805b",
     "kasami10s5": "e4d996aa33f21e1a", "kasami12s0": "7883925ceef4a89d", "kasami12s5": "4a955960b17f97da",
