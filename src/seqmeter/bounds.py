@@ -22,7 +22,7 @@ them.
 import math
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask
+from .bitseq import BitSequence, mask, unpack
 from .budget import DEFAULT_BUDGET
 from .thresholds import full_peak_threshold, half_peak_threshold  # half_peak_threshold re-exported
 
@@ -190,7 +190,7 @@ def find_half_peak_witness(
 
     width = n - n // 2  # ceil(n/2)
     l, coeffs = linear_complexity(data, n)
-    cols = [(data >> j) & mask(min(l, width)) for j in range(n // 2)]
+    cols = _windows(data, n, min(l, width), n // 2)
     reversible = 0 < l <= width and coeffs[0] == 1
     f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l if reversible else None
     support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible, recurrence=f)
@@ -206,6 +206,26 @@ def find_half_peak_witness(
         "value": value,
         "method": "constructive",
     }
+
+
+def _windows(data: int, n: int, w: int, count: int) -> list[int]:
+    """The w-bit windows of the n-bit data that start at 0..count-1, bit 0 first.
+
+    Needs count + w - 1 <= n.  Each window is the last one shifted down
+    with the next bit of one `unpack` put on top, so a window costs w bits
+    of work instead of a shift of the whole prefix.
+    """
+    if count == 0:
+        return []
+    col = data & mask(w)
+    top = 1 << w >> 1  # bit w - 1; 0 for zero-width windows
+    cols = [col]
+    for c in unpack(data, n)[w:w + count - 1]:
+        col >>= 1
+        if c == "1":
+            col |= top
+        cols.append(col)
+    return cols
 
 
 def moc_half_peak_check(

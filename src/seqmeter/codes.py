@@ -58,6 +58,14 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 from .thresholds import full_peak_threshold, hamming_condition  # re-exported
 
+# Fan-out work of one hash-table entry, probe or zeros-level head, in the
+# summands of `parallel.FORK_BREAK_EVEN`.  Measured like that constant: an
+# anchored weight-6 level over 200 random 40-bit columns (price 1.3e6)
+# took 170 ms alone and 147 ms on 2 workers, while levels priced up to
+# 6.4e5 lost to the fork and to pickling their tail tables (weight 5 over
+# 800 columns: 469 -> 518 ms).  An entry costs 130-900 ns, a summand 0.7-13.
+_ENTRY_WORK = 10
+
 
 class CyclicSpan(NamedTuple):
     """Row space of the T cyclic rotations of one period block."""
@@ -245,7 +253,8 @@ def low_weight_kernel_support(
     (2, 3 and, anchored, 4) share one table of them.  Levels below 4 run
     in this process; from 4 each checks its cost against budget before
     it allocates, raising BudgetExceededError when over, and jobs > 1
-    splits its heads by their first free element.
+    splits its heads by their first free element once its price passes
+    the fork break-even of `parallel.map_min`.
 
     recurrence, when given with anchored=True, is a polynomial f (bit r
     = coefficient of x^r) such that a support D is dual exactly when f
@@ -269,6 +278,7 @@ def low_weight_kernel_support(
             a = max(1, (w + 1) // 2 - 1) if anchored else w // 2
             h = w - a
             level = None
+            cost = 0  # below 4 the level is one slice and never forks
             if w >= 4:
                 cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
                 if anchored and recurrence and field is None:
@@ -281,6 +291,7 @@ def low_weight_kernel_support(
                     zeros = zeros or gf.gold_zeros(recurrence, m, *field)
                     if zeros:
                         level = gf.zeros_level, (zeros, w - 2)
+                        cost = price
                     else:
                         field = False  # the zeros do not fit; every later level hashes syndromes
                 if level is None and cost > budget:
@@ -291,7 +302,7 @@ def low_weight_kernel_support(
                 level = _level, (cols, a, h, ones if a == 1 else None)
             # from 4 the heads are split by their first free element; below, one slice
             prefixes = [(*lead, d) for d in range(len(lead), m)] if w >= 4 else [lead]
-            best = map_min(*level, prefixes, jobs)
+            best = map_min(*level, prefixes, jobs, cost * _ENTRY_WORK)
         if best is not None:
             return best
     return None

@@ -16,7 +16,18 @@ suffix of such a string is followed by both bits too, so shorter windows
 conflict and longer ones do not.  One online pass over the suffix
 automaton (DAWG) of the prefix finds these strings as they appear, for
 every N at once and in linear time (Blumer et al. 1985; Jansen & Boekee,
-CRYPTO '89).
+CRYPTO '89).  The alphabet is binary, so the automaton keeps one
+successor list per bit, and each appended bit picks its own list and the
+other one once for its whole suffix-link walk.
+
+A declared period T shortens that pass to the first min(N, 2T - 1) bits.
+Take any string x followed by both bits in a T-periodic word.  If
+|x| >= T, every occurrence of x is followed by x[|x| - T], so there is no
+conflict; hence |x| < T.  Shifting each occurrence back by a multiple of
+T until it starts before T keeps its successor, and then x and its
+successor end by bit 2T - 2.  So M(S, N) = M(S, min(N, 2T - 1)), and the
+profile repeats its last value from there on.  Raw int inputs carry no
+period and always take the full pass.
 
 The k-error L is the minimum L over every flip pattern of weight <= k.
 A depth-first walk over the patterns steps the same Berlekamp-Massey
@@ -202,11 +213,14 @@ def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -
     return n
 
 
-def _moc_profile(data: int, n: int) -> list[int]:
+def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     """M(S, i) for i = 1..n from one online suffix-automaton pass.
 
-    The automaton (Blumer et al. 1985) lives in flat lists: state p has
-    length[p], link[p] and successors succ[2*p + bit], -1 when absent.
+    The automaton (Blumer et al. 1985) lives in flat lists sized to its
+    2n + 1 state bound: state p has length[p], link[p] and one successor
+    list per bit, zero[p] and one[p], -1 when absent.  For each appended
+    bit c the pass names own = the list for c and other = the list for
+    1 - c once, so the suffix-link walk indexes both with p alone.
     All strings of a state end at the same positions, so they are followed
     by the same bits: the state's longest string, of length[p], is followed
     by both bits exactly when p has both successors, and M(S, i) is 1 plus
@@ -214,54 +228,88 @@ def _moc_profile(data: int, n: int) -> list[int]:
     one only on the suffix-link walk of an appended bit c, or as a clone,
     which copies those of a longer state.  So M >= length[p] + 1 whenever
     the walk gives p successor c while it already has 1 - c, and nothing
-    else can raise M.  The bits are read once, through `unpack`: shifting
-    the n-bit int at each step would make the pass quadratic again.
+    else can raise M.  The walk visits strictly shorter strings, and a
+    suffix of a string followed by 1 - c is followed by 1 - c too, so only
+    the first such p can raise M; the rest of the walk just sets own.  The
+    state of the whole prefix, last, has no successor yet, so it takes own
+    before the walk starts at its link.  The bits are read once, as one
+    byte each: shifting the n-bit int at each step would make the pass
+    quadratic again.
+
+    With a declared period T the pass stops after min(n, 2T - 1) bits and
+    repeats its last value: every string followed by both bits in a
+    T-periodic word is shorter than T (a longer one is followed by its own
+    bit T back), and shifting its occurrences back by multiples of T puts
+    them, with their successors, inside the first 2T - 1 bits.
     """
-    length = [0]
-    link = [-1]
-    succ = [-1, -1]
+    stop = n if period is None else min(n, 2 * period - 1)
+    size = 2 * stop + 1
+    length = [0] * size
+    link = [0] * size
+    link[0] = -1
+    zero = [-1] * size
+    one = [-1] * size
+    succ = (zero, one)
     last = 0
+    states = 1
     m = 0
     values = []
-    for c in map(int, unpack(data, n)):
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(0)
-        succ += (-1, -1)
-        p = last
-        while p >= 0:
-            i = 2 * p + c
-            if succ[i] >= 0:
+    append = values.append
+    for c in _bit_bytes(data & mask(stop), stop):
+        own = succ[c]
+        other = succ[1 - c]
+        cur = states
+        states += 1
+        length[cur] = length[last] + 1
+        own[last] = cur
+        p = link[last]
+        while p >= 0 and own[p] < 0:
+            own[p] = cur
+            if other[p] >= 0:
+                if length[p] >= m:
+                    m = length[p] + 1
+                p = link[p]
+                while p >= 0 and own[p] < 0:
+                    own[p] = cur
+                    p = link[p]
                 break
-            succ[i] = cur
-            if succ[i ^ 1] >= 0 and length[p] >= m:
-                m = length[p] + 1
             p = link[p]
         if p >= 0:
-            q = succ[i]
-            if length[q] == length[p] + 1:
+            q = own[p]
+            lp = length[p] + 1
+            if length[q] == lp:
                 link[cur] = q
             else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                succ += succ[2 * q:2 * q + 2]
-                while p >= 0 and succ[2 * p + c] == q:
-                    succ[2 * p + c] = clone
+                clone = states
+                states += 1
+                length[clone] = lp
+                link[clone] = link[q]
+                zero[clone] = zero[q]
+                one[clone] = one[q]
+                while p >= 0 and own[p] == q:
+                    own[p] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
         last = cur
-        values.append(m)
+        append(m)
+    values += [m] * (n - stop)
     return values
+
+
+def _moc_values(seq: BitSequence | int, n: int | None) -> list[int]:
+    """The `_moc_profile` of the n-bit prefix, cut at 2T - 1 bits for a declared period T."""
+    data, n = _data_n(seq, n)
+    period = seq.period if isinstance(seq, BitSequence) else None
+    return _moc_profile(data, n, period)
 
 
 def max_order_complexity(seq: BitSequence | int, n: int | None = None) -> int:
     """Nth maximum-order complexity: the last value of the automaton pass.
 
-    Linear in n; see `_moc_profile` for why the conflict rule is exact.
+    Linear in n, and in min(n, 2T - 1) when seq declares a period T; see
+    `_moc_profile` for why the conflict rule and the cut are exact.
     """
-    data, n = _data_n(seq, n)
-    values = _moc_profile(data, n)
+    values = _moc_values(seq, n)
     return values[-1] if values else 0
 
 
@@ -271,8 +319,7 @@ def max_order_complexity_profile(seq: BitSequence | int, n: int | None = None) -
     The value only grows with N (a window followed by both bits stays so),
     so the pass records its running maximum after each bit.
     """
-    data, n = _data_n(seq, n)
-    return ComplexityProfile("maximum-order", tuple(_moc_profile(data, n)))
+    return ComplexityProfile("maximum-order", tuple(_moc_values(seq, n)))
 
 
 def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:

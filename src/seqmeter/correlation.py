@@ -228,7 +228,7 @@ def aperiodic_measure(
         raise BudgetExceededError(cost, budget)
     data = seq.data & mask(n)
     heads = [(d1,) for d1 in range(n - k + 1)] if k >= 2 else [()]
-    best = map_min(_scan_tails, (data, n, k), heads, jobs)
+    best = map_min(_scan_tails, (data, n, k), heads, jobs, cost)
     value, u, d = -best[0], best[1], best[2]
     return CorrelationResult(k, value, u, d, _classify(value, k, n, False), n)
 
@@ -261,7 +261,7 @@ def periodic_measure(
         # the scan picks the last shift itself; heads fix d_1 = 0 and, from k = 3,
         # d_2 as well, to give the fan-out its slices
         heads = [(0, d2) for d2 in range(1, t - k + 2)] if k >= 3 else [(0,)]
-        best = map_min(_scan_periodic, (block, t, k), heads, jobs)
+        best = map_min(_scan_periodic, (block, t, k), heads, jobs, cost)
         value, d = -best[0], best[1]
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 

@@ -19,6 +19,7 @@ from seqmeter.bounds import (
     table1,
     table1_row,
 )
+from seqmeter.bounds import _windows
 from seqmeter.complexity import (
     kerror_linear_complexity,
     linear_complexity,
@@ -160,6 +161,36 @@ def test_half_peak_columns_stay_full_width_above_the_window():
     cols = _searched_columns(s, 20)
     assert cols == _window_columns(s, 20)
     assert max(c.bit_length() for c in cols) == 10
+
+
+def _shifted_columns(data, n):
+    """thm2's columns as one shift of the whole prefix per column, the reference."""
+    l = linear_complexity(data, n)[0]
+    return [(data >> j) & mask(min(l, n - n // 2)) for j in range(n // 2)]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=300), st.data())
+def test_sliding_windows_equal_shifted_prefix_on_random_prefixes(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    count = data.draw(st.integers(min_value=0, max_value=n))
+    w = data.draw(st.integers(min_value=0, max_value=n - count + 1 if count else n))
+    assert _windows(bits, n, w, count) == [(bits >> j) & mask(w) for j in range(count)]
+    if n:
+        l = linear_complexity(bits, n)[0]
+        assert _windows(bits, n, min(l, n - n // 2), n // 2) == _shifted_columns(bits, n)
+
+
+@pytest.mark.parametrize("seq", [
+    gold_sequence(5), gold_sequence(7), gold_sequence(9), small_kasami(6), small_kasami(8),
+    small_kasami(10),
+], ids=["gold5", "gold7", "gold9", "kasami6", "kasami8", "kasami10"])
+def test_sliding_windows_equal_shifted_prefix_on_family_prefixes(seq):
+    t = seq.period
+    n = 2 * t
+    data = seq.data & mask(t)
+    data |= data << t
+    assert _searched_columns(BitSequence.from_int(data, n, t), n) == _shifted_columns(data, n)
 
 
 @pytest.mark.parametrize("seq", [

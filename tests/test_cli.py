@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from seqmeter import verify
+from seqmeter import parallel, verify
 from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import main
 
@@ -67,6 +67,23 @@ def test_moc(ms3, capsys):
     code, out, _ = run(["moc", ms3, "--n", "7"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == max(1, json.loads(out)["value"])
+
+
+def test_moc_json_ignores_the_period_header(tmp_path, capsys):
+    # the declared period only shortens the pass: the same bits with and
+    # without their period= line print the same JSON
+    path = tmp_path / "ms5.txt"
+    assert run(["gen", "msequence", "--ell", "5", "--periods", "6", "-o", str(path)], capsys)[0] == 0
+    text = path.read_text()
+    assert text.startswith("period=31\n")
+    outputs = []
+    for content in (text, text.split("\n", 1)[1]):
+        path.write_text(content)
+        outputs.append([run(argv + [str(path), "--quiet"], capsys)
+                        for argv in (["moc", "--profile"], ["bounds", "verify", "thm4"])])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[0]] == [0, 0]
+    assert json.loads(outputs[0][1][1])["fired"]
 
 
 def test_zero_prefix_length(ms3, capsys):
@@ -301,6 +318,7 @@ def test_jobs_clamped_to_cores_and_slices(ms3, gold5, capsys, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
     monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel, "FORK_BREAK_EVEN", 0)  # these searches are below it
     for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5]):
         code, out, _ = run(argv + ["--jobs", "1000", "--quiet"], capsys)
         assert code == 0

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from seqmeter import parallel
 from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
 from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
@@ -348,6 +349,7 @@ def test_unanchored_fan_out_matches_enumeration(cols):
     # four cores and an in-process executor: levels from 4 up split their
     # heads three ways without forking
     with mock.patch("os.cpu_count", return_value=4), \
+            mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
             mock.patch.object(RecordingExecutor, "seen", []):
         best = low_weight_kernel_support(cols, 1, len(cols), jobs=3)
@@ -383,7 +385,8 @@ def test_jobs_do_not_change_certificates(t, data):
     bits = data.draw(st.integers(min_value=1, max_value=(1 << t) - 2))
     seq = BitSequence.from_int(bits | (bits << t), 2 * t, period=t)
     a = find_periodic_peak(seq, 6)
-    b = find_periodic_peak(seq, 6, jobs=3)
+    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
+        b = find_periodic_peak(seq, 6, jobs=3)
     if a is None:
         assert b is None
     else:
@@ -629,6 +632,7 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
 
 def test_zeros_levels_fan_out_to_the_same_certificate():
     with mock.patch("os.cpu_count", return_value=4), \
+            mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
             mock.patch.object(RecordingExecutor, "seen", []):
         assert find_periodic_peak(gold_sequence(7), 7, jobs=3) == find_periodic_peak(gold_sequence(7), 7)

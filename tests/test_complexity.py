@@ -138,6 +138,50 @@ def test_moc_profile_prefixes_equal_bruteforce(n, data):
     assert _moc_profile_matches_bruteforce(bits, n)
 
 
+def _periodic(block, t, n):
+    """The n-bit prefix of block repeated with period t, as (declared, plain) sequences."""
+    data = 0
+    for r in range(n // t + 1):
+        data |= block << (r * t)
+    data &= mask(n)
+    return BitSequence.from_int(data, n, t), BitSequence.from_int(data, n)
+
+
+def test_moc_period_cut_exhaustive():
+    # every block of period T <= 10 and every n <= 4T + 1; the declared-period
+    # pass reads only min(n, 2T - 1) bits
+    for t in range(1, 11):
+        top = 4 * t + 1
+        for block in range(1 << t):
+            declared, plain = _periodic(block, t, top)
+            full = max_order_complexity_profile(plain).values
+            for i in range(1, min(top, 16) + 1):
+                assert full[i - 1] == max_order_complexity_bruteforce(plain.data & mask(i), i)
+            for n in range(top + 1):
+                assert max_order_complexity_profile(declared, n).values == full[:n], (t, block, n)
+                assert max_order_complexity(declared, n) == (full[n - 1] if n else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_moc_period_cut_equals_full_pass(t, data):
+    block = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
+    n = data.draw(st.integers(min_value=0, max_value=6 * t + 2))
+    declared, plain = _periodic(block, t, n)
+    assert max_order_complexity_profile(declared) == max_order_complexity_profile(plain)
+
+
+def test_moc_period_cut_at_explicit_n():
+    ms = m_sequence(6, periods=4)  # T = 63, M = 6
+    t = ms.period
+    plain = BitSequence.from_int(ms.data, ms.n)
+    for n in (1, t - 1, t, 2 * t - 2, 2 * t - 1, 2 * t, 3 * t + 5, ms.n):
+        expected = max_order_complexity_profile(plain, n).values
+        assert max_order_complexity_profile(ms, n).values == expected, n
+        assert max_order_complexity(ms, n) == expected[-1] == max_order_complexity(plain, n)
+    assert max_order_complexity(ms) == 6
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=14), st.data())
 def test_bm_equals_bruteforce(n, data):

@@ -1,10 +1,13 @@
+import concurrent.futures
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqmeter import parallel
 from seqmeter.bitseq import BitSequence, mask
 from seqmeter.correlation import (
     BudgetExceededError,
@@ -18,6 +21,7 @@ from seqmeter.correlation import (
     search_cost,
 )
 from seqmeter.generators import m_sequence
+from test_cli import RecordingExecutor
 
 
 def brute_aperiodic(data, n, k):
@@ -191,8 +195,25 @@ def test_jobs_do_not_change_the_answer(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     s = BitSequence.from_int(bits, n)
     a = aperiodic_measure(s, 2)
-    b = aperiodic_measure(s, 2, jobs=3)
+    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):  # fork despite the small price
+        b = aperiodic_measure(s, 2, jobs=3)
     assert a.as_dict() == b.as_dict()
+
+
+def test_fan_out_forks_only_from_the_break_even():
+    s = BitSequence.from_int(0b1011001110001011, 16)
+    expected = aperiodic_measure(s, 2)
+    with mock.patch("os.cpu_count", return_value=4), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
+            mock.patch.object(RecordingExecutor, "seen", []):
+        with mock.patch.object(parallel, "FORK_BREAK_EVEN", search_cost(16, 2) + 1):
+            assert aperiodic_measure(s, 2, jobs=3) == expected
+        assert RecordingExecutor.seen == []
+        with mock.patch.object(parallel, "FORK_BREAK_EVEN", search_cost(16, 2)):
+            assert aperiodic_measure(s, 2, jobs=3) == expected
+        assert RecordingExecutor.seen == [3]
+    # the benchmark's one fan-out query, aperiodic k = 3 at N = 64, stays in-process
+    assert search_cost(64, 3) < parallel.FORK_BREAK_EVEN
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +294,8 @@ def test_periodic_jobs_do_not_change_the_answer(k, data):
         r = data.draw(st.integers(min_value=0, max_value=t - 1))
         bits = ((block >> r) | (block << (t - r))) & mask(t)
     s = BitSequence.from_int(bits, t, period=t)
-    assert periodic_measure(s, k).as_dict() == periodic_measure(s, k, jobs=3).as_dict()
+    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
+        assert periodic_measure(s, k).as_dict() == periodic_measure(s, k, jobs=3).as_dict()
 
 
 def test_single_shift_set_orders_run_in_linear_memory():
