@@ -147,24 +147,21 @@ def find_half_peak_witness(
     and both sets of columns give the same support; the short ones hash
     and fold L-bit ints instead of w-bit ones.
 
-    The collision search is anchored at 0 when the prefix is reversible:
-    its shortest recurrence has c_0 = 1 (connection polynomial of degree
-    exactly L, so each bit is fixed by the L bits after it), L > 0 and
-    L <= w.  Then every collision shifts down to one holding 0 (see the
-    codes module docstring), and the anchored answer is the full one.
-    Whenever the threshold fires, C(floor(n/2), t) >= 2**L forces
-    L <= floor(n/2) <= w, so there the width condition always holds.
-    Other prefixes keep the full search.
-
     The window at j is the recurrence's state at j, A^j times the first
     one, where A is the companion matrix of f = x^L + sum_r c_r x^r.  The
     first window's annihilator is f itself, or the prefix would satisfy
     a shorter recurrence, so the windows over D fold to zero exactly when
-    f divides sum_{d in D} x^d.  A reversible prefix therefore hands f to
-    the search as its recurrence, which lets Gold-like prefixes take the
-    zeros path (see low_weight_kernel_support).  The search raises
-    BudgetExceededError before a level whose price exceeds budget.  Both
-    paths re-verify the witness with correlation_at.
+    f divides sum_{d in D} x^d.  Write f = x^e g with g(0) = 1: then D
+    must have min D >= e, and D is a collision exactly when g divides
+    sum_{d in D} x^(d - e).  So the search runs on the windows from e on
+    with g as their recurrence, which anchors it at e (see the codes
+    module docstring) and lets Gold-like prefixes take the zeros path,
+    and e is added back to its support.  Periodic prefixes have e = 0.
+    Whenever the threshold fires, C(floor(n/2), t) >= 2**L forces
+    L <= floor(n/2) <= w, so every firing prefix takes this search; a
+    prefix with L > w keeps the full search over its w-bit windows.  The
+    search raises BudgetExceededError before a level whose price exceeds
+    budget.  Both paths re-verify the witness with correlation_at.
     """
     from .correlation import aperiodic_measure, correlation_at, search_cost
 
@@ -190,12 +187,18 @@ def find_half_peak_witness(
 
     width = n - n // 2  # ceil(n/2)
     l, coeffs = linear_complexity(data, n)
-    cols = _windows(data, n, min(l, width), n // 2)
-    reversible = 0 < l <= width and coeffs[0] == 1
-    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l if reversible else None
-    support = low_weight_kernel_support(cols, 2, k_max, budget, anchored=reversible, recurrence=f)
+    if l <= width:
+        f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+        e = (f & -f).bit_length() - 1  # f = x^e g with g(0) = 1
+        g = f >> e
+        cols = _windows(data >> e, n - e, l, n // 2 - e)
+    else:
+        e, g = 0, None
+        cols = _windows(data, n, width, n // 2)
+    support = low_weight_kernel_support(cols, 2, k_max, budget, recurrence=g)
     if support is None:
         return None
+    support = tuple(d + e for d in support)
     value = correlation_at(seq, width, support, n)
     if value != width:
         raise AssertionError(f"window collision {support} failed re-verification")
@@ -211,11 +214,12 @@ def find_half_peak_witness(
 def _windows(data: int, n: int, w: int, count: int) -> list[int]:
     """The w-bit windows of the n-bit data that start at 0..count-1, bit 0 first.
 
-    Needs count + w - 1 <= n.  Each window is the last one shifted down
-    with the next bit of one `unpack` put on top, so a window costs w bits
-    of work instead of a shift of the whole prefix.
+    Needs count + w - 1 <= n; a count below 1 gives none.  Each window
+    is the last one shifted down with the next bit of one `unpack` put on
+    top, so a window costs w bits of work instead of a shift of the whole
+    prefix.
     """
-    if count == 0:
+    if count <= 0:
         return []
     col = data & mask(w)
     top = 1 << w >> 1  # bit w - 1; 0 for zero-width windows

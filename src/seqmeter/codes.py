@@ -23,26 +23,23 @@ weight: it hashes the supports' tails and walks their heads in
 lexicographic order, so the first head that meets a tail gives the
 level's minimum.  Both walks come from bitseq.fold_extensions, with the
 last element looped over directly, so each head or tail costs one XOR
-and one dict probe.  In anchored mode it looks only at supports that
-contain coordinate 0.  A support holding 0 sorts before every support
-that does not, so the anchor is exact whenever every minimum-weight
-support can be moved to one holding 0 without changing its weight.  Two
-kinds of columns allow that:
+and one dict probe.
 
-* cyclic columns: C is cyclic, so its dual is cyclic too, and a rotation
-  takes any dual support to one holding 0 (find_periodic_peak);
-* the sliding windows col_j = s[j .. j+w-1] of a prefix whose shortest
-  recurrence runs backwards, i.e. its connection polynomial has degree
-  exactly L (c_0 = 1), with L <= w.  If the windows over D fold to zero
-  and min D > 0, so do those over D - 1: bits 1..w-1 of the new fold are
-  bits 0..w-2 of the old, and bit 0 is a combination of the old bits
-  0..L-1 (bounds.find_half_peak_witness).
+Columns may come with their recurrence: a polynomial g with g(0) = 1
+such that a support D is dual exactly when g divides sum_{d in D} x^d.
+Then the search looks only at supports that contain coordinate 0, and
+that is exact by one rule: g(0) = 1 makes x invertible modulo g, so if
+min D > 0 then D - min D is dual too, of the same weight and with the
+same gaps.  A support holding 0 sorts before every support that does
+not, so the anchored minimum is the full one.  The callers' columns are
 
-Other columns, such as the windows of a prefix whose recurrence cannot
-be reversed, keep the full search.
+* the syndromes of a cyclic span, with the span's recurrence
+  (find_periodic_peak);
+* the L-bit windows of a prefix of linear complexity L, from its
+  coordinate e on, where the prefix's recurrence is x^e g with
+  g(0) = 1 (bounds.find_half_peak_witness).
 
-Both kinds of anchored columns come with their recurrence f: a support D
-is dual exactly when f divides sum_{d in D} x^d.  When f's zeros are
+Columns without a recurrence keep the full search.  When g's zeros are
 those of a Gold or small-Kasami span, each level from weight 4 walks
 only its heads and solves for the last two elements from field tables
 (seqmeter.zeros), which is loaded only then.  Every other zero pattern,
@@ -233,55 +230,57 @@ def low_weight_kernel_support(
     w_min: int = 1,
     w_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    anchored: bool = False,
     jobs: int = 1,
     recurrence: int | None = None,
 ) -> tuple[int, ...] | None:
     """Smallest support D in [w_min, w_max] with XOR of cols[j] over D zero.
 
     w_min >= 1.  Ties at the winning weight go to the lexicographically
-    smallest support.  The full search (anchored=False) is complete over
+    smallest support.  Without a recurrence the search is complete over
     arbitrary columns: it returns None only when no such support exists.
-    anchored=True searches only supports that contain 0, which gives the
-    same answer for the columns named in the module docstring; callers
-    set it from the structure of their columns.
+    recurrence is a polynomial g (bit r = coefficient of x^r) with
+    g(0) = 1 such that a support D is dual exactly when g divides
+    sum_{d in D} x^d, as for the syndromes x^d mod g.  With it the search
+    is anchored at 0, which gives the same answer (see the module
+    docstring); an even g raises ValueError, because x would then not be
+    invertible and the anchor could miss every dual support.
 
     Each weight w from 2 up is one head/tail level: a tail of
     a = max(1, ceil(w/2) - 1) elements anchored, floor(w/2) otherwise,
     and a head of the rest, which starts at 0 when anchored.  A level
     costs its tails plus its heads.  The levels with one-element tails
-    (2, 3 and, anchored, 4) share one table of them.  Levels below 4 run
-    in this process; from 4 each checks its cost against budget before
-    it allocates, raising BudgetExceededError when over, and jobs > 1
-    splits its heads by their first free element once its price passes
-    the fork break-even of `parallel.map_min`.
+    (2, 3 and, anchored, 4) share one table of them.  The levels that
+    cost linear work, 2 and, anchored, 3, run unpriced; every other
+    level checks its cost against budget before it allocates, raising
+    BudgetExceededError when over.  Levels below 4 are one slice; from 4
+    jobs > 1 splits a level's heads by their first free element once its
+    price passes the fork break-even of `parallel.map_min`.
 
-    recurrence, when given with anchored=True, is a polynomial f (bit r
-    = coefficient of x^r) such that a support D is dual exactly when f
-    divides sum_{d in D} x^d, as for the syndromes x^d mod f.  Then each
-    level from 4 whose Gold zeros (seqmeter.zeros) fit, and whose price,
-    C(m-1, w-3) heads plus 2^ell field-table entries, is no more than
-    the syndrome level's, walks its heads with zeros_level instead,
-    after checking that price against budget.  The answer is the same
-    either way, and no budget refuses a level that the syndrome price
-    would let through.
+    With a recurrence, each level from 4 whose Gold zeros
+    (seqmeter.zeros) fit, and whose price, C(m-1, w-3) heads plus 2^ell
+    field-table entries, is no more than the syndrome level's, walks its
+    heads with zeros_level instead, after checking that price against
+    budget.  The answer is the same either way, and no budget refuses a
+    level that the syndrome price would let through.
     """
+    if recurrence is not None and not recurrence & 1:
+        raise ValueError(f"recurrence {recurrence:#x} has g(0) = 0; the anchor at 0 needs g(0) = 1")
     m = len(cols)
     w_max = m if w_max is None else min(w_max, m)
-    lead = (0,) if anchored else ()
+    lead = () if recurrence is None else (0,)
     ones = None  # the one-element tail table, shared by the levels with a = 1
     field = zeros = None  # the Gold zeros of recurrence, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
         if w == 1:
             best = next(((j,) for j in (lead or range(m)) if cols[j] == 0), None)
         else:
-            a = max(1, (w + 1) // 2 - 1) if anchored else w // 2
+            a = max(1, (w + 1) // 2 - 1) if lead else w // 2
             h = w - a
             level = None
-            cost = 0  # below 4 the level is one slice and never forks
-            if w >= 4:
+            cost = 0  # levels 2 and, anchored, 3 walk at most m heads and tails
+            if w >= 3 + len(lead):
                 cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
-                if anchored and recurrence and field is None:
+                if lead and field is None:
                     from . import zeros as gf  # only levels from 4 with a recurrence load it
 
                     field = gf.zeros_field(recurrence, m, cost.bit_length()) or False
@@ -337,7 +336,7 @@ def find_periodic_peak(
         return PeakCertificate(1, (0,), "periodic-full", span.period,
                                note="degenerate zero sequence, weight-1 dual")
     support = low_weight_kernel_support(dual_syndromes(span), 2, t_max, budget,
-                                        anchored=True, jobs=jobs, recurrence=_recurrence(span))
+                                        jobs=jobs, recurrence=_recurrence(span))
     if support is None:
         return None
     verified = _verify_full_peak(span.block, span.period, support)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -25,6 +27,7 @@ from seqmeter.complexity import (
     linear_complexity,
     max_order_complexity,
 )
+from seqmeter.budget import BudgetExceededError
 from seqmeter.codes import low_weight_kernel_support
 from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
@@ -125,14 +128,70 @@ def _window_columns(seq, n):
     return [(seq.data >> j) & mask(width) for j in range(n // 2)]
 
 
-def test_half_peak_witness_keeps_full_search_when_not_reversible():
-    # L = 1 with c_0 = 0: bit 0 is not fixed by the bits after it, and the
-    # smallest weight-2 collision, D = [1, 2], avoids coordinate 0
+def test_half_peak_witness_factors_x_out_of_the_recurrence():
+    # L = 1 with f = x: bit 0 is not fixed by the bits after it, so every
+    # collision avoids coordinate 0; from coordinate 1 on the recurrence is
+    # g = 1, and the search there gives the full search's D = [1, 2]
     s = BitSequence.from_int(1, 70)
     assert linear_complexity(s, 70) == (1, (0,))
     w = find_half_peak_witness(s, 70, 2, budget=10**3)
     assert (w["method"], w["D"], w["value"]) == ("constructive", [1, 2], 35)
-    assert low_weight_kernel_support(_window_columns(s, 70), 2, 2, anchored=True) is None
+    assert low_weight_kernel_support(_window_columns(s, 70), 2, 2) == (1, 2)
+
+
+def test_half_peak_witness_matches_full_window_search_exhaustively():
+    # every prefix with N <= 11 and L <= ceil(N/2), the constructive path
+    # forced; where e > floor(N/2) no window from e on is left to search
+    checked = beyond = 0
+    for n in range(2, 12):
+        width = n - n // 2
+        for bits in range(1 << n):
+            l, coeffs = linear_complexity(bits, n)
+            if l > width:
+                continue
+            w = find_half_peak_witness(BitSequence.from_int(bits, n), n, 3, budget=0)
+            want = low_weight_kernel_support([(bits >> j) & mask(width) for j in range(n // 2)], 2, 3)
+            assert (w and tuple(w["D"])) == want, (n, bits)
+            checked += 1
+            beyond += (coeffs + (1,)).index(1) > n // 2
+    assert (checked, beyond) == (3186, 25)
+
+
+def _gold_prefix_with_breaking_bit(ell):
+    """Two periods of gold ell behind one bit that breaks the period: L = 2 ell + 1, f = x g."""
+    g = gold_sequence(ell, periods=4)
+    t = g.period
+    b = 1 - (g.data >> (t - 1) & 1)
+    return BitSequence.from_int(((g.data << 1) | b) & mask(2 * t), 2 * t)
+
+
+def test_half_peak_witness_on_gold_prefix_with_breaking_bit():
+    # the full window search would hash C(2046, 2) pairs at weight 4; from
+    # coordinate 1 on the windows keep the Gold recurrence and its zeros
+    s = _gold_prefix_with_breaking_bit(11)
+    l, coeffs = linear_complexity(s, s.n)
+    assert (l, coeffs[0], half_peak_threshold(s.n, l)) == (23, 0, (3, 6))
+    w = find_half_peak_witness(s, s.n, 6)
+    assert (w["method"], w["k"], w["D"]) == ("constructive", 5, [1, 2, 4, 1778, 1925])
+
+
+def test_full_window_search_prices_level_3_before_walking_it():
+    # L > ceil(N/2): the full search over 4000 windows walks level 2 unpriced
+    # and refuses level 3, C(3999, 1) tails plus C(4000, 2) heads, before any head
+    n = 8000
+    rng = random.Random(8000)
+    while linear_complexity(data := rng.getrandbits(n), n)[0] <= n - n // 2:
+        pass
+    walked = []
+    level = codes._level
+
+    def record(cols, a, h, *args):
+        walked.append(a + h)
+        return level(cols, a, h, *args)
+
+    with mock.patch.object(codes, "_level", record), pytest.raises(BudgetExceededError) as exc:
+        find_half_peak_witness(BitSequence.from_int(data, n), n, 3, budget=0)
+    assert (exc.value.cost, walked) == (3999 + math.comb(4000, 2), [2])
 
 
 def _searched_columns(seq, n):
@@ -144,7 +203,8 @@ def _searched_columns(seq, n):
         return search(cols, *args, **kwargs)
 
     search = codes.low_weight_kernel_support
-    with mock.patch.object(codes, "low_weight_kernel_support", record):
+    with mock.patch.object(codes, "low_weight_kernel_support", record), \
+            contextlib.suppress(BudgetExceededError):
         find_half_peak_witness(seq, n, 3, budget=0)
     return seen[0]
 
@@ -173,7 +233,7 @@ def _shifted_columns(data, n):
 @given(st.integers(min_value=0, max_value=300), st.data())
 def test_sliding_windows_equal_shifted_prefix_on_random_prefixes(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    count = data.draw(st.integers(min_value=0, max_value=n))
+    count = data.draw(st.integers(min_value=-1, max_value=n))  # a negative count gives none
     w = data.draw(st.integers(min_value=0, max_value=n - count + 1 if count else n))
     assert _windows(bits, n, w, count) == [(bits >> j) & mask(w) for j in range(count)]
     if n:

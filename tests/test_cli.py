@@ -10,6 +10,7 @@ import pytest
 from seqmeter import parallel, verify
 from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import main
+from test_bounds import _gold_prefix_with_breaking_bit
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -252,7 +253,8 @@ def gold5(tmp_path, capsys):
 
 
 def test_peak_search_budget_exit(gold5, capsys, monkeypatch):
-    # the weight-4 level of the anchored search costs 30 + 435 > 10
+    # the weight-4 level of the anchored search walks its 30 heads by the Gold
+    # zeros, with 2^5 field-table entries: 62 > 10
     assert run(["bounds", "verify", "thm1", gold5, "--budget", "10"], capsys)[:2] == (3, "")
     monkeypatch.setenv("SEQMETER_BUDGET", "10")
     code, out, err = run(["peaks", gold5], capsys)
@@ -262,7 +264,8 @@ def test_peak_search_budget_exit(gold5, capsys, monkeypatch):
 
 def test_constructive_thm2_budget_exit(gold5, capsys):
     # order 2 alone would cost 79422 summands, so the window search runs; its
-    # anchored weight-4 level costs 30 + 435 > 464
+    # anchored weight-5 level walks C(30, 2) heads by the Gold zeros, with 2^5
+    # field-table entries: 467 > 464
     code, out, err = run(["bounds", "verify", "thm2", gold5, "--budget", "464"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("seqmeter: search needs") and "Traceback" not in err
@@ -283,10 +286,18 @@ def test_thm2_constructive_witnesses(tmp_path, capsys):
     save(BitSequence.from_int(1, 70), one)
     code, out, _ = run(["bounds", "verify", "thm2", str(one), "--budget", "1000"], capsys)
     assert code == 0
-    # 10...0 has L = 1 with c_0 = 0, so its recurrence cannot run backwards: the full search;
+    # 10...0 has L = 1 with f = x, so the search runs on the windows from 1 on;
     # the budget prices out the exhaustive order-2 search
     assert json.loads(out)["witness"] == {
         "D": [1, 2], "U": 35, "k": 2, "method": "constructive", "value": 35}
+    # two periods of gold 11 behind a period-breaking bit: f = x g with g the
+    # Gold recurrence, so the windows from 1 on take the zeros path
+    broken = tmp_path / "gold11x.txt"
+    save(_gold_prefix_with_breaking_bit(11), broken)
+    code, out, _ = run(["bounds", "verify", "thm2", str(broken)], capsys)
+    assert code == 0
+    assert json.loads(out)["witness"] == {
+        "D": [1, 2, 4, 1778, 1925], "U": 2047, "k": 5, "method": "constructive", "value": 2047}
 
 
 def test_json_flag_removed(ms3, capsys):

@@ -4,7 +4,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqmeter import parallel
 from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
@@ -188,13 +188,20 @@ def test_degenerate_zero_sequence():
 
 
 def test_peak_search_budget():
-    # the syndrome search on gold ell=5 needs the weight-4 and weight-5 levels:
+    # f with the zeros rho and rho^-1 of GF(32) has two cosets but not the Gold
+    # pattern, so the anchored search hashes syndromes at weights 4 and 5:
     # 30 + 435 at w = 4
-    syn = dual_syndromes(build_span(gold_sequence(5)))
+    f = _clmul(_minimal_polynomial(5, 1), _minimal_polynomial(5, 15))
+    cols = _power_columns(f, 31)
+    assert _zeros_of(cols, f) is None
     with pytest.raises(BudgetExceededError) as exc:
-        low_weight_kernel_support(syn, 2, 7, budget=464, anchored=True)
+        low_weight_kernel_support(cols, 2, 7, budget=464, recurrence=f)
     assert (exc.value.cost, exc.value.budget) == (465, 464)
-    assert low_weight_kernel_support(syn, 2, 7, budget=465 + 435, anchored=True) == (0, 1, 4, 19, 22)
+    best = low_weight_kernel_support(cols, 2, 7, budget=465 + 435, recurrence=f)
+    assert best == low_weight_kernel_support(cols, 2, 7) == (0, 1, 3, 7, 15)
+    syn = dual_syndromes(span := build_span(gold_sequence(5)))
+    assert (low_weight_kernel_support(syn, 2, 7, recurrence=_recurrence(span))
+            == low_weight_kernel_support(syn, 2, 7) == (0, 1, 4, 19, 22))
     # a search that ends at weight 3 never reaches a budgeted level
     assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
 
@@ -220,11 +227,21 @@ def test_kernel_search_budget():
 
 
 def test_odd_unanchored_level_price():
-    # C(30, 2) tails of floor(5/2) from columns 1..30, C(31, 3) heads of ceil(5/2)
+    # C(30, 2) tails of floor(5/2) from columns 1..30, C(31, 3) heads of ceil(5/2);
+    # at w = 3, C(30, 1) tails and C(31, 2) heads
     syn = dual_syndromes(build_span(gold_sequence(5)))
-    with pytest.raises(BudgetExceededError) as exc:
-        low_weight_kernel_support(syn, 5, 5, budget=4929)
-    assert (exc.value.cost, exc.value.budget) == (4930, 4929)
+    for w, cost in ((5, 4930), (3, 495)):
+        with pytest.raises(BudgetExceededError) as exc:
+            low_weight_kernel_support(syn, w, w, budget=cost - 1)
+        assert (exc.value.cost, exc.value.budget) == (cost, cost - 1)
+    # level 2 walks linear work unpriced
+    assert low_weight_kernel_support(syn, 2, 2, budget=0) is None
+
+
+def test_recurrence_must_not_vanish_at_zero():
+    span = build_span(gold_sequence(5))
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
+        low_weight_kernel_support(dual_syndromes(span), 2, 7, recurrence=_recurrence(span) << 1)
 
 
 def test_order_cap_validated():
@@ -395,54 +412,55 @@ def test_jobs_do_not_change_certificates(t, data):
 
 def _window_columns(bits, n):
     """thm2's columns of an n-prefix: its w-bit windows, their first min(L, w) bits,
-    and whether the prefix is reversible."""
+    and e and g with x^e g the prefix's recurrence and g(0) = 1."""
     width = n - n // 2
     l, coeffs = linear_complexity(bits, n)
     full = [(bits >> j) & mask(width) for j in range(n // 2)]
     short = [(bits >> j) & mask(min(l, width)) for j in range(n // 2)]
-    return full, short, 0 < l <= width and coeffs[0] == 1
+    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    e = (f & -f).bit_length() - 1
+    return full, short, e, f >> e
 
 
-def _assert_window_searches_agree(full, short, reversible, k_max, label):
+def _assert_window_searches_agree(full, short, e, g, k_max, label):
     # the recurrence extends the first L bits of a window to all w of them by
-    # one injective map, so both columns give one support in either mode; the
-    # anchor gives the full search's support when the prefix is reversible
+    # one injective map, so both columns give one support; every collision
+    # starts at e or later, and from e on the windows' recurrence is g, which
+    # anchors the search there
     expected = low_weight_kernel_support(full, 2, k_max)
     assert low_weight_kernel_support(short, 2, k_max) == expected, label
-    anchored = low_weight_kernel_support(full, 2, k_max, anchored=True)
-    assert low_weight_kernel_support(short, 2, k_max, anchored=True) == anchored, label
-    if reversible:
-        assert anchored == expected, label
+    factored = low_weight_kernel_support(short[e:], 2, k_max, recurrence=g)
+    assert (factored and tuple(d + e for d in factored)) == expected, label
 
 
 def test_anchored_window_search_matches_full_search_exhaustively():
-    # every prefix with 2 <= N <= 13 and 0 < L <= w
-    checked = 0
+    # every prefix with 2 <= N <= 13 and L <= w, the prefixes where thm2 fires
+    checked = with_x = 0
     for n in range(2, 14):
         for bits in range(1 << n):
-            if not 0 < linear_complexity(bits, n)[0] <= n - n // 2:
+            if linear_complexity(bits, n)[0] > n - n // 2:
                 continue
-            full, short, reversible = _window_columns(bits, n)
-            checked += reversible
+            full, short, e, g = _window_columns(bits, n)
+            checked += 1
+            with_x += e > 0
             for k_max in (3, 4, 6):
-                _assert_window_searches_agree(full, short, reversible, k_max, (n, bits, k_max))
-    assert checked > 5000
+                _assert_window_searches_agree(full, short, e, g, k_max, (n, bits, k_max))
+    assert (checked, with_x) == (12744, 4136)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=14, max_value=40), st.data())
 def test_anchored_window_search_matches_full_search(n, data):
-    # low complexity is where thm2 fires, so draw a reversible recurrence
-    # of small order and run it from a random state
+    # low complexity is where thm2 fires, so draw a recurrence of small order,
+    # with c_0 = 0 allowed, and run it from a random state
     l = data.draw(st.integers(min_value=1, max_value=n // 4))
-    taps = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1)) | 1
+    taps = data.draw(st.integers(min_value=0, max_value=(1 << l) - 1))
     bits = data.draw(st.integers(min_value=1, max_value=(1 << l) - 1))
     for i in range(l, n):
         bits |= ((taps & (bits >> (i - l))).bit_count() & 1) << i
-    full, short, reversible = _window_columns(bits, n)
-    assume(reversible)
+    full, short, e, g = _window_columns(bits, n)
     k_max = data.draw(st.sampled_from((3, 4, 6)))
-    _assert_window_searches_agree(full, short, reversible, k_max, (n, bits, k_max))
+    _assert_window_searches_agree(full, short, e, g, k_max, (n, bits, k_max))
 
 
 # --- the Gold zeros path -----------------------------------------------------
@@ -471,10 +489,33 @@ def _zeros_of(cols, f):
     return field and gold_zeros(f, m, *field)
 
 
+def _power_columns(f, m):
+    """x^d mod f for d < m."""
+    l = f.bit_length() - 1
+    cols, u = [], 1
+    for _ in range(m):
+        cols.append(u)
+        u <<= 1
+        if u >> l:
+            u ^= f
+    return cols
+
+
+def _syndrome_levels(cols, w_min, w_max):
+    """The anchored search with every level hashing syndromes, one slice each."""
+    for w in range(w_min, w_max + 1):
+        a = max(1, (w + 1) // 2 - 1)
+        best = _level(cols, a, w - a, None, [(0,)])
+        if best:
+            return best
+    return None
+
+
 def _assert_zeros_match_syndromes(cols, f, w_max, label):
     # every level from 4, one at a time, with either factor's zero as rho
-    # (one of the two takes the swapped order), then the whole search both
-    # ways; levels above the first with an answer only at small sizes
+    # (one of the two takes the swapped order), then the whole search against
+    # the syndrome levels and, up to 127 columns, the full search; levels
+    # above the first with an answer only at small sizes
     m = len(cols)
     ell, g = zeros_field(f, m, 64)
     tables = [gold_zeros(f, m, ell, g)]
@@ -483,7 +524,7 @@ def _assert_zeros_match_syndromes(cols, f, w_max, label):
     assert all(tables), label
     prefixes = [(0, d) for d in range(1, m)]
     for w in range(4, w_max + 1):
-        want = low_weight_kernel_support(cols, w, w, anchored=True)
+        want = _syndrome_levels(cols, w, w)
         for zeros in tables:
             assert zeros_level(zeros, w - 2, prefixes) == want, (label, w)
         if want and m > 511:
@@ -495,8 +536,10 @@ def _assert_zeros_match_syndromes(cols, f, w_max, label):
         for d in range(1, min(m, 40)):
             want = _level(cols, 2, 3, pairs, [(0, d)])
             assert all(zeros_level(zeros, 3, [(0, d)]) == want for zeros in tables), (label, d)
-    assert (low_weight_kernel_support(cols, 4, w_max, anchored=True, recurrence=f)
-            == low_weight_kernel_support(cols, 4, w_max, anchored=True)), label
+    best = low_weight_kernel_support(cols, 4, w_max, recurrence=f)
+    assert best == _syndrome_levels(cols, 4, w_max), label
+    if m <= 127:
+        assert best == low_weight_kernel_support(cols, 4, w_max), label
 
 
 GOLD_CASES = [(f"gold{ell}", ell, GOLD_PAIRS[ell]) for ell in (5, 6, 7, 9)]
@@ -528,10 +571,8 @@ def test_zeros_match_syndromes_on_window_columns(make):
     # prefix's own recurrence; T columns fit the field
     seq = make()
     n = 2 * seq.period
-    _, short, reversible = _window_columns(seq.data, n)
-    l, coeffs = linear_complexity(seq.data, n)
-    assert reversible
-    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    _, short, e, f = _window_columns(seq.data, n)
+    assert e == 0
     _assert_zeros_match_syndromes(short, f, 6, n)
 
 
@@ -539,25 +580,28 @@ def test_zeros_fall_back_with_more_columns_than_the_field():
     # a 4T prefix has 2T columns, so columns d and d + T are one field element
     seq = gold_sequence(5, periods=4)
     n = 4 * seq.period
-    _, short, _ = _window_columns(seq.data, n)
-    l, coeffs = linear_complexity(seq.data, n)
-    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    _, short, e, f = _window_columns(seq.data, n)
+    assert e == 0
     assert zeros_field(f, len(short), 64) is None
     assert zeros_field(f, seq.period, 64) is not None
-    assert (low_weight_kernel_support(short, 4, 5, anchored=True, recurrence=f)
-            == low_weight_kernel_support(short, 4, 5, anchored=True))
+    assert (low_weight_kernel_support(short, 4, 5, recurrence=f)
+            == low_weight_kernel_support(short, 4, 5))
 
 
-def test_zeros_fall_back_on_irreversible_prefix():
+def test_zeros_run_after_a_period_breaking_first_bit():
     # flipping the first bit of a Gold prefix adds the factor x to its
-    # recurrence (c_0 = 0): the search is unanchored and skips the zeros
+    # recurrence: the windows from 1 on keep the Gold recurrence g, so the
+    # search there takes the zeros path, and adding 1 back gives the full
+    # search's support
     seq = gold_sequence(5)
     n = 2 * seq.period
     bits = seq.data ^ 1
-    full, short, reversible = _window_columns(bits, n)
-    assert not reversible
+    full, short, e, g = _window_columns(bits, n)
+    assert e == 1 and _zeros_of(short[1:], g)
     witness = find_half_peak_witness(BitSequence.from_int(bits, n), n, 6)
     assert tuple(witness["D"]) == low_weight_kernel_support(full, 2, 6)
+    shifted = low_weight_kernel_support(short[1:], 2, 6, recurrence=g)
+    assert tuple(d - 1 for d in witness["D"]) == shifted
 
 
 ZERO_PATTERNS = [_recurrence(build_span(s)) for s in (gold_sequence(5), gold_sequence(6),
@@ -578,14 +622,9 @@ def test_recurrence_changes_no_answer(l, data):
         f = data.draw(st.sampled_from(ZERO_PATTERNS))
         l = f.bit_length() - 1
     m = data.draw(st.integers(min_value=4, max_value=40))
-    cols, u = [], 1
-    for _ in range(m):
-        cols.append(u)
-        u <<= 1
-        if u >> l:
-            u ^= f
-    assert (low_weight_kernel_support(cols, 2, 6, anchored=True, recurrence=f)
-            == low_weight_kernel_support(cols, 2, 6, anchored=True))
+    cols = _power_columns(f, m)
+    assert (low_weight_kernel_support(cols, 2, 6, recurrence=f)
+            == low_weight_kernel_support(cols, 2, 6))
 
 
 def test_zeros_fit_only_the_gold_pattern():
@@ -625,7 +664,7 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
     assert cert.shifts == shifts
     assert _verify_full_peak(span.block, span.period, shifts)
     syn = dual_syndromes(span)
-    assert low_weight_kernel_support(syn, 2, 3, anchored=True) is None
+    assert low_weight_kernel_support(syn, 2, 3, recurrence=_recurrence(span)) is None
     zeros = _zeros_of(syn, _recurrence(span))
     assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None
 
