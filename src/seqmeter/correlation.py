@@ -11,7 +11,9 @@ period; by shift invariance of the full-period sum the search fixes
 d_1 = 0.
 
 Search is exhaustive and exponential in k, so every entry point is gated
-by an explicit summand budget, priced for the full search.
+by an explicit summand budget, priced for the full search.  The price is
+a worst-case ceiling: the stops below visit less without changing what
+the budget admits.
 
 Both scans share one shift-set enumerator, `bitseq.fold_extensions`,
 which the dual search in `codes` walks its supports with too.  A slice
@@ -24,14 +26,19 @@ that fold.  The aperiodic scan needs every window U of the row, and
 `_row_best` walks them a byte at a time through precomputed prefix
 tables, so a row costs ~U/8 table steps.
 
-Three stops skip work without changing the answer.  The aperiodic scan
+Four stops skip work without changing the answer.  The aperiodic scan
 ends a last-shift loop once the longest window left is shorter than the
-best value, because windows only shrink as the last shift grows.  It
-skips a row without walking its windows when one popcount bounds them
-all below the best value: a +-1 walk has |v_U| <= U and |v_U| <=
-|v_{u_max}| + (u_max - U), so no window exceeds (u_max + |v_{u_max}|)/2.
-A periodic slice returns at its first full peak, which no later shift
-set of the slice can beat.
+best value, because windows only shrink as the last shift grows, and
+for the same reason ends a head's prefixes below N - best value.  It
+skips a row without walking its windows when two popcounts bound them
+all below the best value: a +-1 walk has |v_U| <= U and |v_U| <= |v_j|
++ |U - j| for every j, so with m = u_max and its midpoint h = m // 2 no
+window up to h exceeds (h + |v_h|)/2 and none from h on exceeds (|v_h|
++ |v_m| + m - h)/2; both are at most (m + |v_m|)/2, the end point's
+bound.  The periodic scan visits only the shift sets that open with
+their smallest cyclic gap, which hold the lexicographically smallest
+rotation of every set (`_scan_periodic`), and a slice returns at its
+first full peak, which no later shift set of the slice can beat.
 """
 
 import math
@@ -51,7 +58,11 @@ def search_cost(n: int, k: int) -> int:
 
 
 def periodic_search_cost(t: int, k: int) -> int:
-    """Summand count for the periodic search: C(T-1, k-1) shift tuples, T terms each."""
+    """Summand count for the periodic search: C(T-1, k-1) shift tuples, T terms each.
+
+    A worst-case ceiling: the scan visits only the tuples that open with
+    their smallest cyclic gap, about a k-th of them.
+    """
     if k < 1 or k > t:
         return 0
     return math.comb(t - 1, k - 1) * t
@@ -176,11 +187,12 @@ def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
     For each prefix of k-1 shifts the last shift runs upward, so the row's
     longest window u_max = n - last shrinks; the loop stops at the first
     u_max below the best value so far, since no later row can reach it.
-    A row is skipped when u_max + |v_{u_max}| < 2 * best value, which
-    bounds twice every |v_U| of the row (module docstring).  Both tests
-    are strict, so a row that may tie the value with a smaller U still
-    runs.  Pure function of the arguments, safe to ship to worker
-    processes.
+    For the same reason each head's prefixes end below n - best value.
+    A row is skipped when the midpoint bound of the module docstring is
+    below twice the best value; the end point's bound, which it implies,
+    is tried first because it needs one popcount less.  All tests are
+    strict, so a row that may tie the value with a smaller U still runs.
+    Pure function of the arguments, safe to ship to worker processes.
     """
     m = mask(n - k + 1)  # no window is longer
     shifted = [(data >> j) & m for j in range(n)]
@@ -188,13 +200,18 @@ def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
     best_value = 0
     for head in heads:
         start = head[-1] + 1 if head else 0
-        for prefix, fold in fold_extensions(shifted, head, k - 1, start, n - 1):
+        for prefix, fold in fold_extensions(shifted, head, k - 1, start, n - max(best_value, 1)):
             for last in range(prefix[-1] + 1 if prefix else 0, n):
                 u_max = n - last
                 if u_max < best_value:
                     break
                 row = fold ^ shifted[last]
-                if u_max + abs(u_max - 2 * (row & ((1 << u_max) - 1)).bit_count()) < 2 * best_value:
+                v_m = abs(u_max - 2 * (row & ((1 << u_max) - 1)).bit_count())
+                if u_max + v_m < 2 * best_value:
+                    continue
+                h = u_max >> 1
+                v_h = abs(h - 2 * (row & ((1 << h) - 1)).bit_count())
+                if h + v_h < 2 * best_value and v_h + v_m + u_max - h < 2 * best_value:
                     continue
                 value, u = _row_best(row, u_max)
                 if value >= best_value:
@@ -259,28 +276,40 @@ def periodic_measure(
         value = abs(t - 2 * (fold & mask(t)).bit_count())
     else:
         # the scan picks the last shift itself; heads fix d_1 = 0 and, from k = 3,
-        # d_2 as well, to give the fan-out its slices
-        heads = [(0, d2) for d2 in range(1, t - k + 2)] if k >= 3 else [(0,)]
-        best = map_min(_scan_periodic, (block, t, k), heads, jobs, cost)
+        # the smallest gap d_2 = g <= T/k as well, to give the fan-out its slices
+        heads = [(0, g) for g in range(1, t // k + 1)] if k >= 3 else [(0,)]
+        # C(T - kg + k - 2, k - 2) shift sets open with g: the k - 1 gaps after
+        # the first are each at least g and sum to T - g
+        work = t * sum(math.comb(t - k * g + k - 2, k - 2) for g in range(1, t // k + 1))
+        best = map_min(_scan_periodic, (block, t, k), heads, jobs, work)
         value, d = -best[0], best[1]
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 
 
 def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
-    """Minimal (-|v|, D) key over every D that extends one of heads to k shifts.
+    """Minimal (-|v|, D) key over the D that extend one of heads and open with their smallest gap.
 
-    Shift sets are visited in lexicographic order, so the first full peak
-    (|v| = T, the largest value possible) is this slice's answer and the
-    scan returns on it; the minimum over slices is then the same for any
-    split of the heads.
+    The cyclic gaps of D are d_{i+1} - d_i and T - d_k.  Rotating D so
+    that another element sits at 0 keeps the full-period sum, and the
+    lexicographically smallest rotation opens with the smallest gap, so
+    the smallest maximizing D is such a set.  At k = 2 these are (0, d)
+    with d <= T/2.  From k = 3 a head (0, g) fixes d_2 = g, and every
+    later shift lies at least g above the one before, the last at most
+    T - g.  Shift sets are visited in lexicographic order, so the first
+    full peak (|v| = T, the largest value possible) is this slice's
+    answer and the scan returns on it; the minimum over slices is then
+    the same for any split of the heads.
     """
     m = mask(t)
     two = block | (block << t)  # two periods: shifts up to t-1 never wrap
     shifted = [(two >> j) & m for j in range(t)]
     best_value, best_d = -1, None
     for head in heads:
-        for prefix, fold in fold_extensions(shifted, head, k - 1, head[-1] + 1, t - 1):
-            for last in range(prefix[-1] + 1, t):
+        g, stop = (head[1], t - head[1] + 1) if k > 2 else (1, t // 2 + 1)
+        for prefix, fold in fold_extensions(shifted, head, k - 1, 2 * g, t - 2 * g + 1):
+            if any(b - a < g for a, b in zip(prefix[2:], prefix[3:])):
+                continue
+            for last in range(prefix[-1] + g, stop):
                 value = abs(t - 2 * (fold ^ shifted[last]).bit_count())
                 if value > best_value:  # a tie keeps the earlier, smaller D
                     best_value, best_d = value, prefix + (last,)

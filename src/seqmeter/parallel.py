@@ -16,8 +16,9 @@ def map_min(fn, args: tuple, items: list, jobs: int, work: int):
     """Minimum of the non-None results of fn(*args, chunk) over a partition of items.
 
     work is the caller's price for the whole call in summands of the
-    correlation scans (`correlation.search_cost`); other searches scale
-    theirs to that unit.  Below FORK_BREAK_EVEN fn runs in this process
+    correlation scans (`correlation.search_cost`; the periodic scan
+    counts only the shift sets it visits); other searches scale theirs
+    to that unit.  Below FORK_BREAK_EVEN fn runs in this process
     on all of items whatever jobs asks for, because starting the workers
     would cost more than the split saves.  Otherwise the worker count is
     min(jobs, os.cpu_count(), len(items)), so a large jobs never starts
@@ -27,14 +28,18 @@ def map_min(fn, args: tuple, items: list, jobs: int, work: int):
     multiprocessing import.
 
     The break-even was measured on a 2-core VM with Python 3.11, best of
-    2 runs at jobs=1 and jobs=2 on random inputs.  A 2-worker pool with a
-    no-op task costs about 6 ms.  Aperiodic scans lose to the pool up to
-    2.0e6 summands (k = 3, N = 64: 13.7 ms alone, 17.5 ms forked) and
-    gain from 5.6e6 (k = 2, N = 256: 58 -> 44 ms) and 1.0e7 (k = 3,
-    N = 96: 47 -> 37 ms).  Periodic scans lose at 8.2e6 (k = 3, T = 255:
-    5.8 -> 9.0 ms) and gain at 1.6e7 (k = 4, T = 101: 22 -> 18 ms).  A
-    priced summand costs 0.7-13 ns once pruned, so 10^7 of them are about
-    0.05-0.1 s of work.
+    3 runs at jobs=1 and jobs=2 on random inputs.  A 2-worker pool with a
+    no-op task costs about 6 ms.  Periodic scans, priced at the shift
+    sets they visit, lose to the pool at 2.8e6 (k = 3, T = 255: 2.2 ms
+    alone, 10.3 ms forked) and 4.3e6 (k = 4, T = 101: 9.3 -> 13.2 ms),
+    break even at 1.1e7 (k = 4, T = 127: 16.6 -> 15.8 ms) and gain at
+    8.6e7 (k = 5, T = 101: 187 -> 130 ms).  Aperiodic scans, priced at
+    their worst case, lose up to 2.0e6 (k = 3, N = 64: 5.3 -> 13.3 ms)
+    and from 5.6e6 to 3.3e7 gain at most a quarter (k = 2, N = 256: 47
+    -> 42 ms; k = 3, N = 96: 17 -> 24 ms; k = 3, N = 128: 74 -> 60 ms),
+    because each slice prunes against its own best value only.  A priced
+    summand costs 0.8-8 ns once pruned, so 10^7 of them are about
+    0.01-0.08 s of work.
     """
     workers = min(jobs, os.cpu_count() or 1, len(items)) if work >= FORK_BREAK_EVEN else 1
     if workers <= 1:

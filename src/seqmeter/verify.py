@@ -118,14 +118,36 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
     return _result("periodic-peaks", 30.0, start, not failures, detail, len(instances))
 
 
+def _recurrence_block(rng: random.Random) -> tuple[int, int]:
+    """Period T and one period of a random recurrence of degree 7 or 8 with c_0 = 1.
+
+    c_0 = 1 makes the state map invertible, so the sequence from any
+    nonzero state is periodic from its start.
+    """
+    deg = rng.randint(7, 8)
+    taps = rng.getrandbits(deg - 1) << 1 | 1
+    start = state = rng.getrandbits(deg) or 1
+    t = block = 0
+    while True:
+        block |= (state & 1) << t
+        t += 1
+        state = state >> 1 | ((state & taps).bit_count() & 1) << (deg - 1)
+        if state == start:
+            return t, block
+
+
 def check_half_peak_random(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
     """Random corpus: every fired threshold is matched by a real half peak.
 
-    Even cases are two periods of a random block.  Odd cases put one
-    period-breaking bit in front of the two periods, so the prefix's
-    shortest recurrence x^e g gains the factor x, and a constructive
-    witness comes from the windows from coordinate e = 1 on.  The detail
-    counts the constructive witnesses of prefixes with e > 0.
+    Even cases are two periods of a random block, T <= 20 and N = 2T.
+    Odd cases put one period-breaking bit in front of two periods of a
+    random recurrence of degree 7 or 8 (T up to 255, N = 2T + 1), so
+    the prefix's shortest recurrence x^e g gains the factor x.  Their
+    complexity is low enough that the threshold usually fires, and
+    from N = 93 on the exhaustive order-2 search costs more than its
+    fallback, so most of them get a constructive witness from the
+    windows from coordinate e = 1 on.  The detail counts the
+    constructive witnesses of prefixes with e > 0.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -133,13 +155,14 @@ def check_half_peak_random(scale: str = "full", seed: int = DEFAULT_SEED) -> Che
     fired = factored = 0
     failures = []
     for i in range(count):
-        t = rng.randint(2, 20)
-        block = rng.getrandbits(t)
         if i % 2:
+            t, block = _recurrence_block(rng)
             n = 2 * t + 1
             breaking = 1 - (block >> (t - 1) & 1)  # s_{-1} of the periodic extension is bit t-1
             seq = BitSequence.from_int((block | block << t) << 1 | breaking, n)
         else:
+            t = rng.randint(2, 20)
+            block = rng.getrandbits(t)
             n = 2 * t
             seq = BitSequence.from_int(block | (block << t), n, period=t)
         l, coeffs = linear_complexity(seq, n)

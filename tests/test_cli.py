@@ -136,6 +136,25 @@ def test_corr_periodic(ms3, capsys):
     assert doc["classification"] == "full-peak"
 
 
+def test_corr_periodic_answers_pinned(tmp_path, capsys):
+    # the scan visits only the shift sets that open with their smallest gap, the
+    # price still counts all C(T-1, k-1) of them
+    ms11, gold7 = str(tmp_path / "ms11.txt"), str(tmp_path / "gold7.txt")
+    assert run(["gen", "msequence", "--ell", "11", "-o", ms11], capsys)[0] == 0
+    assert run(["gen", "gold", "--ell", "7", "-o", gold7], capsys)[0] == 0
+    code, out, err = run(["corr", ms11, "--k", "3", "--periodic"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("seqmeter: search needs ~4282395645 summand evaluations")
+    code, out, _ = run(["corr", ms11, "--k", "3", "--periodic", "--budget", "10000000000"], capsys)
+    doc = json.loads(out)
+    assert (code, doc["value"], doc["D"], doc["classification"]) == (0, 2047, [0, 1, 1029], "full-peak")
+    code, out, _ = run(["corr", gold7, "--k", "4", "--periodic"], capsys)
+    doc = json.loads(out)
+    del doc["manifest"]
+    assert (code, doc) == (0, {"D": [0, 1, 2, 15], "U": 127, "classification": "none", "k": 4,
+                               "n": 127, "periodic": True, "value": 17})
+
+
 def test_corr_periodic_rejects_prefix_length(ms3, capsys):
     code, out, err = run(["corr", ms3, "--k", "3", "--periodic", "--n", "5"], capsys)
     assert (code, out) == (2, "")
@@ -323,7 +342,7 @@ class RecordingExecutor:
         return map(fn, *iterables)
 
 
-def test_jobs_clamped_to_cores_and_slices(ms3, gold5, capsys, monkeypatch):
+def test_jobs_clamped_to_cores_and_slices(ms3, gold5, tmp_path, capsys, monkeypatch):
     expected = {argv[0]: run(argv + ["--quiet"], capsys)[1]
                 for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5])}
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
@@ -337,11 +356,13 @@ def test_jobs_clamped_to_cores_and_slices(ms3, gold5, capsys, monkeypatch):
         assert out.replace('"jobs": 1000', '"jobs": 1') == expected[argv[0]]
     # aperiodic k=3 on 14 bits has 12 first shifts; gold5 peaks runs levels 4 and 5
     assert RecordingExecutor.seen == [4, 4, 4]
-    # five heads (0, d2) for the periodic order-3 scan of a 7-periodic sequence
-    assert run(["corr", ms3, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
+    # five heads (0, g), g <= 15/3, for the periodic order-3 scan of a 15-periodic sequence
+    ms4 = str(tmp_path / "ms4.txt")
+    assert run(["gen", "msequence", "--ell", "4", "-o", ms4], capsys)[0] == 0
+    assert run(["corr", ms4, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
     assert RecordingExecutor.seen[-1] == 4
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    assert run(["corr", ms3, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
+    assert run(["corr", ms4, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
     assert RecordingExecutor.seen[-1] == 5
 
 

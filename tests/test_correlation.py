@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeter import parallel
-from seqmeter.bitseq import BitSequence, mask
+from seqmeter.bitseq import BitSequence, fold_extensions, mask
 from seqmeter.correlation import (
     BudgetExceededError,
     _row_best,
@@ -256,6 +256,25 @@ def test_row_bound_covers_every_window():
             assert bound >= _row_best(fold, u_max)[0], (fold, u_max)
 
 
+def test_midpoint_row_bound_covers_every_window():
+    # the scan also skips a row when max(h + |v_h|, |v_h| + |v_m| + m - h) < 2 * best,
+    # m = u_max and h = m // 2: v_h bounds the windows on both sides of h, and the
+    # bound is never looser than the end point's m + |v_m|
+    def check(fold, u_max):
+        h = u_max // 2
+        v_h = abs(h - 2 * (fold & mask(h)).bit_count())
+        v_m = abs(u_max - 2 * fold.bit_count())
+        bound = max(h + v_h, v_h + v_m + u_max - h)
+        assert bound // 2 >= _row_best(fold, u_max)[0], (fold, u_max)
+        assert bound <= u_max + v_m, (fold, u_max)
+
+    for u_max in range(1, 12):
+        for fold in range(1 << u_max):
+            check(fold, u_max)
+    for fold in range(1 << 16):
+        check(fold, 16)
+
+
 def test_aperiodic_witness_matches_oracle_exhaustive():
     for n in range(1, 10):
         for k in range(1, min(4, n) + 1):
@@ -279,6 +298,41 @@ def test_periodic_witness_matches_oracle_exhaustive():
             for bits in range(1 << t):
                 r = periodic_measure(BitSequence.from_int(bits, t, period=t), k)
                 assert (-r.value, tuple(r.witness_d)) == oracle_periodic(bits, t, k), (t, k, bits)
+
+
+def full_periodic_scan(block, t, k):
+    """Smallest (-|v|, D) over every D = (0, d_2, ..., d_k) in lexicographic order."""
+    two = block | (block << t)
+    shifted = [(two >> j) & mask(t) for j in range(t)]
+    best_value, best_d = -1, None
+    for prefix, fold in fold_extensions(shifted, (0,), k - 1, 1, t - 1):
+        for last in range(prefix[-1] + 1, t):
+            value = abs(t - 2 * (fold ^ shifted[last]).bit_count())
+            if value > best_value:
+                best_value, best_d = value, prefix + (last,)
+                if value == t:
+                    return -best_value, best_d
+    return -best_value, best_d
+
+
+def test_periodic_rotation_cut_matches_full_scan_exhaustively():
+    # the scan visits only the shift sets that open with their smallest cyclic gap.
+    # Rotated and complemented blocks have the same full-period sums, so the full
+    # scan runs once per class; at T = 12 only the smallest block of each rotation
+    # class is scanned, which keeps the test to a few seconds
+    reference = {}
+    for t in range(3, 13):
+        for bits in range(1 << t):
+            rotations = [((bits >> r) | (bits << (t - r))) & mask(t) for r in range(t)]
+            if t == 12 and bits != min(rotations):
+                continue
+            cls = min(rotations + [x ^ mask(t) for x in rotations])
+            s = BitSequence.from_int(bits, t, period=t)
+            for k in range(2, t):
+                if (t, cls, k) not in reference:
+                    reference[t, cls, k] = full_periodic_scan(cls, t, k)
+                r = periodic_measure(s, k)
+                assert (-r.value, r.witness_d) == reference[t, cls, k], (t, bits, k)
 
 
 @settings(max_examples=20, deadline=None)
