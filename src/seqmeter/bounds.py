@@ -112,9 +112,10 @@ def moc_correlation_bound(corr: dict, n: int) -> BoundReport:
 def log_complexity_bound(k: int, n: int, delta: float = 0.0) -> float:
     """(K/2)(log2 N + 1 - log2 K) - (1/2) log2 K + delta.
 
-    Valid as a linear-complexity lower bound when C_j(S,N) < N/2 for
-    every j < K.  delta is an unpinned additive constant, default 0; it
-    must be finite.
+    Stated for C_j(S,N) < N/2 at every j < K, a reading brute force
+    refutes: 0110110110110110 has C_1 = 6 < 8 but L = 2 < 3.5, the value
+    at K = 2, N = 16.  delta is an unpinned additive constant, default
+    0; it must be finite.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")

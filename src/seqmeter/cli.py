@@ -177,15 +177,7 @@ def cmd_peaks(args) -> int:
     if seq.period is None:
         raise _usage("peak search needs a declared period in the file")
     span = build_span(seq)
-    t_max = args.tmax
-    if t_max is None:
-        t_max = full_peak_threshold(seq.period, span.dimension)
-        if t_max is None:
-            _emit(args, {"found": False, "dimension": span.dimension,
-                         "reason": "dimension equals period; the dual code is {0}, "
-                                   "so no full peak exists"},
-                  "full-rank span: no full peak at any order")
-            return EXIT_OK
+    t_max = full_peak_threshold(seq.period, span.dimension) if args.tmax is None else args.tmax
     cert = find_periodic_peak(span, t_max, budget=_env_budget(), jobs=args.jobs)
     if cert is None:
         _emit(args, {"found": False, "tmax": t_max, "dimension": span.dimension},
@@ -260,7 +252,7 @@ def _bounds_verify(args) -> int:
         cap = full_peak_threshold(seq.period, span.dimension)
         if cap is None:
             _emit(args, {"fired": False, "dimension": span.dimension},
-                  "threshold not fired (full-rank span: no full peak exists)")
+                  "threshold not fired (full-rank span: the count gives no cap)")
             return EXIT_OK
         cert = find_periodic_peak(span, cap, budget=args.budget)
         ok = cert is not None
@@ -399,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--jobs", type=int, default=1)
     corr.set_defaults(func=cmd_corr)
 
-    peaks = sub.add_parser("peaks", parents=[common], help="find a full periodic peak (low-weight dual vector)")
+    peaks = sub.add_parser("peaks", parents=[common], help="find a full periodic peak (a least constant fold)")
     peaks.add_argument("file")
     peaks.add_argument("--tmax", type=int, default=None,
-                       help="weight cap (default: the sphere-packing threshold)")
+                       help="weight cap (default: the sphere-packing threshold; none at full rank)")
     peaks.add_argument("--jobs", type=int, default=1)
     peaks.set_defaults(func=cmd_peaks)
 

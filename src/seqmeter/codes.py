@@ -1,22 +1,21 @@
-"""Cyclic-shift spans over GF(2) and low-weight dual vectors.
+"""Cyclic-shift spans over GF(2) and low-weight constant folds.
 
 A T-periodic sequence's period block and its T cyclic rotations span a
 linear code C of dimension equal to the sequence's linear complexity.
-A weight-k vector in the dual code is exactly a shift set D for which
-sum_j s[n + d_j] = 0 for every n, i.e. a shift set whose periodic
-order-k correlation hits the full peak T.
+A shift set D has a full periodic peak T exactly when its fold
+sum_{d in D} s[n + d] is constant in n: all zeros, a dual vector of C,
+or all ones.  That is when g divides sum_{d in D} x^d (_peak_recurrence).
 
 Rows and codewords are packed ints, bit j = coordinate j.  The search
-for a minimum-weight dual vector works on the coordinate syndromes
-against the span basis: a support D is dual iff the XOR of its columns'
-syndromes vanishes.
+for a minimum-weight support works on the columns x^j mod g: D
+qualifies iff the XOR of its columns vanishes.
 
 Both steps before the search use the span's dimension L, not its period
 T.  build_span eliminates rotations only until the first one that
 depends on the earlier ones, at most L+1 of them.  The span is the set
 of T-periodic sequences that satisfy one recurrence of length L, so its
 first L coordinates are an information set: the pivots are 0..L-1, and
-dual_syndromes steps that recurrence, x^j mod f, to get syndrome j.
+the syndrome of coordinate j against the basis is x^j mod f (_powers).
 
 low_weight_kernel_support is the one syndrome search, one level per
 weight: it hashes the supports' tails and walks their heads in
@@ -33,13 +32,14 @@ min D > 0 then D - min D is dual too, of the same weight and with the
 same gaps.  A support holding 0 sorts before every support that does
 not, so the anchored minimum is the full one.  The callers' columns are
 
-* the syndromes of a cyclic span, with the span's recurrence
-  (find_periodic_peak);
+* x^j mod g for a cyclic span (find_periodic_peak);
 * the L-bit windows of a prefix of linear complexity L, from its
   coordinate e on, where the prefix's recurrence is x^e g with
   g(0) = 1 (bounds.find_half_peak_witness).
 
-Columns without a recurrence keep the full search.  When g's zeros are
+Columns without a recurrence keep the full search.  With one, a search
+with no more multiples q g (deg q < m - deg g) than a level costs walks
+them all (_multiples).  When g's zeros are
 those of a Gold or small-Kasami span, each level from weight 4 walks
 only its heads and solves for the last two elements from field tables
 (seqmeter.zeros), which is loaded only then.  Every other zero pattern,
@@ -141,41 +141,50 @@ def build_span(seq: BitSequence) -> CyclicSpan:
     )
 
 
-def dual_syndromes(span: CyclicSpan) -> list[int]:
-    """Per-coordinate syndromes: bit r of syndrome j is basis[r]'s bit j.
-
-    A support D indexes a dual vector iff XOR of its syndromes is zero.
-    Any L consecutive coordinates of a cyclic span of dimension L are an
-    information set, so the pivots are 0..L-1 and basis[r] is the
-    codeword that starts with the unit vector e_r.  Syndrome j < L is
-    then 1 << j, and column L of the basis is the recurrence c of every
-    codeword, s_{i+L} = sum_r c_r s_{i+r}.  Stepping the recurrence one
-    coordinate multiplies by x modulo f = x^L + c, so syndrome j is
-    x^j mod f: one shift and one conditional XOR per coordinate.
-    Raises ValueError when the pivots are not 0..L-1, which no span of
-    build_span has.
-    """
-    l = span.dimension
-    f = _recurrence(span)
-    syndromes = [1 << j for j in range(l)]
-    u = f ^ (1 << l)
-    for _ in range(l, span.period):
-        syndromes.append(u)
+def _powers(g: int, m: int) -> list[int]:
+    """x^j mod g for j < m; for a span's recurrence f, bit r of x^j mod f is basis[r]'s bit j."""
+    deg = g.bit_length() - 1
+    out, u = [], 1
+    for _ in range(m):
+        if u >> deg:
+            u ^= g
+        out.append(u)
         u <<= 1
-        if u >> l:
-            u ^= f
-    return syndromes
+    return out
 
 
 def _recurrence(span: CyclicSpan) -> int:
-    """f = x^L + sum_r c_r x^r, with c column L of the basis (bit r = c_r)."""
+    """f = x^L + sum_r c_r x^r, with c column L of the basis (bit r = c_r).
+
+    Any L consecutive coordinates of a cyclic span of dimension L are an
+    information set, so the pivots are 0..L-1, basis[r] starts with the
+    unit vector e_r, and its bit L is c_r in s_{i+L} = sum_r c_r s_{i+r}.
+    Bit L is read cyclically, so a full-rank span gets f = x^T + 1.
+    """
     l = span.dimension
     if span.pivots != tuple(range(l)):
         raise ValueError(f"pivots {span.pivots} are not 0..{l - 1}; not a cyclic span")
     f = 1 << l
     for r, row in enumerate(span.basis):
-        f |= ((row >> l) & 1) << r
+        f |= ((row >> (l % span.period)) & 1) << r
     return f
+
+
+def _peak_recurrence(span: CyclicSpan) -> int:
+    """g = f / gcd(f, x + 1) for the span's recurrence f.
+
+    A fold is constant iff it equals its own rotation, that is, iff f
+    divides (x + 1) sum_{d in D} x^d, or g divides sum_{d in D} x^d.
+    x + 1 divides f iff f has an even number of terms, and then g's
+    coefficient j is the sum of f's above j.
+    """
+    f = _recurrence(span)
+    if f.bit_count() & 1:
+        return f
+    g = 0
+    while f := f >> 1:
+        g ^= f
+    return g
 
 
 def _tails(cols: list[int], a: int) -> dict[int, list[tuple[int, ...]]]:
@@ -256,7 +265,10 @@ def low_weight_kernel_support(
     jobs > 1 splits a level's heads by their first free element once its
     price passes the fork break-even of `parallel.map_min`.
 
-    With a recurrence, each level from 4 whose Gold zeros
+    With a recurrence, the dual supports are the multiples q g with
+    deg q < m - deg g.  From the first level that costs no less than
+    their number, 2^(m - deg g), _multiples walks them all, priced where
+    that level is.  Each level from 4 whose Gold zeros
     (seqmeter.zeros) fit, and whose price, C(m-1, w-3) heads plus 2^ell
     field-table entries, is no more than the syndrome level's, walks its
     heads with zeros_level instead, after checking that price against
@@ -268,6 +280,7 @@ def low_weight_kernel_support(
     m = len(cols)
     w_max = m if w_max is None else min(w_max, m)
     lead = () if recurrence is None else (0,)
+    free = m - recurrence.bit_length() + 1 if lead else m  # deg q < m - deg g
     ones = None  # the one-element tail table, shared by the levels with a = 1
     field = zeros = None  # the Gold zeros of recurrence, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
@@ -277,9 +290,14 @@ def low_weight_kernel_support(
             a = max(1, (w + 1) // 2 - 1) if lead else w // 2
             h = w - a
             level = None
-            cost = 0  # levels 2 and, anchored, 3 walk at most m heads and tails
-            if w >= 3 + len(lead):
-                cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
+            cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
+            priced = w >= 3 + len(lead)  # levels 2 and, anchored, 3 walk at most m heads and tails
+            if lead and free < cost.bit_length():
+                cost = 1 << max(free, 0)
+                if priced and cost > budget:
+                    raise BudgetExceededError(cost, budget, "multiples of the recurrence")
+                return _multiples(recurrence, m, w, w_max)
+            if priced:
                 if lead and field is None:
                     from . import zeros as gf  # only levels from 4 with a recurrence load it
 
@@ -307,6 +325,22 @@ def low_weight_kernel_support(
     return None
 
 
+def _multiples(g: int, m: int, w_min: int, w_max: int) -> tuple[int, ...] | None:
+    """Lex-min support of least weight in [w_min, w_max] among the q g, 0 <= deg q < m - deg g.
+
+    A Gray-code walk flips one coefficient of q per step: one shifted XOR
+    of g.  Of two supports of one weight, the lexicographically smaller
+    holds the lowest coordinate where they differ.
+    """
+    best, v, least = 0, 0, w_max + 1
+    for i in range(1, 1 << max(m - g.bit_length() + 1, 0)):
+        v ^= g << ((i & -i).bit_length() - 1)
+        w = v.bit_count()
+        if w_min <= w <= w_max and (w < least or w == least and (d := v ^ best) & -d & v):
+            best, least = v, w
+    return tuple(j for j in range(m) if best >> j & 1) or None
+
+
 def find_periodic_peak(
     source: CyclicSpan | BitSequence,
     t_max: int | None,
@@ -315,72 +349,34 @@ def find_periodic_peak(
 ) -> PeakCertificate | None:
     """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak.
 
-    t_max=None caps nothing, so the chain find_periodic_peak(span,
-    full_peak_threshold(T, L)) also runs on a full-rank span, whose dual
-    is {0}: it returns None.  Otherwise None means no dual vector of
-    weight <= t_max exists.  Ties go to the lexicographically smallest
-    shift set.  The search is low_weight_kernel_support on the dual
-    syndromes, anchored at 0 because the dual of a cyclic span is cyclic
-    and given the span's recurrence for the zeros path, and raises
-    BudgetExceededError as it does.  Every returned
-    certificate is re-verified exhaustively: the folded rotations must
-    sum to zero at all T positions.
+    A full peak is a fold that is constant over one period, so the search
+    is low_weight_kernel_support from weight 1 on the columns x^j mod g
+    of _peak_recurrence, anchored at 0 because g(0) = 1, and raises
+    BudgetExceededError as it does.  A constant block has g = 1 and
+    answers (0,); a full-rank span has g = 1 + x + ... + x^(T-1), and
+    all T shifts fold to its odd weight.  t_max=None caps nothing, and
+    then some certificate exists; otherwise None means none of weight
+    <= t_max.  Ties go to the lexicographically smallest shift set.
+    Every returned certificate is re-verified exhaustively: the folded
+    rotations must be constant at all T positions.
     """
     if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     span = source if isinstance(source, CyclicSpan) else build_span(source)
-    if span.dimension == span.period:
-        return None
-    if span.dimension == 0:
-        # degenerate: every vector is dual; report the smallest honest witness
-        return PeakCertificate(1, (0,), "periodic-full", span.period,
-                               note="degenerate zero sequence, weight-1 dual")
-    support = low_weight_kernel_support(dual_syndromes(span), 2, t_max, budget,
-                                        jobs=jobs, recurrence=_recurrence(span))
+    g = _peak_recurrence(span)
+    support = low_weight_kernel_support(_powers(g, span.period), 1, t_max, budget,
+                                        jobs=jobs, recurrence=g)
     if support is None:
         return None
-    verified = _verify_full_peak(span.block, span.period, support)
-    if not verified:
-        raise AssertionError(f"unverified dual support {support}")  # pragma: no cover
+    if not _verify_full_peak(span.block, span.period, support):
+        raise AssertionError(f"unverified full-peak support {support}")  # pragma: no cover
     return PeakCertificate(len(support), as_shifts(support), "periodic-full", span.period)
 
 
 def _verify_full_peak(block: int, t: int, support: tuple[int, ...]) -> bool:
+    """The fold of support's rotations is constant, all zeros or all ones, over one period."""
     data2 = (block & mask(t)) | ((block & mask(t)) << t)
     fold = 0
     for d in support:
         fold ^= data2 >> d
-    return fold & mask(t) == 0
-
-
-def dual_basis(span: CyclicSpan) -> list[int]:
-    """Basis of the dual code, via the standard-form construction on syndromes."""
-    cols = dual_syndromes(span)
-    free = [j for j in range(span.period) if j not in span.pivots]
-    out = []
-    for j in free:
-        v = 1 << j
-        syn = cols[j]
-        for r, p in enumerate(span.pivots):
-            if (syn >> r) & 1:
-                v |= 1 << p
-        out.append(v)
-    return out
-
-
-def minimum_dual_weight_bruteforce(span: CyclicSpan) -> int | None:
-    """Oracle: enumerate the entire dual code. Exponential, test sizes only."""
-    base = dual_basis(span)
-    if len(base) > 24:
-        raise ValueError("dual too large to enumerate")
-    best = None
-    for m in range(1, 1 << len(base)):
-        v = 0
-        mm = m
-        while mm:
-            v ^= base[(mm & -mm).bit_length() - 1]
-            mm &= mm - 1
-        w = v.bit_count()
-        if best is None or w < best:
-            best = w
-    return best
+    return fold & mask(t) in (0, mask(t))

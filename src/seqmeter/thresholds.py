@@ -31,10 +31,11 @@ def full_peak_threshold(t: int, l: int) -> int | None:
     """Smallest weight cap tt >= 2 with sum_{i <= (tt-1)//2} C(t, i) >= 2**l.
 
     Sphere-packing contrapositive: at this cap a dual vector of weight
-    <= tt must exist, so the sequence has a full periodic peak of some
-    order 1 < k <= tt.  None when l >= t: at l = t the span is the whole
-    space, its dual is {0} and no full peak exists, and for l > t the sum
-    never reaches 2**l.
+    <= tt must exist, a fold of all zeros, so the sequence has a full
+    periodic peak of some order k <= tt.  None when l >= t: at l = t the
+    dual is {0}, so the count gives no cap (the full peak is then the
+    fold of all t shifts, codes.find_periodic_peak), and for l > t the
+    sum never reaches 2**l.
     """
     if not 0 <= l:
         raise ValueError("dimension must be non-negative")

@@ -28,7 +28,7 @@ from .complexity import (
     max_order_complexity_bruteforce,
 )
 from .correlation import aperiodic_measure, delta_under_flips
-from .generators import gold_sequence, m_sequence, small_kasami
+from .generators import gold_sequence, hall_sextic, m_sequence, small_kasami
 from .thresholds import full_peak_threshold, half_peak_threshold
 
 DEFAULT_SEED = 20240917
@@ -97,6 +97,9 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
     instances.append(("gold-5", gold_sequence(5)))
     instances.append(("gold-7", gold_sequence(7)))
     instances.append(("small-kasami-4", small_kasami(4)))
+    # full rank, a fold of all ones at order 3, and a constant block
+    instances += [("hall-7", hall_sextic(7)), ("hall-31", hall_sextic(31)),
+                  ("constant-5", BitSequence.from_int(mask(10), 10, period=5))]
     if scale != "quick":
         instances.append(("gold-9", gold_sequence(9)))
         instances.append(("small-kasami-6", small_kasami(6)))
@@ -107,12 +110,14 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
         if span.dimension != l:
             failures.append(f"{name}: span dimension {span.dimension} != complexity {l}")
             continue
-        t_cap = full_peak_threshold(seq.period, l)
+        t_cap = full_peak_threshold(seq.period, l)  # None at full rank: no cap
         cert = find_periodic_peak(span, t_cap)
         if cert is None:
-            failures.append(f"{name}: no dual vector of weight <= {t_cap}")
+            failures.append(f"{name}: no full peak of order <= {t_cap}")
             continue
-        if not (1 < cert.order <= t_cap and cert.verified_value == seq.period):
+        # one shift folds to a constant only when g = 1, for a constant block
+        lowest = 1 if span.block in (0, mask(seq.period)) else 2
+        if not (lowest <= cert.order <= (t_cap or seq.period) and cert.verified_value == seq.period):
             failures.append(f"{name}: bad certificate {cert}")
     detail = "all peaks found and verified" if not failures else "; ".join(failures)
     return _result("periodic-peaks", 30.0, start, not failures, detail, len(instances))

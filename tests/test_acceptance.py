@@ -29,7 +29,9 @@ def test_family_table_thresholds():
 
 def test_full_peaks_constructed_within_threshold():
     r = _run(verify.check_periodic_peaks)
-    assert r.cases == 11  # m-sequences 2..7, gold 5, 7 and 9, small Kasami 4 and 6
+    # m-sequences 2..7, gold 5, 7 and 9, small Kasami 4 and 6, Hall 7 and 31,
+    # and a constant block
+    assert r.cases == 14
 
 
 def test_half_peaks_on_random_periodic_corpus():

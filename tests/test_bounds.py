@@ -58,6 +58,14 @@ def test_log_bound_values():
         log_complexity_bound(4, 16)  # K^2 must stay under N
 
 
+def test_log_bound_j_below_k_reading_is_refuted():
+    # the reading "C_j < N/2 for every j < K" admits 0110110110110110 at K = 2,
+    # N = 16: C_1 = 6 < 8, yet its complexity is 2, below the formula's 3.5
+    seq = loads("0110110110110110")
+    assert aperiodic_measure(seq, 1, 16).value == 6
+    assert linear_complexity(seq, 16)[0] == 2 < log_complexity_bound(2, 16) == 3.5
+
+
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_log_bound_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="finite"):

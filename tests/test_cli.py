@@ -177,20 +177,46 @@ def test_peaks_needs_period(tmp_path, capsys):
     assert code == 2
 
 
-def test_full_rank_span_reports_no_peak(tmp_path, capsys):
-    # period 7 with all 7 rotations independent: the dual code is {0}
+def test_full_rank_span_peaks_at_every_shift(tmp_path, capsys):
+    # period 7 with all 7 rotations independent: the dual code is {0}, but
+    # all seven shifts fold to the block's odd weight, the constant ones
     path = tmp_path / "full7.txt"
     save(BitSequence([1, 0, 0, 0, 0, 0, 0] * 2, period=7), path)
     code, out, _ = run(["peaks", str(path)], capsys)
     doc = json.loads(out)
-    assert (code, doc["found"], doc["dimension"]) == (0, False, 7)
-    assert "tmax" not in doc and "no full peak exists" in doc["reason"]
-    code, out, _ = run(["bounds", "verify", "thm1", str(path)], capsys)
+    assert (code, doc["found"], doc["dimension"], doc["tmax"]) == (0, True, 7, None)
+    assert (doc["k"], doc["shifts"], doc["theta"]) == (7, list(range(7)), 7)
+    code, out, err = run(["bounds", "verify", "thm1", str(path)], capsys)
     doc = json.loads(out)
     assert (code, doc["fired"], doc["dimension"]) == (0, False, 7)
     assert "holds" not in doc and "tmax" not in doc
+    assert "full-rank" in err and "no full peak" not in err
     code, out, _ = run(["peaks", str(path), "--tmax", "3"], capsys)
     assert code == 0 and json.loads(out)["found"] is False
+
+
+@pytest.mark.parametrize("argv,k", [
+    (["gen", "hall", "--t", "7"], 7),
+    (["gen", "hall", "--t", "31"], 3),
+    (None, 1),
+], ids=["hall7", "hall31", "ones5"])
+def test_peaks_agrees_with_periodic_scan(argv, k, tmp_path, capsys):
+    # the first order at which corr --periodic reads a full peak, and its
+    # witness, are the peak's order and shifts
+    path = tmp_path / "seq.txt"
+    if argv is None:
+        path.write_text("period=5\n1111111111\n")
+    else:
+        assert run([*argv, "-o", str(path)], capsys)[0] == 0
+    code, out, _ = run(["peaks", str(path)], capsys)
+    peak = json.loads(out)
+    assert (code, peak["k"]) == (0, k)
+    for order in range(1, k + 1):
+        code, out, _ = run(["corr", str(path), "--k", str(order), "--periodic"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["classification"] == "full-peak") == (order == k)
+    assert (doc["D"], doc["value"]) == (peak["shifts"], peak["theta"])
 
 
 def test_bounds_table(capsys):

@@ -12,24 +12,29 @@ from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
     CyclicSpan,
     _level,
+    _multiples,
+    _peak_recurrence,
+    _powers,
     _recurrence,
     _tails,
     _verify_full_peak,
     build_span,
-    dual_basis,
-    dual_syndromes,
     find_periodic_peak,
     full_peak_threshold,
     hamming_condition,
     low_weight_kernel_support,
-    minimum_dual_weight_bruteforce,
 )
 from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
-from seqmeter.generators import GOLD_PAIRS, gold_sequence, m_sequence, small_kasami
+from seqmeter.generators import GOLD_PAIRS, gold_sequence, hall_sextic, m_sequence, small_kasami
 from seqmeter.zeros import _pdiv, gold_zeros, zeros_field, zeros_level
 from test_cli import RecordingExecutor
 from test_generators import decimated_pair
+
+
+def dual_syndromes(span):
+    """Syndrome j against the span basis, x^j mod the span's recurrence."""
+    return _powers(_recurrence(span), span.period)
 
 
 def _span_oracle(seq):
@@ -103,7 +108,7 @@ def test_dual_syndromes_need_leading_pivots():
     # of this hand-built span is no recurrence
     span = CyclicSpan(period=4, dimension=1, basis=(0b0110,), pivots=(1,), block=0b0110)
     with pytest.raises(ValueError, match="pivots"):
-        dual_syndromes(span)
+        _recurrence(span)
 
 
 def test_span_dimensions():
@@ -159,18 +164,69 @@ def test_certificate_agrees_with_exhaustive_scan():
     assert tuple(r.witness_d) == cert.shifts
 
 
-@pytest.mark.parametrize("seq", [
-    *(m_sequence(ell) for ell in range(3, 8)),
-    gold_sequence(5), gold_sequence(6), small_kasami(4), small_kasami(6),
-], ids=["m3", "m4", "m5", "m6", "m7", "gold5", "gold6", "kasami4", "kasami6"])
-def test_smallest_full_peak_order_matches_certificate(seq):
-    # the scan's first order with a full peak is the certificate's weight, and
-    # both break ties by the lexicographically smallest shift set
-    cert = find_periodic_peak(build_span(seq), seq.period)
+def _first_full_peak(seq):
+    """The scan's first order with a full peak, and its witness."""
     k = 1
     while (r := periodic_measure(seq, k)).classification != "full-peak":
         k += 1
-    assert (k, tuple(r.witness_d)) == (cert.order, cert.shifts)
+    return k, tuple(r.witness_d)
+
+
+@pytest.mark.parametrize("seq", [
+    *(m_sequence(ell) for ell in range(3, 8)),
+    gold_sequence(5), gold_sequence(6), small_kasami(4), small_kasami(6),
+    hall_sextic(7), hall_sextic(13), hall_sextic(31), loads("period=5\n1111111111\n"),
+], ids=["m3", "m4", "m5", "m6", "m7", "gold5", "gold6", "kasami4", "kasami6",
+        "hall7", "hall13", "hall31", "ones5"])
+def test_smallest_full_peak_order_matches_certificate(seq):
+    # the scan's first order with a full peak is the certificate's weight, and
+    # both break ties by the lexicographically smallest shift set; Hall 7 has
+    # full rank, Hall 13 one dual word of weight 13, and Hall 31 and the
+    # constant block fold to all ones
+    cert = find_periodic_peak(build_span(seq), seq.period)
+    assert _first_full_peak(seq) == (cert.order, cert.shifts)
+
+
+def _least_rotations(t):
+    """The blocks of period t that are the least of their rotations: one per span."""
+    for bits in range(1 << t):
+        if all(((bits >> r) | (bits << (t - r))) & mask(t) >= bits for r in range(1, t)):
+            yield bits
+
+
+def test_certificate_is_the_scans_first_full_peak_exhaustively():
+    # every block with T <= 11, and one block per rotation class at T = 12:
+    # rotations share a span, so that covers every block
+    for t in range(1, 13):
+        for bits in range(1 << t) if t < 12 else _least_rotations(t):
+            seq = BitSequence.from_int(bits, t, period=t)
+            cert = find_periodic_peak(seq, None)
+            assert _first_full_peak(seq) == (cert.order, cert.shifts), (t, bits)
+
+
+def test_multiples_walk_matches_syndrome_levels_exhaustively():
+    # every span with T <= 12 and every weight from 2: the walk over the
+    # multiples of g and the anchored head/tail level give one support
+    for t in range(2, 13):
+        for bits in _least_rotations(t):
+            g = _peak_recurrence(build_span(BitSequence.from_int(bits, t, period=t)))
+            cols = _powers(g, t)
+            for w in range(2, t + 1):
+                assert _multiples(g, t, w, w) == _syndrome_levels(cols, w, w), (t, bits, w)
+
+
+def test_multiples_walk_price():
+    # over m columns x^j mod g the walk costs 2^(m - deg g) and takes a
+    # weight-4 level, priced C(m-1, 1) + C(m-1, 2), only when no dearer:
+    # 16 <= 21 at m = 7, but 32 > 28 at m = 8
+    g = 0b1011
+    for m, cost, unit in ((7, 16, "multiples"), (8, 28, "hash-table")):
+        cols = _powers(g, m)
+        with pytest.raises(BudgetExceededError, match=unit) as exc:
+            low_weight_kernel_support(cols, 4, 4, budget=cost - 1, recurrence=g)
+        assert exc.value.cost == cost
+        best = low_weight_kernel_support(cols, 4, 4, budget=cost, recurrence=g)
+        assert best == low_weight_kernel_support(cols, 4, 4) == (0, 1, 2, 5)
 
 
 def test_certificate_reproduces_under_direct_evaluation():
@@ -181,10 +237,10 @@ def test_certificate_reproduces_under_direct_evaluation():
 
 
 def test_degenerate_zero_sequence():
-    cert = find_periodic_peak(BitSequence.from_int(0, 6, period=6), 4)
-    assert cert.order == 1
-    assert cert.shifts == (0,)
-    assert cert.verified_value == 6
+    # g = 1, so the weight-1 level answers, as for the constant ones block
+    for bits in (0, 0b111111):
+        cert = find_periodic_peak(BitSequence.from_int(bits, 6, period=6), 4)
+        assert (cert.order, cert.shifts, cert.verified_value, cert.note) == (1, (0,), 6, "")
 
 
 def test_peak_search_budget():
@@ -192,7 +248,7 @@ def test_peak_search_budget():
     # pattern, so the anchored search hashes syndromes at weights 4 and 5:
     # 30 + 435 at w = 4
     f = _clmul(_minimal_polynomial(5, 1), _minimal_polynomial(5, 15))
-    cols = _power_columns(f, 31)
+    cols = _powers(f, 31)
     assert _zeros_of(cols, f) is None
     with pytest.raises(BudgetExceededError) as exc:
         low_weight_kernel_support(cols, 2, 7, budget=464, recurrence=f)
@@ -251,10 +307,15 @@ def test_order_cap_validated():
 
 def test_uncapped_peak_search_and_full_rank_chain():
     # 1000000 has seven independent rotations, so its dual is {0} and the
-    # threshold is None, which find_periodic_peak reads as no weight cap
+    # threshold is None, which find_periodic_peak reads as no weight cap; its
+    # recurrence is x^7 + 1, and all seven shifts fold to the constant ones
     span = build_span(loads("period=7\n10000001000000\n"))
     assert span.dimension == span.period == 7
-    assert find_periodic_peak(span, full_peak_threshold(7, span.dimension)) is None
+    assert _recurrence(span) == 0b10000001
+    assert _peak_recurrence(span) == 0b1111111
+    cert = find_periodic_peak(span, full_peak_threshold(7, span.dimension))
+    assert (cert.order, cert.shifts, cert.verified_value) == (7, tuple(range(7)), 7)
+    assert find_periodic_peak(span, 6) is None
     with pytest.raises(ValueError):
         find_periodic_peak(span, 0)
     # below full rank, no cap is the same as a cap of T
@@ -282,16 +343,17 @@ def test_full_rank_span_has_no_threshold():
 
 def test_threshold_guarantee_exhaustive():
     # every block up to period 8: a cap exists exactly when the dual is
-    # nonzero, and then a dual vector of weight <= cap exists
+    # nonzero, and then a dual vector of weight <= cap exists; the constant
+    # folds include the dual, so the peak is no heavier
     for t in range(1, 9):
         for block in range(1 << t):
             span = build_span(BitSequence([(block >> i) & 1 for i in range(t)], period=t))
             cap = full_peak_threshold(t, span.dimension)
-            weight = minimum_dual_weight_bruteforce(span)
-            assert (cap is None) == (weight is None) == (span.dimension == t)
+            dual = brute_min_support(dual_syndromes(span), t)
+            assert (cap is None) == (dual is None) == (span.dimension == t)
             if cap is not None:
-                assert weight <= cap
-                assert find_periodic_peak(span, cap) is not None
+                assert len(dual) <= cap
+                assert find_periodic_peak(span, cap).order <= len(dual)
 
 
 def test_threshold_is_tightest():
@@ -317,12 +379,17 @@ def test_hamming_condition_cases():
 
 
 def test_dual_basis_orthogonal_and_complete():
+    # the syndromes describe the dual exactly: its least support is orthogonal
+    # to the span, and 2^(T - L) supports have vanishing syndromes
     span = build_span(small_kasami(4))
-    db = dual_basis(span)
-    assert len(db) == 15 - 6
-    for v in db:
-        for row in span.basis:
-            assert (v & row).bit_count() % 2 == 0
+    syn = dual_syndromes(span)
+    v = sum(1 << j for j in brute_min_support(syn, 15))
+    for row in span.basis:
+        assert (v & row).bit_count() % 2 == 0
+    folds = [0]
+    for c in syn:
+        folds += [f ^ c for f in folds]
+    assert folds.count(0) == 1 << (15 - 6)
 
 
 def test_bruteforce_weight_matches_search():
@@ -330,7 +397,7 @@ def test_bruteforce_weight_matches_search():
     syn = dual_syndromes(span)
     sup = low_weight_kernel_support(syn, 1, 15)
     assert sup == (0, 5, 10)
-    assert minimum_dual_weight_bruteforce(span) == len(sup)
+    assert brute_min_support(syn, 15) == sup
 
 
 def brute_min_support(syn, t):
@@ -377,9 +444,8 @@ def test_unanchored_fan_out_matches_enumeration(cols):
 
 def _assert_anchored_matches_full_search(t, bits):
     span = build_span(BitSequence.from_int(bits, t, period=t))
-    full = low_weight_kernel_support(dual_syndromes(span), w_min=2, w_max=t)
-    cert = find_periodic_peak(span, t)
-    assert (cert.shifts if cert else None) == full, (t, bits)
+    full = low_weight_kernel_support(_powers(_peak_recurrence(span), t), w_max=t)
+    assert find_periodic_peak(span, t).shifts == full, (t, bits)
 
 
 def test_anchored_search_matches_full_search_exhaustively():
@@ -487,18 +553,6 @@ def _zeros_of(cols, f):
     m = len(cols)
     field = zeros_field(f, m, 64)
     return field and gold_zeros(f, m, *field)
-
-
-def _power_columns(f, m):
-    """x^d mod f for d < m."""
-    l = f.bit_length() - 1
-    cols, u = [], 1
-    for _ in range(m):
-        cols.append(u)
-        u <<= 1
-        if u >> l:
-            u ^= f
-    return cols
 
 
 def _syndrome_levels(cols, w_min, w_max):
@@ -622,7 +676,7 @@ def test_recurrence_changes_no_answer(l, data):
         f = data.draw(st.sampled_from(ZERO_PATTERNS))
         l = f.bit_length() - 1
     m = data.draw(st.integers(min_value=4, max_value=40))
-    cols = _power_columns(f, m)
+    cols = _powers(f, m)
     assert (low_weight_kernel_support(cols, 2, 6, recurrence=f)
             == low_weight_kernel_support(cols, 2, 6))
 
