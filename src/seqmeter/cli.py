@@ -3,7 +3,7 @@
 JSON goes to stdout (keys sorted, so identical runs are byte-identical
 up to the timing fields of `verify all`); human-readable notes go to
 stderr.  Exit codes: 0 ok, 1 check failed, 2 usage error, 3 search
-budget exceeded.
+budget exceeded or memory exhausted.
 
 Each command handler imports the modules it runs, so a process loads and
 compiles only those (see `seqmeter/__init__.py`).
@@ -442,16 +442,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is None and hasattr(args, "budget"):
         args.budget = _env_budget()
+    # The budgets price work, not memory, so a search they let through can
+    # still run out of it.  While its MemoryError unwinds, the generators it
+    # was looping over are closed with memory still full, and each failed
+    # close would print its own traceback through the unraisable hook.
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda u: None if issubclass(u.exc_type, MemoryError) else hook(u)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"seqmeter: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("seqmeter: search ran out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except SystemExit:
         raise
     except ValueError as exc:
         print(f"seqmeter: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.unraisablehook = hook
 
 
 if __name__ == "__main__":

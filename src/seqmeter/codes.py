@@ -22,7 +22,12 @@ weight: it hashes the supports' tails and walks their heads in
 lexicographic order, so the first head that meets a tail gives the
 level's minimum.  Both walks come from bitseq.fold_extensions, with the
 last element looped over directly, so each head or tail costs one XOR
-and one dict probe.
+and one dict probe.  One-element tails are not walked: the map
+dict(zip(cols, range(m))), built in C, sends each column to its last
+index.  A head ending at last fits iff its fold's entry is above last,
+and its tail is then cols.index(fold, last + 1), the first later index,
+which is the lexicographically least fit even where columns repeat.
+_tails hashes only tails of two or more elements.
 
 Columns may come with their recurrence: a polynomial g with g(0) = 1
 such that a support D is dual exactly when g divides sum_{d in D} x^d.
@@ -188,12 +193,12 @@ def _peak_recurrence(span: CyclicSpan) -> int:
 
 
 def _tails(cols: list[int], a: int) -> dict[int, list[tuple[int, ...]]]:
-    """Every a-element support in 1..m-1, bucketed by its columns' XOR, in lexicographic order."""
+    """Every a-element support in 1..m-1 (a >= 2), bucketed by its columns' XOR, in lex order."""
     m = len(cols)
     index = list(range(m))  # one int per column, shared by every tail that holds it
     table: dict[int, list[tuple[int, ...]]] = {}
     for prefix, fold in fold_extensions(cols, (), a - 1, 1, m - 1):
-        for last in index[prefix[-1] + 1 if prefix else 1:]:
+        for last in index[prefix[-1] + 1:]:
             key = fold ^ cols[last]
             bucket = table.get(key)
             if bucket is None:
@@ -207,10 +212,15 @@ def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] 
     """Lex-min support of weight h+a whose first h elements extend one of prefixes.
 
     A sorted support splits into its head, the first h elements, and its
-    tail, the last a.  Tails are hashed by their columns' XOR (tails is
-    that table, or None to build it here); heads are walked in
-    lexicographic order, and a head fits the first tail in its fold's
-    bucket that starts after the head ends.  A head's last element loops
+    tail, the last a.  Heads are walked in lexicographic order, and a
+    head fits the first tail whose columns XOR to the head's fold and
+    that starts after the head ends.  tails is the level's table, or
+    None to build it here.  For a = 1 it is dict(zip(cols, range(m))),
+    which maps each column to its last index: a head ending at last,
+    with fold f, fits iff f's last index is above last, and its tail is
+    then cols.index(f, last + 1), the first later index, even where
+    columns repeat.  For a >= 2 it is _tails, whose buckets are bisected
+    for the first tail after last.  A head's last element loops
     on its own below m - a, leaving room for a tail: one XOR and one
     probe per head.  prefixes are in lexicographic order and each head
     adds elements above its prefix, so the heads arrive in the supports'
@@ -218,19 +228,26 @@ def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] 
     """
     m = len(cols)
     if tails is None:
-        tails = _tails(cols, a)
+        tails = dict(zip(cols, range(m))) if a == 1 else _tails(cols, a)
     probe = tails.get
     for prefix in prefixes:
         fixed = len(prefix) == h  # anchored weight 2, whose one head is (0,)
         lead = prefix[:-1] if fixed else prefix
         start = lead[-1] + 1 if lead else 0
         for head, fold in fold_extensions(cols, lead, h - 1, start, m - a - 1):
-            for last in prefix[-1:] if fixed else range(head[-1] + 1 if head else 0, m - a):
-                bucket = probe(fold ^ cols[last])
-                if bucket:
-                    k = bisect_right(bucket, (last, m))
-                    if k < len(bucket):
-                        return head + (last,) + bucket[k]
+            lasts = prefix[-1:] if fixed else range(head[-1] + 1 if head else 0, m - a)
+            if a == 1:
+                for last in lasts:
+                    key = fold ^ cols[last]
+                    if probe(key, -1) > last:
+                        return head + (last, cols.index(key, last + 1))
+            else:
+                for last in lasts:
+                    bucket = probe(fold ^ cols[last])
+                    if bucket:
+                        k = bisect_right(bucket, (last, m))
+                        if k < len(bucket):
+                            return head + (last,) + bucket[k]
     return None
 
 
@@ -258,12 +275,16 @@ def low_weight_kernel_support(
     a = max(1, ceil(w/2) - 1) elements anchored, floor(w/2) otherwise,
     and a head of the rest, which starts at 0 when anchored.  A level
     costs its tails plus its heads.  The levels with one-element tails
-    (2, 3 and, anchored, 4) share one table of them.  The levels that
-    cost linear work, 2 and, anchored, 3, run unpriced; every other
-    level checks its cost against budget before it allocates, raising
-    BudgetExceededError when over.  Levels below 4 are one slice; from 4
-    jobs > 1 splits a level's heads by their first free element once its
-    price passes the fork break-even of `parallel.map_min`.
+    (2, 3 and, anchored, 4) share one map of each column to its last
+    index: a head fits iff its fold's last index is above the head's
+    end, and takes the first later index (see _level).  Only longer
+    tails are hashed, per level, by _tails.
+    The levels that cost linear work, 2 and, anchored, 3, run unpriced;
+    every other level checks its cost against budget before it
+    allocates, raising BudgetExceededError when over.  Levels below 4
+    are one slice; from 4 jobs > 1 splits a level's heads by their first
+    free element once its price passes the fork break-even of
+    `parallel.map_min`.
 
     With a recurrence, the dual supports are the multiples q g with
     deg q < m - deg g.  From the first level that costs no less than
@@ -281,7 +302,7 @@ def low_weight_kernel_support(
     w_max = m if w_max is None else min(w_max, m)
     lead = () if recurrence is None else (0,)
     free = m - recurrence.bit_length() + 1 if lead else m  # deg q < m - deg g
-    ones = None  # the one-element tail table, shared by the levels with a = 1
+    ones = None  # the column -> last-index map, shared by the levels with a = 1
     field = zeros = None  # the Gold zeros of recurrence, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
         if w == 1:
@@ -315,7 +336,7 @@ def low_weight_kernel_support(
                     raise BudgetExceededError(cost, budget, "hash-table entries and probes")
             if level is None:
                 if a == 1 and ones is None:
-                    ones = _tails(cols, 1)
+                    ones = dict(zip(cols, range(m)))
                 level = _level, (cols, a, h, ones if a == 1 else None)
             # from 4 the heads are split by their first free element; below, one slice
             prefixes = [(*lead, d) for d in range(len(lead), m)] if w >= 4 else [lead]

@@ -307,6 +307,31 @@ def test_peak_search_budget_exit(gold5, capsys, monkeypatch):
     assert err.startswith("seqmeter: search needs") and "Traceback" not in err
 
 
+def test_memory_error_exits_3_without_traceback(gold5, capsys, monkeypatch):
+    # the budgets price work, not memory, so a search they pass can still run
+    # out of it; the generator it loops over then fails to close as well
+    from seqmeter import codes
+
+    def walk():
+        try:
+            yield
+        finally:
+            raise MemoryError
+
+    def exhausted(*args, **kwargs):
+        for _ in walk():
+            raise MemoryError
+
+    unraisable = []
+    monkeypatch.setattr(codes, "find_periodic_peak", exhausted)
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    for argv in (["peaks", gold5], ["bounds", "verify", "thm1", gold5]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err == "seqmeter: search ran out of memory\n", argv
+    assert unraisable == [] and sys.unraisablehook == unraisable.append
+
+
 def test_constructive_thm2_budget_exit(gold5, capsys):
     # order 2 alone would cost 79422 summands, so the window search runs; its
     # anchored weight-5 level walks C(30, 2) heads by the Gold zeros, with 2^5

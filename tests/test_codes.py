@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter import parallel
+from seqmeter import codes, parallel
 from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
 from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
@@ -400,8 +400,8 @@ def test_bruteforce_weight_matches_search():
     assert brute_min_support(syn, 15) == sup
 
 
-def brute_min_support(syn, t):
-    for w in range(1, t + 1):
+def brute_min_support(syn, t, w_min=1):
+    for w in range(w_min, t + 1):
         for d in itertools.combinations(range(t), w):
             acc = 0
             for j in d:
@@ -425,6 +425,39 @@ def test_kernel_search_matches_enumeration(t, data):
 def test_full_search_matches_enumeration_on_arbitrary_columns(cols):
     # small values repeat, so every level from 1 up gets collisions
     assert low_weight_kernel_support(cols, 1, len(cols)) == brute_min_support(cols, len(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=10),
+       st.sampled_from([2, 3, 4]))
+def test_one_element_tail_levels_match_enumeration(cols, w_min):
+    # from w_min >= 2 no level below answers for a repeated column, so the
+    # levels with one-element tails meet heads whose fold also sits at or
+    # before their last element, and must take its first later index
+    m = len(cols)
+    assert low_weight_kernel_support(cols, w_min, m) == brute_min_support(cols, m, w_min)
+
+
+def test_anchored_one_element_tail_levels_match_enumeration_exhaustively():
+    # g(0) = 1 and g not primitive, so x^j mod g repeats within a few columns:
+    # x^2 + x + 1 and x^3 + 1 (period 3), x^4 + x^3 + x^2 + x + 1 (period 5),
+    # (x^2 + x + 1)^2 (period 6); every anchored level with a one-element
+    # tail (weights 2, 3 and 4) runs on some of them
+    walked = set()
+    level = codes._level
+
+    def record(cols, a, h, *args):
+        walked.add((a, a + h))
+        return level(cols, a, h, *args)
+
+    with mock.patch.object(codes, "_level", record):
+        for g in (0b111, 0b1001, 0b11111, 0b10101):
+            for m in range(1, 17):
+                cols = _powers(g, m)
+                for w_min in (2, 3, 4):
+                    got = low_weight_kernel_support(cols, w_min, m, recurrence=g)
+                    assert got == brute_min_support(cols, m, w_min), (g, m, w_min)
+    assert {(1, 2), (1, 3), (1, 4)} <= walked
 
 
 @settings(max_examples=100, deadline=None)
