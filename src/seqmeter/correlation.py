@@ -22,26 +22,34 @@ many bits as the search has summands at most, so the budget bounds them
 too.  The enumerator yields the first k-1 shifts in lexicographic order,
 keeping the folds of shared leading shifts, and the scan loops over the
 last shift itself: one XOR per shift set.  The periodic scan popcounts
-that fold.  The aperiodic scan needs every window U of the row, and
-`_row_best` walks them a byte at a time through precomputed prefix
-tables, so a row costs ~U/8 table steps.
+that fold.  The aperiodic scan enumerates gap tuples G = (0, a_1, ...,
+a_{k-1}) instead: D = d_1 + G sums the row Y = XOR of s >> a over G
+from position d_1 on, so one row serves every d_1 and U, and its best
+value is the range of Y's +-1 walk, read a byte at a time through
+precomputed tables (`_scan_gaps`).  That is C(N-1, k-1) rows of at
+most N/8 table steps, where a row per shift set would be ~C(N, k).
 
-Four stops skip work without changing the answer.  The aperiodic scan
-ends a last-shift loop once the longest window left is shorter than the
-best value, because windows only shrink as the last shift grows, and
-for the same reason ends a head's prefixes below N - best value.  It
-skips a row without walking its windows when two popcounts bound them
-all below the best value: a +-1 walk has |v_U| <= U and |v_U| <= |v_j|
-+ |U - j| for every j, so with m = u_max and its midpoint h = m // 2 no
-window up to h exceeds (h + |v_h|)/2 and none from h on exceeds (|v_h|
-+ |v_m| + m - h)/2; both are at most (m + |v_m|)/2, the end point's
-bound.  The periodic scan visits only the shift sets that open with
-their smallest cyclic gap, which hold the lexicographically smallest
-rotation of every set (`_scan_periodic`), and a slice returns at its
-first full peak, which no later shift set of the slice can beat.
+Stops skip work without changing the answer.  The aperiodic scan ends a
+last-gap loop once the row is shorter than the best value, because rows
+only shrink as the last gap grows, and for the same reason ends each
+first gap's prefixes below N - best value.  It skips a row without
+walking it when its count of ones and its count of zeros, which bound
+every window sum, are both below the best value, and then when its
+popcounts by thirds do.  Cut the row of L bits at t = L // 3 and L - t
+into parts with z_i zeros (up steps) and o_i ones: a rise from part a
+to part b takes at most the zeros of a and b and the net z_i - o_i of
+each part between, so no rise exceeds z_1 + z_2, z_2 + z_3 or z_1 + z_2
++ z_3 - o_2, and no fall the same with zeros and ones swapped.  One cut
+alone could not tighten the count bound, because a walk that falls,
+rises through the cut and falls again reaches it.  The periodic scan
+visits only the shift sets that open with their smallest cyclic gap,
+which hold the lexicographically smallest rotation of every set
+(`_scan_periodic`), and a slice returns at its first full peak, which
+no later shift set of the slice can beat.
 """
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, fold_extensions, mask
@@ -118,26 +126,21 @@ def correlation_at(seq: BitSequence, u: int, shifts, n: int | None = None) -> in
     return u - 2 * (fold & mask(u)).bit_count()
 
 
-def _prefix_tables() -> list[list[tuple[int, int, int, int, int]]]:
+def _prefix_tables() -> list[list[tuple[int, int, int]]]:
     """tables[r][b] summarises the +-1 walk over the r low bits of b, bit 0 first.
 
-    A 0 bit steps +1 and a 1 bit steps -1.  Each entry is (net, hi, hi_at,
-    lo, lo_at): the walk's end value, its highest and lowest values over
-    positions 0..r (position 0 being the empty walk, value 0), and the
-    first position reaching each.  tables[8] serves whole bytes and
-    tables[1..7] the last partial byte of a window.
+    A 0 bit steps +1 and a 1 bit steps -1.  Each entry is (net, hi, lo):
+    the walk's end value and its highest and lowest values over positions
+    0..r, position 0 being the empty walk, value 0.  tables[8] serves
+    whole bytes and tables[1..7] the last partial byte of a row.
     """
-    tables = [[(0, 0, 0, 0, 0)]]
+    tables = [[(0, 0, 0)]]
     for r in range(1, 9):
         row = []
         for step in (1, -1):  # bit r-1 clear: entries b < 2**(r-1); set: the rest
-            for net, hi, hi_at, lo, lo_at in tables[-1]:
+            for net, hi, lo in tables[-1]:
                 net += step
-                if net > hi:
-                    hi, hi_at = net, r
-                if net < lo:
-                    lo, lo_at = net, r
-                row.append((net, hi, hi_at, lo, lo_at))
+                row.append((net, max(hi, net), min(lo, net)))
         tables.append(row)
     return tables
 
@@ -146,78 +149,84 @@ _TABLES = _prefix_tables()
 _BYTE = _TABLES[8]
 
 
-def _row_best(fold: int, u_max: int) -> tuple[int, int]:
-    """Largest |v_U| over 1 <= U <= u_max and the smallest U reaching it.
+def _walk_extremes(row: int, length: int) -> tuple[int, int]:
+    """Highest and lowest value of the +-1 walk of _prefix_tables over row's length bits.
 
-    v_U = U - 2 * popcount(fold & mask(U)) is the walk of _prefix_tables
-    after U bits.  The window is read a byte at a time: each byte's table
-    entry, offset by the walk so far, updates the running highest and
-    lowest values, kept at their first position by strict comparisons.
-    The empty walk seeds both at 0; since v_1 = +-1 the larger of hi and
-    -lo is at least 1 and always a real window, and when they are equal
-    the earlier of the two positions is the smallest U.
+    Bits of row at and above length must be clear.  The row is read a
+    byte at a time: each byte's table entry, offset by the walk so far,
+    updates the running extremes, which the empty walk seeds at 0.
     """
-    full = u_max >> 3
-    window = (fold & ((1 << u_max) - 1)).to_bytes(full + 1, "little")
-    s = hi = hi_at = lo = lo_at = base = 0
-    for net, b_hi, b_hi_at, b_lo, b_lo_at in map(_BYTE.__getitem__, window[:full]):
+    full = length >> 3
+    window = row.to_bytes(full + 1, "little")
+    s = hi = lo = 0
+    for net, b_hi, b_lo in map(_BYTE.__getitem__, window[:full]):
         if s + b_hi > hi:
-            hi, hi_at = s + b_hi, base + b_hi_at
+            hi = s + b_hi
         if s + b_lo < lo:
-            lo, lo_at = s + b_lo, base + b_lo_at
+            lo = s + b_lo
         s += net
-        base += 8
-    rem = u_max & 7
+    rem = length & 7
     if rem:
-        _, b_hi, b_hi_at, b_lo, b_lo_at = _TABLES[rem][window[full]]
-        if s + b_hi > hi:
-            hi, hi_at = s + b_hi, base + b_hi_at
-        if s + b_lo < lo:
-            lo, lo_at = s + b_lo, base + b_lo_at
-    if hi > -lo:
-        return hi, hi_at
-    if hi < -lo:
-        return -lo, lo_at
-    return hi, min(hi_at, lo_at)
+        _, b_hi, b_lo = _TABLES[rem][window[full]]
+        hi = max(hi, s + b_hi)
+        lo = min(lo, s + b_lo)
+    return hi, lo
 
 
-def _scan_tails(data: int, n: int, k: int, heads: list[tuple[int, ...]]):
-    """Minimal (-value, U, D) key over every D that extends one of heads to k shifts.
+def _closest_extremes(row: int, length: int, hi: int, lo: int) -> tuple[int, int]:
+    """Smallest (j - i, i) over walk positions i < j, one at hi and the other at lo.
 
-    For each prefix of k-1 shifts the last shift runs upward, so the row's
-    longest window u_max = n - last shrinks; the loop stops at the first
-    u_max below the best value so far, since no later row can reach it.
-    For the same reason each head's prefixes end below n - best value.
-    A row is skipped when the midpoint bound of the module docstring is
-    below twice the best value; the end point's bound, which it implies,
-    is tried first because it needs one popcount less.  All tests are
-    strict, so a row that may tie the value with a smaller U still runs.
-    Pure function of the arguments, safe to ship to worker processes.
+    With hi and lo the walk's extremes, these are the windows whose sum
+    reaches the range.  A closest pair is adjacent among the positions
+    at either extreme, since one between them would pair closer.
     """
-    m = mask(n - k + 1)  # no window is longer
+    steps = (1 if c == "0" else -1 for c in reversed(format(row, f"0{length}b")))
+    ends = [(j, p) for j, p in enumerate(accumulate(steps, initial=0)) if p == hi or p == lo]
+    return min((j - i, i) for (i, a), (j, b) in zip(ends, ends[1:]) if a != b)
+
+
+def _scan_gaps(data: int, n: int, k: int, firsts: list[int]):
+    """Minimal (-value, U, D) key over the D whose first gap d_2 - d_1 is in firsts.
+
+    D = d_1 + G for a gap tuple G = (0, a_1, ..., a_{k-1}); at k = 1,
+    firsts is [0] and G = (0,).  The row of G has n - a_{k-1} bits, and
+    a window's sum is the difference of the row's walk at d_1 + U and
+    d_1, so the row's value is the walk's range and its witnesses the
+    closest extremes, found only for a row reaching the best value.
+    The stops are the module docstring's; all are strict, so a row that
+    may tie the value with a smaller (U, D) still runs.  Pure function
+    of the arguments, safe to ship to worker processes.
+    """
+    m = mask(n - k + 1)  # no row is longer
     shifted = [(data >> j) & m for j in range(n)]
     best = None
     best_value = 0
-    for head in heads:
-        start = head[-1] + 1 if head else 0
-        for prefix, fold in fold_extensions(shifted, head, k - 1, start, n - max(best_value, 1)):
-            for last in range(prefix[-1] + 1 if prefix else 0, n):
-                u_max = n - last
-                if u_max < best_value:
+    for a1 in firsts:
+        head = (0, a1)[:k - 1]  # k = 2 picks a_1 itself as the last gap
+        for prefix, fold in fold_extensions(shifted, head, k - 1, a1 + 1, n - max(best_value, 1)):
+            for last in range(prefix[-1] + 1, n) if k > 2 else (a1,):
+                length = n - last
+                if length < best_value:
                     break
-                row = fold ^ shifted[last]
-                v_m = abs(u_max - 2 * (row & ((1 << u_max) - 1)).bit_count())
-                if u_max + v_m < 2 * best_value:
+                row = (fold ^ shifted[last]) & ((1 << length) - 1)
+                ones = row.bit_count()
+                if ones < best_value and length - ones < best_value:
                     continue
-                h = u_max >> 1
-                v_h = abs(h - 2 * (row & ((1 << h) - 1)).bit_count())
-                if h + v_h < 2 * best_value and v_h + v_m + u_max - h < 2 * best_value:
+                t = length // 3  # the thirds bound of the module docstring
+                o1 = (row & ((1 << t) - 1)).bit_count()
+                o3 = (row >> (length - t)).bit_count()
+                o2 = ones - o1 - o3
+                z1, z2, z3 = t - o1, length - 2 * t - o2, t - o3
+                if (z1 + z2 < best_value and z2 + z3 < best_value
+                        and length - ones - o2 < best_value and o1 + o2 < best_value
+                        and o2 + o3 < best_value and ones - z2 < best_value):
                     continue
-                value, u = _row_best(row, u_max)
-                if value >= best_value:
-                    key = (-value, u, prefix + (last,))
+                hi, lo = _walk_extremes(row, length)
+                if hi - lo >= best_value:
+                    u, d1 = _closest_extremes(row, length, hi, lo)
+                    key = (lo - hi, u, tuple(d1 + a for a in prefix + (last,)))
                     if best is None or key < best:
-                        best, best_value = key, value
+                        best, best_value = key, hi - lo
     return best
 
 
@@ -232,7 +241,8 @@ def aperiodic_measure(
 
     Ties among maximizing witnesses go to the lexicographically smallest
     (U, D).  Raises BudgetExceededError before doing any work if the
-    search space is too large.
+    search space, priced at search_cost, is too large.  The witness is
+    re-verified with correlation_at.
     """
     if n is None:
         n = seq.n
@@ -244,9 +254,12 @@ def aperiodic_measure(
     if cost > budget:
         raise BudgetExceededError(cost, budget)
     data = seq.data & mask(n)
-    heads = [(d1,) for d1 in range(n - k + 1)] if k >= 2 else [()]
-    best = map_min(_scan_tails, (data, n, k), heads, jobs, cost)
+    firsts = list(range(1, n - k + 2)) if k >= 2 else [0]
+    # the fork's price: the rows hold C(n, k) bits in all, each folded from k shifts
+    best = map_min(_scan_gaps, (data, n, k), firsts, jobs, k * math.comb(n, k))
     value, u, d = -best[0], best[1], best[2]
+    if abs(correlation_at(seq, u, d, n)) != value:
+        raise AssertionError(f"witness U={u}, D={d} failed re-verification")
     return CorrelationResult(k, value, u, d, _classify(value, k, n, False), n)
 
 
@@ -307,7 +320,8 @@ def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
     for head in heads:
         g, stop = (head[1], t - head[1] + 1) if k > 2 else (1, t // 2 + 1)
         for prefix, fold in fold_extensions(shifted, head, k - 1, 2 * g, t - 2 * g + 1):
-            if any(b - a < g for a, b in zip(prefix[2:], prefix[3:])):
+            # d_3 >= 2g comes from start; below k = 5 no later gap is in the prefix
+            if k > 4 and any(b - a < g for a, b in zip(prefix[2:], prefix[3:])):
                 continue
             for last in range(prefix[-1] + g, stop):
                 value = abs(t - 2 * (fold ^ shifted[last]).bit_count())

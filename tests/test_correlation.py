@@ -7,11 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter import parallel
+from seqmeter import correlation, parallel
 from seqmeter.bitseq import BitSequence, fold_extensions, mask
 from seqmeter.correlation import (
     BudgetExceededError,
-    _row_best,
+    _closest_extremes,
+    _walk_extremes,
     aperiodic_measure,
     correlation_at,
     delta_under_flips,
@@ -201,19 +202,34 @@ def test_jobs_do_not_change_the_answer(n, data):
 
 
 def test_fan_out_forks_only_from_the_break_even():
+    # the aperiodic scan is priced for the fork at k * C(N, k), the bits of its gap rows times k
     s = BitSequence.from_int(0b1011001110001011, 16)
     expected = aperiodic_measure(s, 2)
+    price = 2 * math.comb(16, 2)
     with mock.patch("os.cpu_count", return_value=4), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
             mock.patch.object(RecordingExecutor, "seen", []):
-        with mock.patch.object(parallel, "FORK_BREAK_EVEN", search_cost(16, 2) + 1):
+        with mock.patch.object(parallel, "FORK_BREAK_EVEN", price + 1):
             assert aperiodic_measure(s, 2, jobs=3) == expected
         assert RecordingExecutor.seen == []
-        with mock.patch.object(parallel, "FORK_BREAK_EVEN", search_cost(16, 2)):
+        with mock.patch.object(parallel, "FORK_BREAK_EVEN", price):
             assert aperiodic_measure(s, 2, jobs=3) == expected
         assert RecordingExecutor.seen == [3]
     # the benchmark's one fan-out query, aperiodic k = 3 at N = 64, stays in-process
-    assert search_cost(64, 3) < parallel.FORK_BREAK_EVEN
+    assert 3 * math.comb(64, 3) < parallel.FORK_BREAK_EVEN
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_forked_gap_slices_match_one_process(k):
+    # each worker scans every other first gap against its own best value; ties
+    # between slices (periodic, constant, sparse inputs) are settled by the key
+    inputs = [(0b1011001110001011, 16), (0b011011011011011011, 18), (0, 13),
+              (1 << 9, 20), (0b10111000100101100111, 20)]
+    for bits, n in inputs:
+        s = BitSequence.from_int(bits, n)
+        alone = aperiodic_measure(s, k)
+        with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
+            assert aperiodic_measure(s, k, jobs=3) == alone, (bits, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,53 +242,63 @@ def test_periodic_matches_bitloop(t, data):
     assert r.value == best
 
 
-def window_walk_best(fold, u_max):
-    """Largest |v_U| over U <= u_max and its smallest U, one bit at a time."""
-    v, best = 0, None
-    for u in range(1, u_max + 1):
-        v += -1 if (fold >> (u - 1)) & 1 else 1
-        if best is None or (-abs(v), u) < best:
-            best = (-abs(v), u)
-    return -best[0], best[1]
+def bit_walk(row, length):
+    """Positions 0..length of the +-1 walk over row's low bits, one bit at a time."""
+    walk = [0]
+    for i in range(length):
+        walk.append(walk[-1] + (-1 if (row >> i) & 1 else 1))
+    return walk
 
 
-def test_row_best_matches_window_walk():
-    # every fold of up to 11 bits, plus two bits above the window that must be ignored;
-    # ties between +v and -v only arise in rows that cannot hold the overall maximum,
-    # so the measure-level oracles cannot see them
-    for u_max in range(1, 12):
-        for fold in range(1 << (u_max + 2)):
-            assert _row_best(fold, u_max) == window_walk_best(fold, u_max), (fold, u_max)
-    for fold in range(1 << 16):  # two whole bytes: the running walk carries across
-        assert _row_best(fold, 16) == window_walk_best(fold, 16), fold
+def test_walk_extremes_match_bit_walk():
+    for length in range(1, 12):
+        for row in range(1 << length):
+            walk = bit_walk(row, length)
+            assert _walk_extremes(row, length) == (max(walk), min(walk)), (row, length)
+    for row in range(1 << 16):  # two whole bytes: the running walk carries across
+        walk = bit_walk(row, 16)
+        assert _walk_extremes(row, 16) == (max(walk), min(walk)), row
 
 
-def test_row_bound_covers_every_window():
-    # the scan skips a row when u_max + |v_{u_max}| < 2 * best: no window of it can
-    # reach (u_max + |v_{u_max}|) / 2, so the skip never drops a maximum or a tie
-    for u_max in range(1, 12):
-        for fold in range(1 << u_max):
-            bound = (u_max + abs(u_max - 2 * fold.bit_count())) // 2
-            assert bound >= _row_best(fold, u_max)[0], (fold, u_max)
+def test_range_bounds_cover_every_window():
+    # the scan skips a row when its count bound max(zeros, ones), or its thirds
+    # bound (module docstring), is below the best value: no window of the row
+    # reaches either, so no maximum or tie is dropped
+    def thirds(row, length):
+        t = length // 3
+        o1 = (row & mask(t)).bit_count()
+        o3 = (row >> (length - t)).bit_count()
+        o2 = row.bit_count() - o1 - o3
+        z1, z2, z3 = t - o1, length - 2 * t - o2, t - o3
+        return max(z1 + z2, z2 + z3, z1 + z2 + z3 - o2, o1 + o2, o2 + o3, o1 + o2 + o3 - z2)
+
+    for length in range(1, 13):
+        for row in range(1 << length):
+            walk = bit_walk(row, length)
+            ones = row.bit_count()
+            assert max(walk) - min(walk) <= thirds(row, length) <= max(ones, length - ones), \
+                (row, length)
 
 
-def test_midpoint_row_bound_covers_every_window():
-    # the scan also skips a row when max(h + |v_h|, |v_h| + |v_m| + m - h) < 2 * best,
-    # m = u_max and h = m // 2: v_h bounds the windows on both sides of h, and the
-    # bound is never looser than the end point's m + |v_m|
-    def check(fold, u_max):
-        h = u_max // 2
-        v_h = abs(h - 2 * (fold & mask(h)).bit_count())
-        v_m = abs(u_max - 2 * fold.bit_count())
-        bound = max(h + v_h, v_h + v_m + u_max - h)
-        assert bound // 2 >= _row_best(fold, u_max)[0], (fold, u_max)
-        assert bound <= u_max + v_m, (fold, u_max)
+def test_closest_extremes_match_every_window():
+    # the smallest (U, d_1) over the windows of a row whose sum reaches its range
+    for length in range(1, 12):
+        for row in range(1 << length):
+            walk = bit_walk(row, length)
+            value = max(walk) - min(walk)
+            brute = min((j - i, i) for i in range(length) for j in range(i + 1, length + 1)
+                        if abs(walk[j] - walk[i]) == value)
+            assert _closest_extremes(row, length, max(walk), min(walk)) == brute, (row, length)
 
-    for u_max in range(1, 12):
-        for fold in range(1 << u_max):
-            check(fold, u_max)
-    for fold in range(1 << 16):
-        check(fold, 16)
+
+def test_witness_is_re_verified():
+    s = BitSequence.from_int(0b1011001110001011, 16)
+    r = aperiodic_measure(s, 2)
+    wrong = (-r.value, r.witness_u, (0, 1))  # the true value is not reached at (0, 1)
+    assert abs(correlation_at(s, r.witness_u, (0, 1))) != r.value
+    with mock.patch.object(correlation, "_scan_gaps", return_value=wrong):
+        with pytest.raises(AssertionError):
+            aperiodic_measure(s, 2)
 
 
 def test_aperiodic_witness_matches_oracle_exhaustive():
@@ -282,6 +308,13 @@ def test_aperiodic_witness_matches_oracle_exhaustive():
                 assert aperiodic_key(bits, n, k) == oracle_aperiodic(bits, n, k), (n, k, bits)
 
 
+def test_order_2_witness_matches_oracle_exhaustive_at_10_bits():
+    # rows whose range sits exactly on one term of the thirds bound, and tie the
+    # best value there, first show up at 10 bits
+    for bits in range(1 << 10):
+        assert aperiodic_key(bits, 10, 2) == oracle_aperiodic(bits, 10, 2), bits
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.data())
 def test_aperiodic_witness_matches_oracle(k, data):
@@ -289,6 +322,28 @@ def test_aperiodic_witness_matches_oracle(k, data):
     # visits C(n+1, k+1) windows, so order 4 stops at 24
     n = data.draw(st.integers(min_value=k, max_value=40 if k < 4 else 24))
     bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert aperiodic_key(bits, n, k) == oracle_aperiodic(bits, n, k)
+
+
+@st.composite
+def tie_heavy_bits(draw, n):
+    """Periodic, constant or sparse n-bit inputs, whose rows tie often."""
+    kind = draw(st.sampled_from(["periodic", "constant", "sparse"]))
+    if kind == "periodic":
+        t = draw(st.integers(min_value=1, max_value=6))
+        block = draw(st.integers(min_value=0, max_value=(1 << t) - 1))
+        return sum(((block >> (i % t)) & 1) << i for i in range(n))
+    if kind == "constant":
+        return draw(st.sampled_from([0, mask(n)]))
+    ones = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    return sum(1 << i for i in set(ones))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_aperiodic_witness_matches_oracle_on_ties(k, data):
+    n = data.draw(st.integers(min_value=k, max_value=16))
+    bits = data.draw(tie_heavy_bits(n))
     assert aperiodic_key(bits, n, k) == oracle_aperiodic(bits, n, k)
 
 
