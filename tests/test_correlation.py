@@ -260,24 +260,37 @@ def test_walk_extremes_match_bit_walk():
         assert _walk_extremes(row, 16) == (max(walk), min(walk)), row
 
 
-def test_range_bounds_cover_every_window():
-    # the scan skips a row when its count bound max(zeros, ones), or its thirds
-    # bound (module docstring), is below the best value: no window of the row
-    # reaches either, so no maximum or tie is dropped
-    def thirds(row, length):
-        t = length // 3
-        o1 = (row & mask(t)).bit_count()
-        o3 = (row >> (length - t)).bit_count()
-        o2 = row.bit_count() - o1 - o3
-        z1, z2, z3 = t - o1, length - 2 * t - o2, t - o3
-        return max(z1 + z2, z2 + z3, z1 + z2 + z3 - o2, o1 + o2, o2 + o3, o1 + o2 + o3 - z2)
+def thirds_bound(row, length):
+    """The scan's thirds bound (module docstring) on the range of row's walk."""
+    t = length // 3
+    o1 = (row & mask(t)).bit_count()
+    o3 = (row >> (length - t)).bit_count()
+    o2 = row.bit_count() - o1 - o3
+    z1, z2, z3 = t - o1, length - 2 * t - o2, t - o3
+    return max(z1 + z2, z2 + z3, z1 + z2 + z3 - o2, o1 + o2, o2 + o3, o1 + o2 + o3 - z2)
 
+
+def test_row_bound_covers_every_window():
+    # the scan skips a row when its count bound max(zeros, ones) is below the best
+    # value: no window of the row reaches it, so the skip never drops a maximum or a tie
     for length in range(1, 13):
         for row in range(1 << length):
             walk = bit_walk(row, length)
             ones = row.bit_count()
-            assert max(walk) - min(walk) <= thirds(row, length) <= max(ones, length - ones), \
-                (row, length)
+            assert max(walk) - min(walk) <= max(ones, length - ones), (row, length)
+
+
+def test_midpoint_row_bound_covers_every_window():
+    # the thirds bound takes the place of the prefix scan's midpoint bound (one cut
+    # cannot tighten a range's count bound): it covers every window of the row, and
+    # it is never looser than the count bound
+    for length in range(1, 13):
+        for row in range(1 << length):
+            walk = bit_walk(row, length)
+            ones = row.bit_count()
+            bound = thirds_bound(row, length)
+            assert max(walk) - min(walk) <= bound, (row, length)
+            assert bound <= max(ones, length - ones), (row, length)
 
 
 def test_closest_extremes_match_every_window():
