@@ -1,0 +1,154 @@
+"""`seqmeter bounds`: threshold and bound calculators, and checks of the guarantees."""
+
+import argparse
+import sys
+
+from . import EXIT_CHECK_FAILED, EXIT_OK, _emit, _load, _usage
+
+
+def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
+                  name: str) -> None:
+    bsub = parser.add_subparsers(dest="bounds_command", required=True)
+    bt = bsub.add_parser("table1", parents=[common], help="family table: periods, dimensions, thresholds")
+    bt.add_argument("--ell-max", type=int, default=20, dest="ell_max")
+    bt.add_argument("--csv", action="store_true")
+    bt.set_defaults(func=_bounds_table1)
+    b2 = bsub.add_parser("thm2", parents=[common], help="aperiodic half-peak threshold from N and L")
+    b2.add_argument("--n", type=int, required=True)
+    b2.add_argument("--l", type=int, required=True)
+    b2.set_defaults(func=_bounds_thm2)
+    b3 = bsub.add_parser("cor3", parents=[common], help="logarithmic complexity bound from an order cap")
+    b3.add_argument("--k", type=int, required=True)
+    b3.add_argument("--n", type=int, required=True)
+    b3.add_argument("--delta", type=float, default=0.0)
+    b3.set_defaults(func=_bounds_cor3)
+    bv = bsub.add_parser("verify", parents=[common], help="check one guarantee on a concrete sequence")
+    bv.add_argument("claim", choices=["thm1", "thm2", "thm4"])
+    bv.add_argument("file")
+    bv.add_argument("--n", type=int)
+    bv.add_argument("--budget", type=int, default=None)
+    bv.set_defaults(func=_bounds_verify)
+    bk = bsub.add_parser("kerror", parents=[common], help="complexity bound surviving bit flips")
+    bk.add_argument("file")
+    bk.add_argument("--n", type=int)
+    bk.add_argument("--k", type=int, default=2)
+    bk.add_argument("--flips", type=int, required=True)
+    bk.add_argument("--budget", type=int, default=None)
+    bk.set_defaults(func=_bounds_kerror)
+
+
+def _bounds_table1(args) -> int:
+    from ..bounds import table1
+
+    rows = table1(args.ell_max)
+    if args.csv:
+        import csv
+
+        writer = csv.DictWriter(
+            sys.stdout,
+            fieldnames=["family", "ell", "period", "dimension", "threshold", "claimed", "matches"],
+        )
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+    else:
+        _emit(args, {"rows": rows}, f"{len(rows)} family rows up to degree {args.ell_max}")
+    mismatches = [r for r in rows if not r["matches"]]
+    if mismatches and not args.quiet:
+        fams = sorted({r["family"] for r in mismatches})
+        print(f"note: computed threshold differs from the claimed column for: {', '.join(fams)}",
+              file=sys.stderr)
+    return EXIT_OK
+
+
+def _bounds_thm2(args) -> int:
+    from ..thresholds import half_peak_threshold
+
+    th = half_peak_threshold(args.n, args.l)
+    if th is None:
+        _emit(args, {"N": args.n, "L": args.l, "fired": False},
+              "no subset count reaches the state-space size; no guarantee")
+    else:
+        t, cap = th
+        _emit(args, {"N": args.n, "L": args.l, "fired": True, "t": t, "k_max": cap},
+              f"half peak guaranteed for some order 1 < k <= {cap}")
+    return EXIT_OK
+
+
+def _bounds_cor3(args) -> int:
+    from ..bounds import log_complexity_bound
+
+    try:
+        value = log_complexity_bound(args.k, args.n, args.delta)
+    except ValueError as exc:
+        raise _usage(str(exc))
+    _emit(args, {"K": args.k, "N": args.n, "delta": args.delta, "value": value},
+          f"complexity bound (up to additive constant): {value:.3f}")
+    return EXIT_OK
+
+
+def _bounds_verify(args) -> int:
+    seq = _load(args.file)
+    if args.claim == "thm1":
+        from ..codes import build_span, find_periodic_peak
+        from ..thresholds import full_peak_threshold
+
+        if seq.period is None:
+            raise _usage("this check needs a declared period")
+        if args.n is not None:
+            raise _usage("--n sets a prefix length; thm1 always checks one full period")
+        span = build_span(seq)
+        cap = full_peak_threshold(seq.period, span.dimension)
+        if cap is None:
+            _emit(args, {"fired": False, "dimension": span.dimension},
+                  "threshold not fired (full-rank span: the count gives no cap)")
+            return EXIT_OK
+        cert = find_periodic_peak(span, cap, budget=args.budget)
+        ok = cert is not None
+        payload = {"fired": True, "tmax": cap, "dimension": span.dimension,
+                   "holds": ok}
+        if ok:
+            payload["certificate"] = cert.as_dict()
+        _emit(args, payload, f"full-peak guarantee {'verified' if ok else 'VIOLATED'}")
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
+    if args.claim == "thm2":
+        from ..bounds import find_half_peak_witness
+        from ..complexity import linear_complexity
+        from ..thresholds import half_peak_threshold
+
+        n = seq.n if args.n is None else args.n
+        l, _ = linear_complexity(seq, n)
+        th = half_peak_threshold(n, l)
+        if th is None:
+            _emit(args, {"fired": False, "N": n, "L": l}, "hypothesis not fired")
+            return EXIT_OK
+        witness = find_half_peak_witness(seq, n, th[1], budget=args.budget)
+        ok = witness is not None
+        payload = {"fired": True, "N": n, "L": l, "t": th[0], "k_max": th[1], "holds": ok}
+        if ok:
+            payload["witness"] = witness
+        _emit(args, payload, f"half-peak guarantee {'verified' if ok else 'VIOLATED'}")
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
+    # thm4
+    from ..bounds import moc_half_peak_check
+
+    n = seq.n if args.n is None else args.n
+    report = moc_half_peak_check(seq, n, budget=args.budget)
+    payload = report.as_dict()
+    if not report.fired:
+        _emit(args, payload, "hypothesis not fired")
+        return EXIT_OK
+    ok = 2 * report.value >= n
+    _emit(args, payload, f"order-2 half-peak {'verified' if ok else 'VIOLATED'}")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _bounds_kerror(args) -> int:
+    from ..bounds import kerror_bound
+
+    seq = _load(args.file)
+    n = seq.n if args.n is None else args.n
+    report = kerror_bound(seq, n, k=args.k, flips=args.flips, budget=args.budget)
+    _emit(args, report.as_dict(),
+          f"complexity bound surviving {args.flips} flips: {report.value}")
+    return EXIT_OK

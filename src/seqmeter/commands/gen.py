@@ -1,0 +1,66 @@
+"""`seqmeter gen`: write a reference sequence."""
+
+import argparse
+import sys
+
+from . import EXIT_OK, _parse_hex
+
+
+def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
+                  name: str) -> None:
+    parser.set_defaults(func=cmd_gen)
+    gen_sub = parser.add_subparsers(dest="kind", required=True)
+    for kind in ("msequence", "gold", "kasami-small"):
+        g = gen_sub.add_parser(kind, parents=[common])
+        g.add_argument("--ell", type=int, required=True, help="register degree")
+        if kind == "msequence":
+            g.add_argument("--taps", help="feedback taps, hex mask of c_0..c_{ell-1}")
+            g.add_argument("--seed", dest="seed_state", help="initial state, hex")
+        else:
+            g.add_argument("--shift", type=int, default=0)
+    hall = gen_sub.add_parser("hall", parents=[common])
+    hall.add_argument("--t", type=int, required=True, help="prime period, 1 mod 6")
+    hall.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
+    fermat = gen_sub.add_parser("fermat", parents=[common])
+    fermat.add_argument("--p", type=int, required=True, help="odd prime")
+    for g in gen_sub.choices.values():
+        g.add_argument("--periods", type=int, default=2, help="periods to emit (default 2)")
+        g.add_argument("-o", "--output", help="output file (default: stdout)")
+
+
+def cmd_gen(args) -> int:
+    from ..bitseq import dumps, save
+    from ..generators import (
+        HallSpec,
+        LfsrSpec,
+        default_lfsr_spec,
+        fermat_threshold,
+        gold_sequence,
+        hall_sextic,
+        m_sequence,
+        small_kasami,
+    )
+
+    if args.kind == "msequence":
+        if args.taps is not None:
+            spec = LfsrSpec.from_masks(args.ell, _parse_hex(args.taps, "--taps"),
+                                       _parse_hex(args.seed_state, "--seed") if args.seed_state else 1)
+        else:
+            spec = default_lfsr_spec(args.ell)
+        seq = m_sequence(spec, periods=args.periods)
+    elif args.kind == "gold":
+        seq = gold_sequence(args.ell, shift=args.shift, periods=args.periods)
+    elif args.kind == "kasami-small":
+        seq = small_kasami(args.ell, shift=args.shift, periods=args.periods)
+    elif args.kind == "hall":
+        seq = hall_sextic(HallSpec(args.t, args.g), periods=args.periods)
+    else:
+        seq = fermat_threshold(args.p, periods=args.periods)
+    if args.output:
+        save(seq, args.output)
+        if not args.quiet:
+            print(f"wrote {seq.n} bits (period {seq.period}) to {args.output}",
+                  file=sys.stderr)
+    else:
+        sys.stdout.write(dumps(seq))
+    return EXIT_OK

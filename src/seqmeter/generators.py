@@ -13,7 +13,6 @@ and exact minimal-period scans downstream).
 from typing import NamedTuple
 
 from .bitseq import BitSequence, pack, unpack
-from .complexity import linear_complexity
 
 
 class NonPrimitiveTapsError(ValueError):
@@ -181,6 +180,8 @@ def gold_sequence(
     by recurrence synthesis over two periods, which catches any pair that is
     not preferred.
     """
+    from .complexity import linear_complexity
+
     if ell % 2 == 0 and ell % 4 != 2:
         raise ValueError(f"no preferred pairs exist for degree {ell} (need odd or 2 mod 4)")
     if taps_pair is None:
@@ -204,6 +205,8 @@ def small_kasami(ell: int, shift: int = 0, periods: int = 2) -> BitSequence:
     ell must be even.  The decimated sequence lives in the half-degree
     subfield, so the combined linear complexity is 3*ell/2 (verified).
     """
+    from .complexity import linear_complexity
+
     if ell % 2:
         raise ValueError(f"small Kasami needs even degree, got {ell}")
     T = (1 << ell) - 1

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from seqmeter import parallel, verify
 from seqmeter.bitseq import BitSequence, save
-from seqmeter.cli import main
+from seqmeter.cli import COMMANDS, main
 from test_bounds import _gold_prefix_with_breaking_bit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -282,6 +283,9 @@ def test_usage_errors(ms3, tmp_path, capsys):
     assert run(["lc", str(tmp_path / "nope.txt")], capsys)[0] == 2
     assert run(["gen", "gold", "--ell", "4"], capsys)[0] == 2
     assert run(["corr", ms3], capsys)[0] == 2  # --k is required
+    code, out, err = run(["bounds", "verify", "thm1", ms3, "--n", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "seqmeter: --n sets a prefix length; thm1 always checks one full period\n"
 
 
 def test_budget_exit(ms3, capsys, monkeypatch):
@@ -484,35 +488,38 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = exc.code
 assert code == 0, code
 """
-CLI = ["budget", "cli"]
+CLI = ["budget", "cli", "commands"]
 
 
 @pytest.mark.parametrize("setup,loaded", [
     ("import seqmeter", []),
     ("import seqmeter.cli", CLI),
     (RUN_MAIN.format(argv=["--version"]), CLI),
-    (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
-    (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]), CLI + ["bitseq", "correlation", "parallel"]),
-    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]), CLI + ["bitseq", "codes", "parallel", "thresholds"]),
+    (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
+    (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]),
+     CLI + ["bitseq", "commands.corr", "correlation", "parallel"]),
+    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]),
+     CLI + ["bitseq", "codes", "commands.peaks", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]),
-     CLI + ["bitseq", "codes", "parallel", "thresholds"]),
-    (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "complexity", "generators"]),
-    (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "complexity"]),
-    (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]), CLI + ["bitseq", "complexity"]),
-    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "thresholds"]),
-    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["thresholds"]),
+     CLI + ["bitseq", "codes", "commands.bounds", "parallel", "thresholds"]),
+    (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "commands.gen", "generators"]),
+    (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
+    (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]),
+     CLI + ["bitseq", "commands.complexity", "complexity"]),
+    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "commands.bounds", "thresholds"]),
+    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["commands.bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]),
-     CLI + ["bitseq", "bounds", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "complexity", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
-     CLI + ["bitseq", "bounds", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "correlation", "parallel", "thresholds"]),
 ], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
         "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):
-    # each command loads only the modules it runs
+    # each command loads only its own command module and the modules it runs
     assert run(["gen", "msequence", "--ell", "3", "-o", str(tmp_path / "ms3.txt")], capsys)[0] == 0
     code = f"{setup}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('seqmeter')))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -520,3 +527,71 @@ def test_import_footprint(setup, loaded, tmp_path, capsys):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == str(sorted(["seqmeter", *(f"seqmeter.{m}" for m in loaded)]))
+
+
+# every command's and subcommand's options and positionals, as its --help lists them
+HELP = {
+    "gen": ((), ["{msequence,gold,kasami-small,hall,fermat}"]),
+    "gen msequence": (("--ell", "--taps", "--seed", "--periods", "-o", "--output"), []),
+    "gen gold": (("--ell", "--shift", "--periods", "-o", "--output"), []),
+    "gen kasami-small": (("--ell", "--shift", "--periods", "-o", "--output"), []),
+    "gen hall": (("--t", "--g", "--periods", "-o", "--output"), []),
+    "gen fermat": (("--p", "--periods", "-o", "--output"), []),
+    "lc": (("--n", "--profile"), ["file"]),
+    "moc": (("--n", "--profile"), ["file"]),
+    "kerror": (("--n", "--k", "--budget"), ["file"]),
+    "corr": (("--k", "--n", "--periodic", "--budget", "--jobs"), ["file"]),
+    "peaks": (("--tmax", "--jobs"), ["file"]),
+    "bounds": ((), ["{table1,thm2,cor3,verify,kerror}"]),
+    "bounds table1": (("--ell-max", "--csv"), []),
+    "bounds thm2": (("--n", "--l"), []),
+    "bounds cor3": (("--k", "--n", "--delta"), []),
+    "bounds verify": (("--n", "--budget"), ["{thm1,thm2,thm4}", "file"]),
+    "bounds kerror": (("--n", "--k", "--flips", "--budget"), ["file"]),
+    "verify": ((), ["{all}"]),
+    "verify all": (("--scale", "--seed"), ["{quick,full}"]),
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_lists_every_option(command, capsys):
+    # the parser is built for the invoked command only, so each needs its own help run
+    options, positionals = HELP[command]
+    code, out, err = run([*command.split(), "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: seqmeter {command} [-h]")
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help", *options}
+    for word in positionals:
+        assert word in out
+
+
+def test_help_covers_every_command():
+    assert [c for c in HELP if " " not in c] == list(COMMANDS)
+
+
+def test_unknown_command_lists_every_command(capsys):
+    for argv in (["nope"], ["--quiet", "nope", "lc"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'nope'" in err
+        choices = err.split("choose from")[1]
+        assert all(f"'{name}'" in choices for name in COMMANDS)
+
+
+def test_parser_follows_main_argv_not_sys_argv(ms3, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["seqmeter", "gen", "gold", "--ell", "5"])
+    code, out, _ = run(["lc", ms3], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == 3
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_in_fresh_process(command):
+    # a command module is imported only when its command runs, so an import
+    # error in one shows only when that command starts in a process of its own
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    res = subprocess.run([sys.executable, "-m", "seqmeter.cli", command, "--help"], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout.startswith(f"usage: seqmeter {command} [-h]")
