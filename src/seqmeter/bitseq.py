@@ -21,7 +21,9 @@ correlation scans (shift sets over shifted copies) and the dual search in
 
 File format: an optional first line ``period=T``, then the characters
 '0' and '1' with arbitrary whitespace.  The writer emits 64 characters
-per line.
+per line.  The reader checks the body in C: it encodes it to ASCII, any
+other character becoming '?', and deletes the bytes '0' and '1'; only
+when something is left does it look for the first stray character.
 """
 
 from itertools import combinations
@@ -179,10 +181,9 @@ def loads(text: str) -> BitSequence:
             body_start += len(line)
         break
     body = "".join(text[body_start:].split())
-    stray = body.lstrip("01")
-    if stray:
+    if body.encode("ascii", "replace").translate(None, b"01"):
         # the first stray character is not whitespace, so it occurs nowhere earlier
-        ch = stray[0]
+        ch = body.lstrip("01")[0]
         raise ValueError(f"invalid character {ch!r} at offset {text.index(ch, body_start)}")
     return BitSequence.from_int(pack(body), len(body), period)
 

@@ -67,6 +67,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    args.argv = list(argv)  # the manifest records the words parsed, not sys.argv
     if getattr(args, "budget", None) is None and hasattr(args, "budget"):
         args.budget = _env_budget()
     # The budgets price work, not memory, so a search they let through can

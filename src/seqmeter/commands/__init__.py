@@ -38,7 +38,7 @@ def _env_budget() -> int:
 
 def _manifest(args) -> dict:
     return {
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "version": __version__,
         "budget": getattr(args, "budget", None),
         "jobs": getattr(args, "jobs", None),
@@ -49,8 +49,7 @@ def _manifest(args) -> dict:
 def _emit(args, payload: dict, human: str | None = None) -> None:
     payload = dict(payload)
     payload["manifest"] = _manifest(args)
-    json.dump(payload, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
     if human and not args.quiet:
         print(human, file=sys.stderr)
 

@@ -10,15 +10,20 @@ Conventions used throughout:
   (or any constant) prefix therefore gets M = 0, mirroring the linear
   complexity convention for the degenerate case.
 
-L comes from Berlekamp-Massey.  M is 1 plus the length of the longest
-string followed by both bits in the prefix (0 when there is none): every
-suffix of such a string is followed by both bits too, so shorter windows
-conflict and longer ones do not.  One online pass over the suffix
-automaton (DAWG) of the prefix finds these strings as they appear, for
-every N at once and in linear time (Blumer et al. 1985; Jansen & Boekee,
-CRYPTO '89).  The alphabet is binary, so the automaton keeps one
-successor list per bit, and each appended bit picks its own list and the
-other one once for its whole suffix-link walk.
+L comes from Berlekamp-Massey, which reads the prefix through a
+reversed register cut to the bits that later steps can still read: l
+never falls, and a length change at step i sets l = i + 1 - l, so no
+later step reads a bit before s_{i+1-l}.  M is 1 plus the length of the
+longest string followed by both bits in the prefix (0 when there is
+none): every suffix of such a string is followed by both bits too, so
+shorter windows conflict and longer ones do not.  One online pass over
+the suffix automaton (DAWG) of the prefix finds these strings as they
+appear, for every N at once and in linear time (Blumer et al. 1985;
+Jansen & Boekee, CRYPTO '89).  The alphabet is binary, so the automaton
+keeps one successor list per bit, and each appended bit picks its own
+list and the other one once for its whole suffix-link walk.  A sentinel
+state at index -1, the root's suffix link, has both successors set, so
+the walk stops at it on the successor test alone.
 
 A declared period T shortens that pass to the first min(N, 2T - 1) bits.
 Take any string x followed by both bits in a T-periodic word.  If
@@ -74,6 +79,7 @@ def _data_n(seq: BitSequence | int, n: int | None, fallback_n: int | None = None
 
 _BM_START = (1, 1, 0, -1, 0)  # (c, b, l, m, rev) before the first bit
 _JUMP = 32  # quiet bits beyond l after which one product looks ahead
+_SLACK = 64  # bits rev may carry beyond l before a length change cuts it
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -97,6 +103,17 @@ def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = No
     change, and never decreases, so only there is it checked against
     stop.  profile, when given, receives l after each bit.
 
+    After a length change at step i, which sets l = i + 1 - l_old >=
+    l_old, later steps read only the low l bits of rev.  Step j reads bits
+    0..deg c of its register, with deg c <= l_{j-1} <= max(l, j - l)
+    (each later change sets l to j' + 1 - l' with j' < j and l' >= l),
+    and its register holds rev shifted up by j - i bits.  So it reads
+    rev's bits up to max(l - (j - i), i - l) <= l - 1, as i - l = l_old -
+    1.  A length change cuts rev to those l bits once it has grown _SLACK
+    bits beyond them, so a step shifts and ANDs about l bits, not i.  The
+    k-error walk's one-bit runs pay only the length test, at length
+    changes.
+
     The discrepancy at position i is bit i of the carry-less product
     c * s, and c only changes where it is nonzero.  So once _JUMP + l bits
     in a row have had none, `_quiet` computes that product over every
@@ -116,6 +133,8 @@ def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = No
                 l, m, b = i + 1 - l, i, t
                 if l >= stop:
                     return None
+                if rev.bit_length() > l + _SLACK:
+                    rev &= (1 << l) - 1
             ahead = i + l + _JUMP
         elif i >= ahead:
             rest = bytes(bits[i + 1 - start:])
@@ -157,7 +176,7 @@ def _berlekamp_massey(data: int, n: int, profile: list | None = None) -> tuple[i
 
 def _recurrence_from_connection(conn: int, l: int) -> tuple[int, ...]:
     # c_m = C_{L-m}: coefficient of s[i+m] in the prediction of s[i+L]
-    return tuple(map(int, unpack(conn, l + 1)[:0:-1]))
+    return tuple(unpack(conn, l + 1)[:0:-1].encode().translate(_TO_BITS))
 
 
 def linear_complexity(seq: BitSequence | int, n: int | None = None) -> tuple[int, tuple[int, ...]]:
@@ -217,8 +236,12 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     """M(S, i) for i = 1..n from one online suffix-automaton pass.
 
     The automaton (Blumer et al. 1985) lives in flat lists sized to its
-    2n + 1 state bound: state p has length[p], link[p] and one successor
-    list per bit, zero[p] and one[p], -1 when absent.  For each appended
+    2n + 1 state bound plus a sentinel: state p has length[p], link[p] and
+    one successor list per bit, zero[p] and one[p], -1 when absent.  The
+    sentinel is the last entry, index -1, so the root's link -1 names it.
+    Both its successors are 0, the root, which is no state's successor:
+    the suffix-link walk (own[p] < 0) and the clone redirect (own[p] ==
+    q) both stop at it without testing p >= 0.  For each appended
     bit c the pass names own = the list for c and other = the list for
     1 - c once, so the suffix-link walk indexes both with p alone.
     All strings of a state end at the same positions, so they are followed
@@ -234,7 +257,8 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     state of the whole prefix, last, has no successor yet, so it takes own
     before the walk starts at its link.  The bits are read once, as one
     byte each: shifting the n-bit int at each step would make the pass
-    quadratic again.
+    quadratic again.  Each rise of M is kept as (prefix length, new M),
+    and the profile is built from those once at the end.
 
     With a declared period T the pass stops after min(n, 2T - 1) bits and
     repeats its last value: every string followed by both bits in a
@@ -243,18 +267,18 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     them, with their successors, inside the first 2T - 1 bits.
     """
     stop = n if period is None else min(n, 2 * period - 1)
-    size = 2 * stop + 1
+    size = 2 * stop + 2
     length = [0] * size
     link = [0] * size
     link[0] = -1
     zero = [-1] * size
     one = [-1] * size
+    zero[-1] = one[-1] = 0  # the sentinel
     succ = (zero, one)
     last = 0
     states = 1
     m = 0
-    values = []
-    append = values.append
+    rises = [(1, 0)]
     for c in _bit_bytes(data & mask(stop), stop):
         own = succ[c]
         other = succ[1 - c]
@@ -263,13 +287,14 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
         length[cur] = length[last] + 1
         own[last] = cur
         p = link[last]
-        while p >= 0 and own[p] < 0:
+        while own[p] < 0:
             own[p] = cur
             if other[p] >= 0:
                 if length[p] >= m:
                     m = length[p] + 1
+                    rises.append((length[cur], m))
                 p = link[p]
-                while p >= 0 and own[p] < 0:
+                while own[p] < 0:
                     own[p] = cur
                     p = link[p]
                 break
@@ -286,13 +311,15 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
                 link[clone] = link[q]
                 zero[clone] = zero[q]
                 one[clone] = one[q]
-                while p >= 0 and own[p] == q:
+                while own[p] == q:
                     own[p] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
         last = cur
-        append(m)
-    values += [m] * (n - stop)
+    rises.append((n + 1, m))
+    values = []
+    for (start, value), (end, _) in zip(rises, rises[1:]):
+        values += [value] * (end - start)
     return values
 
 

@@ -97,6 +97,15 @@ def test_loads_reports_first_stray_character():
     with pytest.raises(ValueError, match=r"^invalid character '2' at offset 6$"):
         loads("0\r\n1\r\n2")
     assert loads("0\t1\r\n1\x0b0").to01() == "0110"
+    # a non-ASCII stray character, and one after Unicode whitespace (no-break
+    # space, ideographic space, line separator), which the offset counts too
+    with pytest.raises(ValueError, match=r"^invalid character 'é' at offset 2$"):
+        loads("01é0")
+    with pytest.raises(ValueError, match=r"^invalid character '\\ud800' at offset 1$"):
+        loads("0\ud8001")
+    with pytest.raises(ValueError, match=r"^invalid character 'x' at offset 15$"):
+        loads("period=2\n0\u00a01\u3000\u20280x1")
+    assert loads("0\u00a01\u3000\u20281").to01() == "011"
 
 
 def test_loads_empty():

@@ -1,6 +1,8 @@
 import concurrent.futures
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -56,6 +58,26 @@ def test_lc_json(ms3, capsys):
     assert doc["n"] == 14
     assert set(doc["manifest"]) >= {"argv", "version", "budget", "jobs", "seed"}
     assert "linear complexity" in err
+
+
+def test_manifest_records_the_parsed_argv(ms3, capsys, monkeypatch):
+    # an in-process call records the words main parsed, whatever sys.argv holds
+    monkeypatch.setattr(sys, "argv", ["seqmeter", "gen", "gold", "--ell", "5"])
+    code, out, _ = run(["--quiet", "lc", ms3], capsys)
+    assert code == 0
+    assert json.loads(out)["manifest"]["argv"] == ["--quiet", "lc", ms3]
+
+
+def test_stdout_matches_the_streaming_encoder(ms3, tmp_path, capsys):
+    # one json.dumps call prints what json.dump wrote chunk by chunk
+    rand = tmp_path / "rand.txt"
+    save(BitSequence.from_int(random.Random(5).getrandbits(2000), 2000), rand)  # L ~ 1000
+    for argv in (["lc", str(rand)], ["bounds", "table1"], ["corr", ms3, "--k", "2"]):
+        code, out, _ = run(argv + ["--quiet"], capsys)
+        assert code == 0
+        streamed = io.StringIO()
+        json.dump(json.loads(out), streamed, sort_keys=True, default=str)
+        assert out == streamed.getvalue() + "\n", argv
 
 
 def test_lc_profile(ms3, capsys):
@@ -408,7 +430,9 @@ def test_jobs_clamped_to_cores_and_slices(ms3, gold5, tmp_path, capsys, monkeypa
         code, out, _ = run(argv + ["--jobs", "1000", "--quiet"], capsys)
         assert code == 0
         assert json.loads(out)["manifest"]["jobs"] == 1000
-        assert out.replace('"jobs": 1000', '"jobs": 1') == expected[argv[0]]
+        # the manifest records the argv parsed, so it names the clamped option too
+        out = out.replace('"jobs": 1000', '"jobs": 1').replace('"--jobs", "1000", ', "")
+        assert out == expected[argv[0]]
     # aperiodic k=3 on 14 bits has 12 first shifts; gold5 peaks runs levels 4 and 5
     assert RecordingExecutor.seen == [4, 4, 4]
     # five heads (0, g), g <= 15/3, for the periodic order-3 scan of a 15-periodic sequence

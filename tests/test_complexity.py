@@ -3,9 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqmeter import complexity
 from seqmeter.bitseq import BitSequence, mask
 from seqmeter.budget import BudgetExceededError
 from seqmeter.complexity import (
+    _berlekamp_massey,
+    _moc_profile,
     linear_complexity,
     linear_complexity_bruteforce,
     linear_complexity_profile,
@@ -58,21 +61,26 @@ def test_profile_monotone_and_final():
 def bm_reference(bits, n):
     """Textbook Berlekamp-Massey, one bit at a time with no look-ahead.
 
-    Returns the profile and the connection polynomial (bit j = C_j).
+    The bits and the polynomials C and B are lists of 0/1, so nothing is
+    shared with the packed register of `_bm_run`.  Returns the profile and
+    the connection polynomial (bit j = C_j).
     """
-    c, b, l, m = 1, 1, 0, -1
+    s = [(bits >> i) & 1 for i in range(n)]
+    c, b, l, m = [1], [1], 0, -1
     profile = []
     for i in range(n):
         d = 0
-        for j in range(min(i, c.bit_length() - 1) + 1):
-            d ^= (c >> j) & (bits >> (i - j)) & 1
+        for j in range(min(i + 1, len(c))):
+            d ^= c[j] & s[i - j]
         if d:
-            t = c
-            c ^= b << (i - m)
+            t = c[:]
+            c += [0] * (len(b) + i - m - len(c))
+            for j, bj in enumerate(b):
+                c[j + i - m] ^= bj
             if 2 * l <= i:
                 l, m, b = i + 1 - l, i, t
         profile.append(l)
-    return profile, c
+    return profile, sum(cj << j for j, cj in enumerate(c))
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,6 +105,55 @@ def test_bm_look_ahead_matches_reference(l, n, flips, data):
         # the k-error walk's unflipped tails jump too
         lc = lambda d: (bm_reference(d, n)[0] or [0])[-1]
         assert kerror_linear_complexity(bits, n, errors=1) == kerror_by_patterns(bits, n, 1, lc)[-1]
+
+
+def _bm_matches_reference(bits, n):
+    profile = []
+    l, conn = _berlekamp_massey(bits, n, profile)
+    return (profile, conn) == bm_reference(bits, n)
+
+
+def test_bm_cut_register_matches_reference_exhaustive(monkeypatch):
+    # with no slack, rev is cut to l bits at every length change where it is longer
+    monkeypatch.setattr(complexity, "_SLACK", 0)
+    for n in range(15):
+        for bits in range(1 << n):
+            assert _bm_matches_reference(bits, n), (n, bits)
+
+
+@st.composite
+def bm_inputs(draw):
+    """(bits, n) up to n = 2000: random, 0...01, a long run inside random bits,
+    or a recurrence with a few flips, whose quiet stretches take the look-ahead."""
+    n = draw(st.integers(min_value=0, max_value=2000))
+    kind = draw(st.sampled_from(["random", "impulse", "run", "recurrence"]))
+    if kind == "random":
+        return draw(st.integers(min_value=0, max_value=mask(n))), n
+    if kind == "impulse":
+        return (1 << n - 1 if n else 0), n
+    if kind == "run":
+        lo = draw(st.integers(min_value=0, max_value=n))
+        hi = draw(st.integers(min_value=lo, max_value=n))
+        bits = draw(st.integers(min_value=0, max_value=mask(n))) & ~(mask(hi) ^ mask(lo))
+        return bits | (mask(hi) ^ mask(lo)) * draw(st.integers(0, 1)), n
+    l = draw(st.integers(min_value=1, max_value=min(64, max(n, 1))))
+    taps = draw(st.integers(min_value=0, max_value=mask(l)))
+    bits = draw(st.integers(min_value=0, max_value=mask(l)))
+    for i in range(l, n):
+        bits |= ((taps & (bits >> (i - l))).bit_count() & 1) << i
+    for f in draw(st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=3)):
+        bits ^= 1 << f
+    return bits & mask(n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(bm_inputs())
+def test_bm_cut_register_matches_reference(case):
+    bits, n = case
+    assert _bm_matches_reference(bits, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_SLACK", 0)
+        assert _bm_matches_reference(bits, n)
 
 
 def test_moc_conventions():
@@ -136,6 +193,85 @@ def test_moc_profile_prefixes_exhaustive():
 def test_moc_profile_prefixes_equal_bruteforce(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     assert _moc_profile_matches_bruteforce(bits, n)
+
+
+def moc_profile_reference(data, n, period=None):
+    """The automaton pass before its sentinel state, kept as the reference.
+
+    It tests p >= 0 on every suffix-link and clone-redirect step and
+    appends M after every bit.
+    """
+    stop = n if period is None else min(n, 2 * period - 1)
+    size = 2 * stop + 1
+    length = [0] * size
+    link = [0] * size
+    link[0] = -1
+    zero = [-1] * size
+    one = [-1] * size
+    succ = (zero, one)
+    last, states, m = 0, 1, 0
+    values = []
+    for i in range(stop):
+        c = (data >> i) & 1
+        own, other = succ[c], succ[1 - c]
+        cur = states
+        states += 1
+        length[cur] = length[last] + 1
+        own[last] = cur
+        p = link[last]
+        while p >= 0 and own[p] < 0:
+            own[p] = cur
+            if other[p] >= 0:
+                if length[p] >= m:
+                    m = length[p] + 1
+                p = link[p]
+                while p >= 0 and own[p] < 0:
+                    own[p] = cur
+                    p = link[p]
+                break
+            p = link[p]
+        if p >= 0:
+            q = own[p]
+            lp = length[p] + 1
+            if length[q] == lp:
+                link[cur] = q
+            else:
+                clone = states
+                states += 1
+                length[clone] = lp
+                link[clone] = link[q]
+                zero[clone] = zero[q]
+                one[clone] = one[q]
+                while p >= 0 and own[p] == q:
+                    own[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        values.append(m)
+    return values + [m] * (n - stop)
+
+
+def test_moc_sentinel_pass_matches_reference_exhaustive():
+    for n in range(15):
+        for data in range(1 << n):
+            assert _moc_profile(data, n) == moc_profile_reference(data, n), (n, data)
+    # declared periods: every block of period T <= 7 over every n <= 14
+    for t in range(1, 8):
+        for block in range(1 << t):
+            declared, _ = _periodic(block, t, 14)
+            for n in range(15):
+                data = declared.data & mask(n)
+                assert _moc_profile(data, n, t) == moc_profile_reference(data, n, t), (t, block, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=3000), st.data())
+def test_moc_sentinel_pass_matches_reference(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=mask(n)))
+    period = data.draw(st.none() | st.integers(min_value=1, max_value=max(n, 1)))
+    if period is not None and data.draw(st.booleans()):
+        bits = _periodic(bits & mask(period), period, n)[0].data
+    assert _moc_profile(bits, n, period) == moc_profile_reference(bits, n, period)
 
 
 def _periodic(block, t, n):
