@@ -5,7 +5,9 @@ For each sequence the script computes the exhaustive correlation map up to a
 small order cap and then evaluates, side by side:
 
   * the self-consistent scan bound on linear complexity,
-  * the logarithmic bound valid while all correlations stay below N/2,
+  * the logarithmic formula at order K, the highest order searched, shown
+    only where C_j(S,N) < N/2 for every j <= K; it is asymptotic, with an
+    unpinned additive constant, so it is not a bound at every N,
   * the scan bound on maximum-order complexity,
   * the true L(S,N) and M(S,N) from the production kernels.
 
@@ -49,7 +51,7 @@ def main() -> int:
     args = ap.parse_args()
 
     fmt = "{:<22} {:>4} {:>4} {:>12} {:>9} {:>7} {:>9} {:>7}"
-    print(fmt.format("sequence", "N", "K", "scan L >=", "log L >=", "true L",
+    print(fmt.format("sequence", "N", "K", "scan L >=", "log L ~", "true L",
                      "scan M >=", "true M"))
     for name, seq in corpus(args.seed, args.random):
         n = seq.n
@@ -60,9 +62,9 @@ def main() -> int:
                 for k in range(1, k_hi + 1)}
         scan_l = lc_correlation_bound(corr, n)
         scan_m = moc_correlation_bound(corr, n)
-        # the log-shaped bound needs every computed order to stay under N/2
-        if all(2 * v < n for v in corr.values()) and (k_hi + 1) ** 2 < n:
-            log_l = f"{log_complexity_bound(k_hi + 1, n):.2f}"
+        # the log formula at K = k_hi needs C_j < N/2 for every j <= k_hi
+        if k_hi >= 2 and k_hi * k_hi < n and all(2 * v < n for v in corr.values()):
+            log_l = f"{log_complexity_bound(k_hi, n):.2f}"
         else:
             log_l = "-"
         true_l, _ = linear_complexity(seq, n)

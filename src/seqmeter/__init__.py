@@ -20,9 +20,7 @@ _EXPORTS = {
     "bitseq": ("BitSequence", "ShiftSet", "dumps", "load", "loads", "save"),
     "bounds": (
         "BoundReport",
-        "fermat_complexity_bound",
         "find_half_peak_witness",
-        "hall_complexity_bound",
         "kerror_bound",
         "lc_correlation_bound",
         "log_complexity_bound",

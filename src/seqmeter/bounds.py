@@ -112,10 +112,13 @@ def moc_correlation_bound(corr: dict, n: int) -> BoundReport:
 def log_complexity_bound(k: int, n: int, delta: float = 0.0) -> float:
     """(K/2)(log2 N + 1 - log2 K) - (1/2) log2 K + delta.
 
-    Stated for C_j(S,N) < N/2 at every j < K, a reading brute force
-    refutes: 0110110110110110 has C_1 = 6 < 8 but L = 2 < 3.5, the value
-    at K = 2, N = 16.  delta is an unpinned additive constant, default
-    0; it must be finite.
+    The asymptotic form of the Hamming-bound count: L(S,N) is at least
+    this, up to the additive constant delta, when C_j(S,N) < N/2 for
+    every j <= K.  delta is unpinned, default 0, and must be finite.  At
+    delta = 0 the formula is not a bound at every N: at K = 2, N = 12
+    and N = 13, 14 sequences each meet the hypothesis with L up to 0.2
+    below it.  Asking only j < K is refuted outright: 0110110110110110
+    has C_1 = 6 < 8 but L = 2 < 3.5, the value at K = 2, N = 16.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
@@ -337,50 +340,6 @@ def table1(ell_max: int = 20) -> list[dict]:
     return out
 
 
-def hall_complexity_bound(t: int, eps: float, delta: float = 0.0) -> BoundReport:
-    """Numeric chain for the sextic-residue complexity bound.
-
-    With N = ceil(2 T^(1/2+eps) (log2 T)^2), finds the largest k within
-    the cap eps*log2(T)/8 for which (14/3)^k * k * sqrt(T) * log2(T)
-    stays below N/2, then reports the resulting order-(k+1) bound.
-    """
-    if t % 6 != 1:
-        raise ValueError(f"period must be 1 mod 6, got {t}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    log_t = math.log2(t)
-    n = math.ceil(2 * t ** (0.5 + eps) * log_t**2)
-    k_cap = math.floor(eps * log_t / 8)
-    k_best = 0
-    for k in range(1, max(k_cap, 0) + 1):
-        if (14 / 3) ** k * k * math.sqrt(t) * log_t < n / 2:
-            k_best = k
-    inputs = {"T": t, "eps": eps, "N": n, "k_cap": k_cap, "k_verified": k_best}
-    if k_best < 1 or (k_best + 1) ** 2 >= n:
-        return BoundReport("hall-complexity-bound", inputs, None, False,
-                           "no order passes the correlation-ceiling chain at this size")
-    value = log_complexity_bound(k_best + 1, n, delta)
-    return BoundReport("hall-complexity-bound", inputs, value, True,
-                       f"C_k < N/2 verified numerically for k <= {k_best}")
-
-
-def fermat_complexity_bound(p: int, eps: float, delta: float = 0.0) -> BoundReport:
-    """Numeric chain for the quotient-threshold complexity bound, order cap 3."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    log_p = math.log2(p)
-    n = math.ceil(2 * p ** (1 + eps) * log_p**3)
-    ceiling = p * log_p**3
-    ok = ceiling < n / 2
-    inputs = {"p": p, "eps": eps, "N": n, "C2_ceiling": ceiling}
-    if not ok or 9 >= n:
-        return BoundReport("fermat-complexity-bound", inputs, None, False,
-                           "correlation ceiling does not clear N/2")
-    value = log_complexity_bound(3, n, delta)
-    return BoundReport("fermat-complexity-bound", inputs, value, True,
-                       "order-2 ceiling clears N/2; order cap K = 3")
-
-
 def kerror_bound(
     seq: BitSequence,
     n: int | None = None,
@@ -393,7 +352,9 @@ def kerror_bound(
     Exhaustive C_j for j = 1..k, each inflated by the certified flip
     ceiling 2jF, then the self-consistent scan runs on the inflated map.
     The result holds for every sequence within Hamming distance F of the
-    prefix.
+    prefix.  When every inflated C_j, j <= k, stays below N/2, with
+    k >= 2 and k^2 < N, the commentary adds log_complexity_bound(k, N):
+    an asymptotic formula with an unpinned constant, not a bound.
     """
     from .correlation import aperiodic_measure, delta_under_flips
 
@@ -413,7 +374,8 @@ def kerror_bound(
         f"unperturbed scan bound {base.value}",
         f"surviving bound {worst.value} for every sequence within {flips} flips",
     ]
-    if all(2 * v < n for v in inflated.values()) and (k + 1) ** 2 < n:
-        logb = log_complexity_bound(k + 1, n)
-        notes.append(f"inflated map stays below N/2; order-{k + 1} log bound {logb:.3f}")
+    if k >= 2 and k * k < n and all(2 * v < n for v in inflated.values()):
+        logb = log_complexity_bound(k, n)
+        notes.append(f"inflated map stays below N/2 for j <= {k}; order-{k} log formula "
+                     f"{logb:.3f} (asymptotic, up to an additive constant)")
     return BoundReport("kerror-lc", inputs, worst.value, worst.fired, "; ".join(notes))

@@ -17,7 +17,9 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
     b2.add_argument("--n", type=int, required=True)
     b2.add_argument("--l", type=int, required=True)
     b2.set_defaults(func=_bounds_thm2)
-    b3 = bsub.add_parser("cor3", parents=[common], help="logarithmic complexity bound from an order cap")
+    b3 = bsub.add_parser("cor3", parents=[common],
+                         help="asymptotic log formula for L, not a bound at every N; "
+                              "hypothesis C_j(S, N) < N/2 for every j <= K")
     b3.add_argument("--k", type=int, required=True)
     b3.add_argument("--n", type=int, required=True)
     b3.add_argument("--delta", type=float, default=0.0)

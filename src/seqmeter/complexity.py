@@ -63,15 +63,13 @@ class ComplexityProfile(NamedTuple):
         return self.values[-1] if self.values else 0
 
 
-def _data_n(seq: BitSequence | int, n: int | None, fallback_n: int | None = None):
+def _data_n(seq: BitSequence | int, n: int | None):
     if isinstance(seq, BitSequence):
         if n is None:
             n = seq.n
         elif not 0 <= n <= seq.n:
             raise ValueError(f"prefix length {n} out of range 0..{seq.n}")
         return seq.data & mask(n), n
-    if n is None:
-        n = fallback_n
     if n is None:
         raise ValueError("raw int input needs an explicit length")
     return seq & mask(n), n

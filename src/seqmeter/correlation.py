@@ -269,7 +269,10 @@ def periodic_measure(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> CorrelationResult:
-    """Exact periodic order-k measure over one full period, d_1 fixed at 0."""
+    """Exact periodic order-k measure over one full period, d_1 fixed at 0.
+
+    The witness is re-verified by folding D over two copies of the block.
+    """
     if seq.period is None:
         raise ValueError("periodic measure needs a declared period")
     t = seq.period
@@ -280,13 +283,10 @@ def periodic_measure(
         raise BudgetExceededError(cost, budget)
     block = seq.data & mask(t)
     if k in (1, t):
-        # the only shift set is (0, ..., k-1): one sum, too little work to pay
-        # for the scan's table of T shifted copies
-        d = tuple(range(k))
-        two, fold = block | (block << t), 0
-        for dj in d:
-            fold ^= two >> dj
-        value = abs(t - 2 * (fold & mask(t)).bit_count())
+        # the only shift set is (0, ..., k-1), and the re-verifying fold below
+        # gives its value: too little work to pay for the scan's table of T
+        # shifted copies
+        value, d = None, tuple(range(k))
     else:
         # the scan picks the last shift itself; heads fix d_1 = 0 and, from k = 3,
         # the smallest gap d_2 = g <= T/k as well, to give the fan-out its slices
@@ -296,6 +296,11 @@ def periodic_measure(
         work = t * sum(math.comb(t - k * g + k - 2, k - 2) for g in range(1, t // k + 1))
         best = map_min(_scan_periodic, (block, t, k), heads, jobs, work)
         value, d = -best[0], best[1]
+    folded = abs(correlation_at(BitSequence.from_int(block | block << t, 2 * t), t, d))
+    if value is None:
+        value = folded
+    elif folded != value:
+        raise AssertionError(f"witness D={d} failed re-verification")
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -10,10 +11,8 @@ from seqmeter import codes
 from seqmeter.bitseq import BitSequence, loads, mask
 from seqmeter.bounds import (
     log_complexity_bound,
-    fermat_complexity_bound,
     find_half_peak_witness,
     half_peak_threshold,
-    hall_complexity_bound,
     kerror_bound,
     lc_correlation_bound,
     moc_correlation_bound,
@@ -334,27 +333,6 @@ def test_table_known_disagreements():
     assert all(not lk[e] for e in lk if e >= 6)
 
 
-def test_hall_chain_small_period():
-    rep = hall_complexity_bound(31, 0.5)
-    assert rep.name == "hall-complexity-bound"
-    assert not rep.fired  # order cap floor(eps log2 T / 8) is 0 here
-    assert rep.inputs["N"] == 1522
-    assert rep.inputs["k_cap"] == 0
-    with pytest.raises(ValueError):
-        hall_complexity_bound(32, 0.5)
-    with pytest.raises(ValueError):
-        hall_complexity_bound(31, 0.0)
-
-
-def test_fermat_chain_small_prime():
-    rep = fermat_complexity_bound(11, 0.5)
-    assert rep.fired
-    assert rep.inputs["N"] == 3021
-    assert rep.value == pytest.approx(log_complexity_bound(3, 3021), abs=1e-12)
-    with pytest.raises(ValueError):
-        fermat_complexity_bound(11, -1.0)
-
-
 def test_kerror_bound_zero_flips_matches_plain_scan():
     s = BitSequence.from_int(0b1011011000110101, 16)
     plain = lc_correlation_bound(corr_map(s, 16, 2), 16)
@@ -371,6 +349,36 @@ def test_kerror_bound_sound(bits, flips):
     rep = kerror_bound(s, 16, k=2, flips=flips)
     if rep.fired:
         assert rep.value <= kerror_linear_complexity(s, errors=flips)
+
+
+def test_kerror_log_note_never_exceeds_true_lc_exhaustive():
+    # the note's order is the highest one checked below N/2; at N = 10 and 11,
+    # k = 2, fourteen inputs each sit below the order-3 value
+    printed = 0
+    for n in range(1, 12):
+        for data in range(1 << n):
+            s = BitSequence.from_int(data, n)
+            true_l = linear_complexity(s, n)[0]
+            for k in (2, 3):
+                if k > n:
+                    continue
+                rep = kerror_bound(s, n, k=k, flips=0)
+                note = re.search(r"order-(\d+) log \w+ (\d+\.\d+)", rep.commentary)
+                if note:
+                    printed += 1
+                    assert float(note[2]) <= true_l, (format(data, f"0{n}b"), k, rep.commentary)
+                    assert int(note[1]) == k and k * k < n
+                    assert all(2 * v < n for v in rep.inputs["inflated"].values())
+    assert printed > 1000  # the note is not vacuous
+
+
+def test_kerror_log_note_absent_at_order_one():
+    # C_1 = 6 < 8 but L = 2: the formula needs K >= 2 orders checked below N/2
+    s = loads("0110110110110110")
+    rep = kerror_bound(s, 16, k=1, flips=0)
+    assert rep.inputs["corr"] == {1: 6}
+    assert linear_complexity(s, 16)[0] == 2
+    assert "log" not in rep.commentary
 
 
 def test_report_dict_shape():

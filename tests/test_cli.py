@@ -502,6 +502,25 @@ def test_script_help_outside_checkout(script, tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_compare_bounds_log_column_stays_below_true_lc(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_bounds.py"),
+                          "--random", "1", "--k-max", "3"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    header, *rows = res.stdout.splitlines()
+    assert "log L ~" in header
+    assert len(rows) == 6  # five named sequences and one random one
+    logged = 0
+    for row in rows:
+        # the name may hold spaces: read N, K, scan L, log L, true L, scan M, true M from the right
+        log_l, true_l = row.split()[-4:-2]
+        if log_l != "-":
+            logged += 1
+            assert float(log_l) <= int(true_l), row
+    assert logged
+
+
 RUN_MAIN = """
 import contextlib, io
 from seqmeter.cli import main

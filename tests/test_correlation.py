@@ -314,6 +314,15 @@ def test_witness_is_re_verified():
             aperiodic_measure(s, 2)
 
 
+def test_periodic_witness_is_re_verified():
+    s = m_sequence(4)
+    r = periodic_measure(s, 3)
+    wrong = (-(r.value + 2), r.witness_d)  # the witness's fold gives r.value, not this
+    with mock.patch.object(correlation, "_scan_periodic", return_value=wrong):
+        with pytest.raises(AssertionError, match="re-verification"):
+            periodic_measure(s, 3)
+
+
 def test_aperiodic_witness_matches_oracle_exhaustive():
     for n in range(1, 10):
         for k in range(1, min(4, n) + 1):

@@ -14,10 +14,10 @@ PUBLIC = [
     "CorrelationResult", "CyclicSpan", "FermatSpec", "HallSpec", "LfsrSpec",
     "NonPrimitiveTapsError", "PeakCertificate", "ShiftSet", "aperiodic_measure",
     "bitseq", "bounds", "build_span", "codes", "complexity", "correlation",
-    "correlation_at", "delta_under_flips", "dumps", "fermat_complexity_bound",
-    "fermat_threshold", "find_half_peak_witness", "find_periodic_peak",
+    "correlation_at", "delta_under_flips", "dumps", "fermat_threshold",
+    "find_half_peak_witness", "find_periodic_peak",
     "full_peak_threshold", "generators", "gold_sequence", "half_peak_threshold",
-    "hall_complexity_bound", "hall_sextic", "hamming_condition", "kerror_bound",
+    "hall_sextic", "hamming_condition", "kerror_bound",
     "kerror_linear_complexity", "lc_correlation_bound", "linear_complexity",
     "linear_complexity_profile", "load", "loads", "log_complexity_bound",
     "m_sequence", "max_order_complexity", "max_order_complexity_profile",
