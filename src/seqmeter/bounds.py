@@ -22,9 +22,9 @@ them.
 import math
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask, unpack
+from .bitseq import BitSequence, mask
 from .budget import DEFAULT_BUDGET
-from .thresholds import full_peak_threshold, half_peak_threshold  # half_peak_threshold re-exported
+from .thresholds import full_peak_threshold
 
 # exhaustive order-k search is only attempted below this many summands
 # before falling back to the constructive window-collision argument
@@ -139,33 +139,28 @@ def find_half_peak_witness(
 
     Orders whose exhaustive search is cheap are searched outright.  Above
     the fallback cost the witness is built constructively: the windows
-    col_j = (s_j, ..., s_{j+w-1}), w = ceil(n/2), j < floor(n/2), span a
-    space of dimension <= L(S,n), so a low-weight XOR collision among them
-    gives a shift set whose summands are all +1 on a window of length w.
+    (s_j, ..., s_{j+w-1}), w = ceil(n/2), j < floor(n/2), span a space of
+    dimension <= L(S,n), so a low-weight XOR collision among them gives
+    a shift set whose summands are all +1 on a window of length w.
 
-    When L <= w each column keeps only its first L bits.  The shortest
-    recurrence holds across the whole prefix, so it extends those L bits
-    to the full window by one linear map, the same for every j and the
-    identity on its first L bits, hence injective.  An XOR of windows
-    therefore vanishes exactly when the XOR of their first L bits does,
-    and both sets of columns give the same support; the short ones hash
-    and fold L-bit ints instead of w-bit ones.
-
-    The window at j is the recurrence's state at j, A^j times the first
-    one, where A is the companion matrix of f = x^L + sum_r c_r x^r.  The
-    first window's annihilator is f itself, or the prefix would satisfy
-    a shorter recurrence, so the windows over D fold to zero exactly when
-    f divides sum_{d in D} x^d.  Write f = x^e g with g(0) = 1: then D
+    When L <= w the shortest recurrence f = x^L + sum_r c_r x^r holds
+    across every window, so the window at j is A^j times the first one,
+    where A is the companion matrix of f.  The first window's
+    annihilator is f itself, or the prefix would satisfy a shorter
+    recurrence, so the windows over D fold to zero exactly when f
+    divides sum_{d in D} x^d.  Write f = x^e g with g(0) = 1: then D
     must have min D >= e, and D is a collision exactly when g divides
-    sum_{d in D} x^(d - e).  So the search runs on the windows from e on
-    with g as their recurrence, which anchors it at e (see the codes
-    module docstring) and lets Gold-like prefixes take the zeros path,
-    and e is added back to its support.  Periodic prefixes have e = 0.
-    Whenever the threshold fires, C(floor(n/2), t) >= 2**L forces
-    L <= floor(n/2) <= w, so every firing prefix takes this search; a
-    prefix with L > w keeps the full search over its w-bit windows.  The
-    search raises BudgetExceededError before a level whose price exceeds
-    budget.  Both paths re-verify the witness with correlation_at.
+    sum_{d in D} x^(d - e).  So the search is
+    low_weight_kernel_support(g, floor(n/2) - e): its columns x^j mod g
+    have the dual sets of the windows from e on, it is anchored there
+    (see the codes module docstring), Gold-like prefixes take its zeros
+    path, and e is added back to its support.  Periodic prefixes have
+    e = 0.  Whenever the threshold
+    fires, C(floor(n/2), t) >= 2**L forces L <= floor(n/2) <= w, so every
+    firing prefix takes this search; a prefix with L > w gets None after
+    its exhaustive orders.  The search raises BudgetExceededError before
+    a level whose price exceeds budget.  Both paths re-verify the
+    witness with correlation_at.
     """
     from .correlation import aperiodic_measure, correlation_at, search_cost
 
@@ -186,20 +181,17 @@ def find_half_peak_witness(
             }
     if exhausted_all:
         return None
-    from .codes import low_weight_kernel_support  # constructive path only
     from .complexity import linear_complexity
 
     width = n - n // 2  # ceil(n/2)
     l, coeffs = linear_complexity(data, n)
-    if l <= width:
-        f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
-        e = (f & -f).bit_length() - 1  # f = x^e g with g(0) = 1
-        g = f >> e
-        cols = _windows(data >> e, n - e, l, n // 2 - e)
-    else:
-        e, g = 0, None
-        cols = _windows(data, n, width, n // 2)
-    support = low_weight_kernel_support(cols, 2, k_max, budget, recurrence=g)
+    if l > width:
+        return None
+    from .codes import low_weight_kernel_support  # constructive path only
+
+    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
+    e = (f & -f).bit_length() - 1  # f = x^e g with g(0) = 1
+    support = low_weight_kernel_support(f >> e, n // 2 - e, 2, k_max, budget)
     if support is None:
         return None
     support = tuple(d + e for d in support)
@@ -213,27 +205,6 @@ def find_half_peak_witness(
         "value": value,
         "method": "constructive",
     }
-
-
-def _windows(data: int, n: int, w: int, count: int) -> list[int]:
-    """The w-bit windows of the n-bit data that start at 0..count-1, bit 0 first.
-
-    Needs count + w - 1 <= n; a count below 1 gives none.  Each window
-    is the last one shifted down with the next bit of one `unpack` put on
-    top, so a window costs w bits of work instead of a shift of the whole
-    prefix.
-    """
-    if count <= 0:
-        return []
-    col = data & mask(w)
-    top = 1 << w >> 1  # bit w - 1; 0 for zero-width windows
-    cols = [col]
-    for c in unpack(data, n)[w:w + count - 1]:
-        col >>= 1
-        if c == "1":
-            col |= top
-        cols.append(col)
-    return cols
 
 
 def moc_half_peak_check(

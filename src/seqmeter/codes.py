@@ -29,26 +29,25 @@ and its tail is then cols.index(fold, last + 1), the first later index,
 which is the lexicographically least fit even where columns repeat.
 _tails hashes only tails of two or more elements.
 
-Columns may come with their recurrence: a polynomial g with g(0) = 1
-such that a support D is dual exactly when g divides sum_{d in D} x^d.
-Then the search looks only at supports that contain coordinate 0, and
-that is exact by one rule: g(0) = 1 makes x invertible modulo g, so if
-min D > 0 then D - min D is dual too, of the same weight and with the
-same gaps.  A support holding 0 sorts before every support that does
-not, so the anchored minimum is the full one.  The callers' columns are
+The search takes a polynomial g with g(0) = 1 and a length m, and
+builds the columns x^j mod g, j < m, itself.  It looks only at supports
+that contain coordinate 0, and that is exact by one rule: g(0) = 1
+makes x invertible modulo g, so if min D > 0 then D - min D is dual
+too, of the same weight and with the same gaps.  A support holding 0
+sorts before every support that does not, so the anchored minimum is
+the full one.  Both forced peaks are such supports:
 
-* x^j mod g for a cyclic span (find_periodic_peak);
-* the L-bit windows of a prefix of linear complexity L, from its
-  coordinate e on, where the prefix's recurrence is x^e g with
-  g(0) = 1 (bounds.find_half_peak_witness).
+* a full periodic peak of a cyclic span, with g from _peak_recurrence
+  and m = T (find_periodic_peak);
+* a window collision of a prefix whose recurrence is x^e g, with
+  m = floor(n/2) - e (bounds.find_half_peak_witness).
 
-Columns without a recurrence keep the full search.  With one, a search
-with no more multiples q g (deg q < m - deg g) than a level costs walks
-them all (_multiples).  When g's zeros are
-those of a Gold or small-Kasami span, each level from weight 4 walks
-only its heads and solves for the last two elements from field tables
-(seqmeter.zeros), which is loaded only then.  Every other zero pattern,
-and every level below 4, keeps the syndrome search.
+A search with no more multiples q g (deg q < m - deg g) than a level
+costs walks them all (_multiples).  When g's zeros are those of a Gold
+or small-Kasami span, each level from weight 4 walks only its heads and
+solves for the last two elements from field tables (seqmeter.zeros),
+which is loaded only then.  Every other zero pattern, and every level
+below 4, keeps the syndrome search.
 """
 
 import math
@@ -58,7 +57,6 @@ from typing import NamedTuple
 from .bitseq import BitSequence, as_shifts, fold_extensions, mask
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
-from .thresholds import full_peak_threshold, hamming_condition  # re-exported
 
 # Fan-out work of one hash-table entry, probe or zeros-level head, in the
 # summands of `parallel.FORK_BREAK_EVEN`.  Measured like that constant: an
@@ -224,14 +222,15 @@ def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] 
     on its own below m - a, leaving room for a tail: one XOR and one
     probe per head.  prefixes are in lexicographic order and each head
     adds elements above its prefix, so the heads arrive in the supports'
-    order and the first fit is the minimum.
+    order and the first fit is the minimum.  low_weight_kernel_support's
+    prefixes hold 0; the empty prefix walks every head.
     """
     m = len(cols)
     if tails is None:
         tails = dict(zip(cols, range(m))) if a == 1 else _tails(cols, a)
     probe = tails.get
     for prefix in prefixes:
-        fixed = len(prefix) == h  # anchored weight 2, whose one head is (0,)
+        fixed = len(prefix) == h  # weight 2, whose one head is (0,)
         lead = prefix[:-1] if fixed else prefix
         start = lead[-1] + 1 if lead else 0
         for head, fold in fold_extensions(cols, lead, h - 1, start, m - a - 1):
@@ -252,81 +251,76 @@ def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] 
 
 
 def low_weight_kernel_support(
-    cols: list[int],
+    g: int,
+    m: int,
     w_min: int = 1,
     w_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
-    recurrence: int | None = None,
 ) -> tuple[int, ...] | None:
-    """Smallest support D in [w_min, w_max] with XOR of cols[j] over D zero.
+    """Smallest support D in 0..m-1, of weight in [w_min, w_max], with g | sum_{d in D} x^d.
 
     w_min >= 1.  Ties at the winning weight go to the lexicographically
-    smallest support.  Without a recurrence the search is complete over
-    arbitrary columns: it returns None only when no such support exists.
-    recurrence is a polynomial g (bit r = coefficient of x^r) with
-    g(0) = 1 such that a support D is dual exactly when g divides
-    sum_{d in D} x^d, as for the syndromes x^d mod g.  With it the search
-    is anchored at 0, which gives the same answer (see the module
-    docstring); an even g raises ValueError, because x would then not be
-    invertible and the anchor could miss every dual support.
+    smallest support.  g is a polynomial (bit r = coefficient of x^r)
+    with g(0) = 1, and the columns are its syndromes x^j mod g
+    (_powers), so D qualifies iff their XOR over D vanishes.  The search
+    is anchored at 0, which gives the full search's answer (see the
+    module docstring); an even g raises ValueError, because x would then
+    not be invertible and the anchor could miss every dual support.
 
     Each weight w from 2 up is one head/tail level: a tail of
-    a = max(1, ceil(w/2) - 1) elements anchored, floor(w/2) otherwise,
-    and a head of the rest, which starts at 0 when anchored.  A level
-    costs its tails plus its heads.  The levels with one-element tails
-    (2, 3 and, anchored, 4) share one map of each column to its last
-    index: a head fits iff its fold's last index is above the head's
-    end, and takes the first later index (see _level).  Only longer
-    tails are hashed, per level, by _tails.
-    The levels that cost linear work, 2 and, anchored, 3, run unpriced;
-    every other level checks its cost against budget before it
-    allocates, raising BudgetExceededError when over.  Levels below 4
-    are one slice; from 4 jobs > 1 splits a level's heads by their first
-    free element once its price passes the fork break-even of
-    `parallel.map_min`.
+    a = max(1, ceil(w/2) - 1) elements and a head of the rest, which
+    starts at 0.  A level costs its tails plus its heads.  The levels
+    with one-element tails (2, 3 and 4) share one map of each column to
+    its last index: a head fits iff its fold's last index is above the
+    head's end, and takes the first later index (see _level).  Only
+    longer tails are hashed, per level, by _tails.
+    Levels 2 and 3 cost linear work and run unpriced; every other level
+    checks its cost against budget before it allocates, raising
+    BudgetExceededError when over.  Levels below 4 are one slice; from 4
+    jobs > 1 splits a level's heads by their first free element once its
+    price passes the fork break-even of `parallel.map_min`.
 
-    With a recurrence, the dual supports are the multiples q g with
-    deg q < m - deg g.  From the first level that costs no less than
-    their number, 2^(m - deg g), _multiples walks them all, priced where
-    that level is.  Each level from 4 whose Gold zeros
-    (seqmeter.zeros) fit, and whose price, C(m-1, w-3) heads plus 2^ell
-    field-table entries, is no more than the syndrome level's, walks its
-    heads with zeros_level instead, after checking that price against
-    budget.  The answer is the same either way, and no budget refuses a
-    level that the syndrome price would let through.
+    The dual supports are the multiples q g with deg q < m - deg g.
+    From the first level that costs no less than their number,
+    2^(m - deg g), _multiples walks them all, priced where that level
+    is.  Each level from 4 whose Gold zeros (seqmeter.zeros) fit, and
+    whose price, C(m-1, w-3) heads plus 2^ell field-table entries, is no
+    more than the syndrome level's, walks its heads with zeros_level
+    instead, after checking that price against budget.  The answer is
+    the same either way, and no budget refuses a level that the syndrome
+    price would let through.
     """
-    if recurrence is not None and not recurrence & 1:
-        raise ValueError(f"recurrence {recurrence:#x} has g(0) = 0; the anchor at 0 needs g(0) = 1")
-    m = len(cols)
+    if not g & 1:
+        raise ValueError(f"recurrence {g:#x} has g(0) = 0; the anchor at 0 needs g(0) = 1")
+    cols = _powers(g, m)
     w_max = m if w_max is None else min(w_max, m)
-    lead = () if recurrence is None else (0,)
-    free = m - recurrence.bit_length() + 1 if lead else m  # deg q < m - deg g
+    free = m - g.bit_length() + 1  # deg q < m - deg g
     ones = None  # the column -> last-index map, shared by the levels with a = 1
-    field = zeros = None  # the Gold zeros of recurrence, looked for at the first level from 4
+    field = zeros = None  # the Gold zeros of g, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
         if w == 1:
-            best = next(((j,) for j in (lead or range(m)) if cols[j] == 0), None)
+            best = (0,) if cols[0] == 0 else None
         else:
-            a = max(1, (w + 1) // 2 - 1) if lead else w // 2
+            a = max(1, (w + 1) // 2 - 1)
             h = w - a
             level = None
-            cost = math.comb(m - 1, a) + math.comb(m - len(lead), h - len(lead))
-            priced = w >= 3 + len(lead)  # levels 2 and, anchored, 3 walk at most m heads and tails
-            if lead and free < cost.bit_length():
+            cost = math.comb(m - 1, a) + math.comb(m - 1, h - 1)
+            priced = w >= 4  # levels 2 and 3 walk at most m heads and tails
+            if free < cost.bit_length():
                 cost = 1 << max(free, 0)
                 if priced and cost > budget:
                     raise BudgetExceededError(cost, budget, "multiples of the recurrence")
-                return _multiples(recurrence, m, w, w_max)
+                return _multiples(g, m, w, w_max)
             if priced:
-                if lead and field is None:
-                    from . import zeros as gf  # only levels from 4 with a recurrence load it
+                if field is None:
+                    from . import zeros as gf  # only levels from 4 load it
 
-                    field = gf.zeros_field(recurrence, m, cost.bit_length()) or False
+                    field = gf.zeros_field(g, m, cost.bit_length()) or False
                 if field and (price := math.comb(m - 1, w - 3) + (1 << field[0])) <= cost:
                     if price > budget:
                         raise BudgetExceededError(price, budget, "heads and field-table entries")
-                    zeros = zeros or gf.gold_zeros(recurrence, m, *field)
+                    zeros = zeros or gf.gold_zeros(g, m, *field)
                     if zeros:
                         level = gf.zeros_level, (zeros, w - 2)
                         cost = price
@@ -339,7 +333,7 @@ def low_weight_kernel_support(
                     ones = dict(zip(cols, range(m)))
                 level = _level, (cols, a, h, ones if a == 1 else None)
             # from 4 the heads are split by their first free element; below, one slice
-            prefixes = [(*lead, d) for d in range(len(lead), m)] if w >= 4 else [lead]
+            prefixes = [(0, d) for d in range(1, m)] if w >= 4 else [(0,)]
             best = map_min(*level, prefixes, jobs, cost * _ENTRY_WORK)
         if best is not None:
             return best
@@ -371,7 +365,7 @@ def find_periodic_peak(
     """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak.
 
     A full peak is a fold that is constant over one period, so the search
-    is low_weight_kernel_support from weight 1 on the columns x^j mod g
+    is low_weight_kernel_support from weight 1 over T columns x^j mod g
     of _peak_recurrence, anchored at 0 because g(0) = 1, and raises
     BudgetExceededError as it does.  A constant block has g = 1 and
     answers (0,); a full-rank span has g = 1 + x + ... + x^(T-1), and
@@ -385,8 +379,7 @@ def find_periodic_peak(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     span = source if isinstance(source, CyclicSpan) else build_span(source)
     g = _peak_recurrence(span)
-    support = low_weight_kernel_support(_powers(g, span.period), 1, t_max, budget,
-                                        jobs=jobs, recurrence=g)
+    support = low_weight_kernel_support(g, span.period, 1, t_max, budget, jobs)
     if support is None:
         return None
     if not _verify_full_peak(span.block, span.period, support):

@@ -85,7 +85,8 @@ def _bounds_cor3(args) -> int:
     except ValueError as exc:
         raise _usage(str(exc))
     _emit(args, {"K": args.k, "N": args.n, "delta": args.delta, "value": value},
-          f"complexity bound (up to additive constant): {value:.3f}")
+          f"asymptotic log formula {value:.3f} (not a bound at every N; "
+          f"hypothesis C_j(S, N) < N/2 for every j <= K)")
     return EXIT_OK
 
 

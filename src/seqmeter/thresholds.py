@@ -2,9 +2,8 @@
 
 Each function compares a count of small subsets with the size of a
 state space, in exact integers.  A leaf module importing only math, so
-`bounds table1` and the threshold checks load no search module.
-`codes` re-exports full_peak_threshold and hamming_condition, and
-`bounds` half_peak_threshold.
+`bounds table1` and the threshold checks load no search module.  These
+names live only here; `seqmeter.<name>` loads this module alone.
 """
 
 import math

@@ -18,7 +18,7 @@ gigabytes.
 zeros_field checks the pattern with polynomial arithmetic, gold_zeros
 builds the tables, and zeros_level is one anchored search level, called
 by codes.low_weight_kernel_support in place of its syndrome level.  This
-module is loaded only when a level from weight 4 has a recurrence, so
+module is loaded only when a search reaches a level from weight 4, so
 spans that answer at weight 3 never compile it.  GF(2)[x] polynomials
 are ints, bit j the coefficient of x^j.
 """

@@ -1,18 +1,16 @@
-import contextlib
+import itertools
 import math
-import random
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter import codes
+from seqmeter import bounds, codes
 from seqmeter.bitseq import BitSequence, loads, mask
 from seqmeter.bounds import (
     log_complexity_bound,
     find_half_peak_witness,
-    half_peak_threshold,
     kerror_bound,
     lc_correlation_bound,
     moc_correlation_bound,
@@ -20,16 +18,16 @@ from seqmeter.bounds import (
     table1,
     table1_row,
 )
-from seqmeter.bounds import _windows
 from seqmeter.complexity import (
     kerror_linear_complexity,
     linear_complexity,
     max_order_complexity,
 )
-from seqmeter.budget import BudgetExceededError
-from seqmeter.codes import low_weight_kernel_support
 from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
+from seqmeter.thresholds import half_peak_threshold
+from test_codes import full_search
+from test_generators import _gold_prefix_with_breaking_bit
 
 
 def corr_map(seq, n, k_hi):
@@ -135,20 +133,32 @@ def _window_columns(seq, n):
     return [(seq.data >> j) & mask(width) for j in range(n // 2)]
 
 
+def _least_collision(cols, k_max):
+    """Lex-least D of least weight in 2..k_max whose columns XOR to zero, by plain enumeration."""
+    for w in range(2, k_max + 1):
+        for d in itertools.combinations(range(len(cols)), w):
+            acc = 0
+            for j in d:
+                acc ^= cols[j]
+            if acc == 0:
+                return d
+    return None
+
+
 def test_half_peak_witness_factors_x_out_of_the_recurrence():
     # L = 1 with f = x: bit 0 is not fixed by the bits after it, so every
     # collision avoids coordinate 0; from coordinate 1 on the recurrence is
-    # g = 1, and the search there gives the full search's D = [1, 2]
+    # g = 1, and the search there gives the least collision D = [1, 2]
     s = BitSequence.from_int(1, 70)
     assert linear_complexity(s, 70) == (1, (0,))
     w = find_half_peak_witness(s, 70, 2, budget=10**3)
     assert (w["method"], w["D"], w["value"]) == ("constructive", [1, 2], 35)
-    assert low_weight_kernel_support(_window_columns(s, 70), 2, 2) == (1, 2)
+    assert _least_collision(_window_columns(s, 70), 2) == (1, 2)
 
 
 def test_half_peak_witness_matches_full_window_search_exhaustively():
     # every prefix with N <= 11 and L <= ceil(N/2), the constructive path
-    # forced; where e > floor(N/2) no window from e on is left to search
+    # forced by a zero budget; where e > floor(N/2) no window from e on is left
     checked = beyond = 0
     for n in range(2, 12):
         width = n - n // 2
@@ -156,20 +166,44 @@ def test_half_peak_witness_matches_full_window_search_exhaustively():
             l, coeffs = linear_complexity(bits, n)
             if l > width:
                 continue
-            w = find_half_peak_witness(BitSequence.from_int(bits, n), n, 3, budget=0)
-            want = low_weight_kernel_support([(bits >> j) & mask(width) for j in range(n // 2)], 2, 3)
-            assert (w and tuple(w["D"])) == want, (n, bits)
+            s = BitSequence.from_int(bits, n)
+            w = find_half_peak_witness(s, n, 3, budget=0)
+            assert (w and tuple(w["D"])) == _least_collision(_window_columns(s, n), 3), (n, bits)
             checked += 1
             beyond += (coeffs + (1,)).index(1) > n // 2
     assert (checked, beyond) == (3186, 25)
 
 
-def _gold_prefix_with_breaking_bit(ell):
-    """Two periods of gold ell behind one bit that breaks the period: L = 2 ell + 1, f = x g."""
-    g = gold_sequence(ell, periods=4)
-    t = g.period
-    b = 1 - (g.data >> (t - 1) & 1)
-    return BitSequence.from_int(((g.data << 1) | b) & mask(2 * t), 2 * t)
+def test_half_peak_witness_is_the_least_window_collision_exhaustively():
+    # every prefix with N <= 13 and L <= ceil(N/2), with no exhaustive order
+    # tried: the witness is the least collision among the full windows
+    checked = found = 0
+    with mock.patch.object(bounds, "EXHAUSTIVE_FALLBACK_COST", 0):
+        for n in range(2, 14):
+            for bits in range(1 << n):
+                if linear_complexity(bits, n)[0] > n - n // 2:
+                    continue
+                s = BitSequence.from_int(bits, n)
+                cols = _window_columns(s, n)
+                for k_max in (3, 4):
+                    w = find_half_peak_witness(s, n, k_max)
+                    want = _least_collision(cols, k_max)
+                    assert (w and tuple(w["D"])) == want, (n, bits, k_max)
+                    assert w is None or w["method"] == "constructive"
+                    found += w is not None
+                checked += 1
+    assert (checked, found) == (12744, 2532)
+
+
+def test_half_peak_witness_above_the_window_skips_the_search():
+    # L = 11 > ceil(20/2): the threshold cannot fire, and no recurrence of
+    # length <= 10 carries the windows, so the constructive path answers None
+    # without calling the dual search
+    s = loads("10110010011010000010")
+    assert linear_complexity(s, 20)[0] == 11
+    with mock.patch.object(codes, "low_weight_kernel_support") as search:
+        assert find_half_peak_witness(s, 20, 3, budget=0) is None
+    search.assert_not_called()
 
 
 def test_half_peak_witness_on_gold_prefix_with_breaking_bit():
@@ -182,84 +216,6 @@ def test_half_peak_witness_on_gold_prefix_with_breaking_bit():
     assert (w["method"], w["k"], w["D"]) == ("constructive", 5, [1, 2, 4, 1778, 1925])
 
 
-def test_full_window_search_prices_level_3_before_walking_it():
-    # L > ceil(N/2): the full search over 4000 windows walks level 2 unpriced
-    # and refuses level 3, C(3999, 1) tails plus C(4000, 2) heads, before any head
-    n = 8000
-    rng = random.Random(8000)
-    while linear_complexity(data := rng.getrandbits(n), n)[0] <= n - n // 2:
-        pass
-    walked = []
-    level = codes._level
-
-    def record(cols, a, h, *args):
-        walked.append(a + h)
-        return level(cols, a, h, *args)
-
-    with mock.patch.object(codes, "_level", record), pytest.raises(BudgetExceededError) as exc:
-        find_half_peak_witness(BitSequence.from_int(data, n), n, 3, budget=0)
-    assert (exc.value.cost, walked) == (3999 + math.comb(4000, 2), [2])
-
-
-def _searched_columns(seq, n):
-    """The columns find_half_peak_witness hands to the kernel search, constructive path forced."""
-    seen = []
-
-    def record(cols, *args, **kwargs):
-        seen.append(cols)
-        return search(cols, *args, **kwargs)
-
-    search = codes.low_weight_kernel_support
-    with mock.patch.object(codes, "low_weight_kernel_support", record), \
-            contextlib.suppress(BudgetExceededError):
-        find_half_peak_witness(seq, n, 3, budget=0)
-    return seen[0]
-
-
-def test_half_peak_columns_keep_the_first_l_bits():
-    s = m_sequence(3, periods=10)  # n = 70, L = 3 <= w = 35
-    assert _searched_columns(s, 70) == [(s.data >> j) & mask(3) for j in range(35)]
-
-
-def test_half_peak_columns_stay_full_width_above_the_window():
-    # L = 11 > w = 10: no recurrence of length <= w extends the windows
-    s = loads("10110010011010000010")
-    assert linear_complexity(s, 20)[0] == 11
-    cols = _searched_columns(s, 20)
-    assert cols == _window_columns(s, 20)
-    assert max(c.bit_length() for c in cols) == 10
-
-
-def _shifted_columns(data, n):
-    """thm2's columns as one shift of the whole prefix per column, the reference."""
-    l = linear_complexity(data, n)[0]
-    return [(data >> j) & mask(min(l, n - n // 2)) for j in range(n // 2)]
-
-
-@settings(max_examples=200)
-@given(st.integers(min_value=0, max_value=300), st.data())
-def test_sliding_windows_equal_shifted_prefix_on_random_prefixes(n, data):
-    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    count = data.draw(st.integers(min_value=-1, max_value=n))  # a negative count gives none
-    w = data.draw(st.integers(min_value=0, max_value=n - count + 1 if count else n))
-    assert _windows(bits, n, w, count) == [(bits >> j) & mask(w) for j in range(count)]
-    if n:
-        l = linear_complexity(bits, n)[0]
-        assert _windows(bits, n, min(l, n - n // 2), n // 2) == _shifted_columns(bits, n)
-
-
-@pytest.mark.parametrize("seq", [
-    gold_sequence(5), gold_sequence(7), gold_sequence(9), small_kasami(6), small_kasami(8),
-    small_kasami(10),
-], ids=["gold5", "gold7", "gold9", "kasami6", "kasami8", "kasami10"])
-def test_sliding_windows_equal_shifted_prefix_on_family_prefixes(seq):
-    t = seq.period
-    n = 2 * t
-    data = seq.data & mask(t)
-    data |= data << t
-    assert _searched_columns(BitSequence.from_int(data, n, t), n) == _shifted_columns(data, n)
-
-
 @pytest.mark.parametrize("seq", [
     *(m_sequence(ell) for ell in range(3, 8)),
     gold_sequence(5), gold_sequence(6), small_kasami(4), small_kasami(6),
@@ -267,15 +223,14 @@ def test_sliding_windows_equal_shifted_prefix_on_family_prefixes(seq):
 def test_anchored_half_peak_witness_matches_full_search(seq):
     # two periods, so the prefix's recurrence is the reversible LFSR one.  A
     # budget of 900 is below every order-2 exhaustive cost, so the witness
-    # is constructive; it admits gold5's anchored levels 4 and 5 (465 and
-    # 870) but not the full search's level 5 (465 + 4060).
+    # is constructive; it admits gold5's levels 4 and 5 (465 and 870).
     n = seq.n
     l, coeffs = linear_complexity(seq, n)
     assert coeffs[0] == 1 and search_cost(n, 2) > 900
     _, k_max = half_peak_threshold(n, l)
     w = find_half_peak_witness(seq, n, k_max, budget=900)
     assert w["method"] == "constructive"
-    assert tuple(w["D"]) == low_weight_kernel_support(_window_columns(seq, n), 2, k_max)
+    assert tuple(w["D"]) == full_search(_window_columns(seq, n), 2, k_max)
 
 
 def test_moc_half_peak_on_alternating():

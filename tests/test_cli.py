@@ -13,7 +13,7 @@ import pytest
 from seqmeter import parallel, verify
 from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import COMMANDS, main
-from test_bounds import _gold_prefix_with_breaking_bit
+from test_generators import _gold_prefix_with_breaking_bit
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -263,8 +263,10 @@ def test_bounds_thm2(capsys):
 
 
 def test_bounds_cor3(capsys):
-    code, out, _ = run(["bounds", "cor3", "--k", "2", "--n", "16"], capsys)
+    code, out, err = run(["bounds", "cor3", "--k", "2", "--n", "16"], capsys)
     assert json.loads(out)["value"] == 3.5
+    assert err == ("asymptotic log formula 3.500 (not a bound at every N; "
+                   "hypothesis C_j(S, N) < N/2 for every j <= K)\n")
     code, _, _ = run(["bounds", "cor3", "--k", "40", "--n", "16"], capsys)
     assert code == 2
 
@@ -481,14 +483,15 @@ def test_verify_quick_reports_known_mismatch(capsys, monkeypatch):
 
 def test_subprocess_roundtrip(tmp_path):
     path = tmp_path / "g5.txt"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     gen = subprocess.run(
         [sys.executable, "-m", "seqmeter.cli", "gen", "gold", "--ell", "5",
          "-o", str(path)],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert gen.returncode == 0
     lc = subprocess.run(
         [sys.executable, "-m", "seqmeter.cli", "lc", str(path), "--quiet"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert lc.returncode == 0
     assert json.loads(lc.stdout)["value"] == 10
 

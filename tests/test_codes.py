@@ -20,13 +20,12 @@ from seqmeter.codes import (
     _verify_full_peak,
     build_span,
     find_periodic_peak,
-    full_peak_threshold,
-    hamming_condition,
     low_weight_kernel_support,
 )
 from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_measure
 from seqmeter.generators import GOLD_PAIRS, gold_sequence, hall_sextic, m_sequence, small_kasami
+from seqmeter.thresholds import full_peak_threshold, hamming_condition
 from seqmeter.zeros import _pdiv, gold_zeros, zeros_field, zeros_level
 from test_cli import RecordingExecutor
 from test_generators import decimated_pair
@@ -35,6 +34,18 @@ from test_generators import decimated_pair
 def dual_syndromes(span):
     """Syndrome j against the span basis, x^j mod the span's recurrence."""
     return _powers(_recurrence(span), span.period)
+
+
+def full_search(cols, w_min, w_max):
+    """The search with no anchor over arbitrary columns, the reference: a zero
+    column at weight 1, then one head/tail level per weight over every head."""
+    if w_min <= 1 <= w_max and 0 in cols:
+        return (cols.index(0),)
+    for w in range(max(w_min, 2), min(w_max, len(cols)) + 1):
+        best = _level(cols, w // 2, w - w // 2, None, [()])
+        if best:
+            return best
+    return None
 
 
 def _span_oracle(seq):
@@ -135,9 +146,9 @@ def test_dual_syndromes_cancel_on_dual_support():
 
 
 def test_kernel_search_finds_lex_min():
-    syn = dual_syndromes(build_span(m_sequence(3)))
-    assert low_weight_kernel_support(syn, 1, 2) is None
-    assert low_weight_kernel_support(syn, 1, 3) == (0, 1, 3)
+    f = _recurrence(build_span(m_sequence(3)))
+    assert low_weight_kernel_support(f, 7, 1, 2) is None
+    assert low_weight_kernel_support(f, 7, 1, 3) == (0, 1, 3)
 
 
 def test_peak_certificates():
@@ -221,12 +232,11 @@ def test_multiples_walk_price():
     # 16 <= 21 at m = 7, but 32 > 28 at m = 8
     g = 0b1011
     for m, cost, unit in ((7, 16, "multiples"), (8, 28, "hash-table")):
-        cols = _powers(g, m)
         with pytest.raises(BudgetExceededError, match=unit) as exc:
-            low_weight_kernel_support(cols, 4, 4, budget=cost - 1, recurrence=g)
+            low_weight_kernel_support(g, m, 4, 4, budget=cost - 1)
         assert exc.value.cost == cost
-        best = low_weight_kernel_support(cols, 4, 4, budget=cost, recurrence=g)
-        assert best == low_weight_kernel_support(cols, 4, 4) == (0, 1, 2, 5)
+        best = low_weight_kernel_support(g, m, 4, 4, budget=cost)
+        assert best == full_search(_powers(g, m), 4, 4) == (0, 1, 2, 5)
 
 
 def test_certificate_reproduces_under_direct_evaluation():
@@ -244,20 +254,19 @@ def test_degenerate_zero_sequence():
 
 
 def test_peak_search_budget():
-    # f with the zeros rho and rho^-1 of GF(32) has two cosets but not the Gold
-    # pattern, so the anchored search hashes syndromes at weights 4 and 5:
-    # 30 + 435 at w = 4
-    f = _clmul(_minimal_polynomial(5, 1), _minimal_polynomial(5, 15))
+    # the two-coset f is not the Gold pattern, so the search hashes syndromes
+    # at weights 4 and 5: 30 + 435 at w = 4
+    f = _two_coset_recurrence()
     cols = _powers(f, 31)
     assert _zeros_of(cols, f) is None
     with pytest.raises(BudgetExceededError) as exc:
-        low_weight_kernel_support(cols, 2, 7, budget=464, recurrence=f)
+        low_weight_kernel_support(f, 31, 2, 7, budget=464)
     assert (exc.value.cost, exc.value.budget) == (465, 464)
-    best = low_weight_kernel_support(cols, 2, 7, budget=465 + 435, recurrence=f)
-    assert best == low_weight_kernel_support(cols, 2, 7) == (0, 1, 3, 7, 15)
-    syn = dual_syndromes(span := build_span(gold_sequence(5)))
-    assert (low_weight_kernel_support(syn, 2, 7, recurrence=_recurrence(span))
-            == low_weight_kernel_support(syn, 2, 7) == (0, 1, 4, 19, 22))
+    best = low_weight_kernel_support(f, 31, 2, 7, budget=465 + 435)
+    assert best == full_search(cols, 2, 7) == (0, 1, 3, 7, 15)
+    span = build_span(gold_sequence(5))
+    assert (low_weight_kernel_support(_recurrence(span), 31, 2, 7)
+            == full_search(dual_syndromes(span), 2, 7) == (0, 1, 4, 19, 22))
     # a search that ends at weight 3 never reaches a budgeted level
     assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
 
@@ -273,31 +282,21 @@ def test_zeros_search_budget():
 
 
 def test_kernel_search_budget():
-    # the full weight-4 level hashes C(31, 2) pairs and probes C(30, 2)
-    syn = dual_syndromes(build_span(gold_sequence(5)))
-    cost = math.comb(31, 2) + math.comb(30, 2)
+    # the weight-4 level alone, anchored: C(30, 1) tails and C(30, 2) heads
+    # from columns 1..30, run at exactly its price; levels 2 and 3 are unpriced
+    f = _two_coset_recurrence()
+    cost = math.comb(30, 1) + math.comb(30, 2)
     with pytest.raises(BudgetExceededError) as exc:
-        low_weight_kernel_support(syn, 4, 4, budget=cost - 1)
+        low_weight_kernel_support(f, 31, 4, 4, budget=cost - 1)
     assert (exc.value.cost, exc.value.budget) == (cost, cost - 1)
-    assert low_weight_kernel_support(syn, 4, 4, budget=cost) is None
-
-
-def test_odd_unanchored_level_price():
-    # C(30, 2) tails of floor(5/2) from columns 1..30, C(31, 3) heads of ceil(5/2);
-    # at w = 3, C(30, 1) tails and C(31, 2) heads
-    syn = dual_syndromes(build_span(gold_sequence(5)))
-    for w, cost in ((5, 4930), (3, 495)):
-        with pytest.raises(BudgetExceededError) as exc:
-            low_weight_kernel_support(syn, w, w, budget=cost - 1)
-        assert (exc.value.cost, exc.value.budget) == (cost, cost - 1)
-    # level 2 walks linear work unpriced
-    assert low_weight_kernel_support(syn, 2, 2, budget=0) is None
+    assert low_weight_kernel_support(f, 31, 4, 4, budget=cost) is None
+    assert low_weight_kernel_support(f, 31, 2, 3, budget=0) is None
 
 
 def test_recurrence_must_not_vanish_at_zero():
     span = build_span(gold_sequence(5))
     with pytest.raises(ValueError, match="g\\(0\\) = 0"):
-        low_weight_kernel_support(dual_syndromes(span), 2, 7, recurrence=_recurrence(span) << 1)
+        low_weight_kernel_support(_recurrence(span) << 1, 31, 2, 7)
 
 
 def test_order_cap_validated():
@@ -395,7 +394,7 @@ def test_dual_basis_orthogonal_and_complete():
 def test_bruteforce_weight_matches_search():
     span = build_span(small_kasami(4))
     syn = dual_syndromes(span)
-    sup = low_weight_kernel_support(syn, 1, 15)
+    sup = low_weight_kernel_support(_recurrence(span), 15, 1, 15)
     assert sup == (0, 5, 10)
     assert brute_min_support(syn, 15) == sup
 
@@ -416,15 +415,15 @@ def brute_min_support(syn, t, w_min=1):
 def test_kernel_search_matches_enumeration(t, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
     span = build_span(BitSequence.from_int(bits, t, period=t))
-    syn = dual_syndromes(span)
-    assert low_weight_kernel_support(syn, 1, t) == brute_min_support(syn, t)
+    best = low_weight_kernel_support(_recurrence(span), t, 1, t)
+    assert best == brute_min_support(dual_syndromes(span), t)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=10))
 def test_full_search_matches_enumeration_on_arbitrary_columns(cols):
     # small values repeat, so every level from 1 up gets collisions
-    assert low_weight_kernel_support(cols, 1, len(cols)) == brute_min_support(cols, len(cols))
+    assert full_search(cols, 1, len(cols)) == brute_min_support(cols, len(cols))
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,7 +434,7 @@ def test_one_element_tail_levels_match_enumeration(cols, w_min):
     # levels with one-element tails meet heads whose fold also sits at or
     # before their last element, and must take its first later index
     m = len(cols)
-    assert low_weight_kernel_support(cols, w_min, m) == brute_min_support(cols, m, w_min)
+    assert full_search(cols, w_min, m) == brute_min_support(cols, m, w_min)
 
 
 def test_anchored_one_element_tail_levels_match_enumeration_exhaustively():
@@ -455,29 +454,29 @@ def test_anchored_one_element_tail_levels_match_enumeration_exhaustively():
             for m in range(1, 17):
                 cols = _powers(g, m)
                 for w_min in (2, 3, 4):
-                    got = low_weight_kernel_support(cols, w_min, m, recurrence=g)
+                    got = low_weight_kernel_support(g, m, w_min, m)
                     assert got == brute_min_support(cols, m, w_min), (g, m, w_min)
     assert {(1, 2), (1, 3), (1, 4)} <= walked
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=10))
-def test_unanchored_fan_out_matches_enumeration(cols):
+def test_fan_out_matches_enumeration():
     # four cores and an in-process executor: levels from 4 up split their
-    # heads three ways without forking
+    # heads three ways without forking, over every g(0) = 1 of degree <= 7;
+    # 91 searches reach such a level before the multiples of g are fewer
     with mock.patch("os.cpu_count", return_value=4), \
             mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
             mock.patch.object(RecordingExecutor, "seen", []):
-        best = low_weight_kernel_support(cols, 1, len(cols), jobs=3)
-        assert best == brute_min_support(cols, len(cols))
-        if len(cols) >= 4 and (best is None or len(best) >= 4):
-            assert RecordingExecutor.seen[0] == 3
+        for g in range(1, 256, 2):
+            for m in (4, 12, 16, 20):
+                best = low_weight_kernel_support(g, m, 1, m, jobs=3)
+                assert best == brute_min_support(_powers(g, m), m), (g, m)
+        assert RecordingExecutor.seen == [3] * 91
 
 
 def _assert_anchored_matches_full_search(t, bits):
     span = build_span(BitSequence.from_int(bits, t, period=t))
-    full = low_weight_kernel_support(_powers(_peak_recurrence(span), t), w_max=t)
+    full = full_search(_powers(_peak_recurrence(span), t), 1, t)
     assert find_periodic_peak(span, t).shifts == full, (t, bits)
 
 
@@ -510,8 +509,8 @@ def test_jobs_do_not_change_certificates(t, data):
 
 
 def _window_columns(bits, n):
-    """thm2's columns of an n-prefix: its w-bit windows, their first min(L, w) bits,
-    and e and g with x^e g the prefix's recurrence and g(0) = 1."""
+    """The windows thm2 collides, of an n-prefix: its w-bit windows, their first
+    min(L, w) bits, and e and g with x^e g the prefix's recurrence and g(0) = 1."""
     width = n - n // 2
     l, coeffs = linear_complexity(bits, n)
     full = [(bits >> j) & mask(width) for j in range(n // 2)]
@@ -524,11 +523,11 @@ def _window_columns(bits, n):
 def _assert_window_searches_agree(full, short, e, g, k_max, label):
     # the recurrence extends the first L bits of a window to all w of them by
     # one injective map, so both columns give one support; every collision
-    # starts at e or later, and from e on the windows' recurrence is g, which
-    # anchors the search there
-    expected = low_weight_kernel_support(full, 2, k_max)
-    assert low_weight_kernel_support(short, 2, k_max) == expected, label
-    factored = low_weight_kernel_support(short[e:], 2, k_max, recurrence=g)
+    # starts at e or later, and from e on the windows' recurrence is g, whose
+    # syndromes x^j mod g have the windows' dual sets
+    expected = full_search(full, 2, k_max)
+    assert full_search(short, 2, k_max) == expected, label
+    factored = low_weight_kernel_support(g, len(short) - e, 2, k_max)
     assert (factored and tuple(d + e for d in factored)) == expected, label
 
 
@@ -582,6 +581,11 @@ def _minimal_polynomial(ell, d):
     return sum(c << r for r, c in enumerate(coeffs)) | 1 << l
 
 
+def _two_coset_recurrence():
+    """f with the zeros rho and rho^-1 of GF(32): two cosets, not the Gold pattern."""
+    return _clmul(_minimal_polynomial(5, 1), _minimal_polynomial(5, 15))
+
+
 def _zeros_of(cols, f):
     m = len(cols)
     field = zeros_field(f, m, 64)
@@ -623,10 +627,10 @@ def _assert_zeros_match_syndromes(cols, f, w_max, label):
         for d in range(1, min(m, 40)):
             want = _level(cols, 2, 3, pairs, [(0, d)])
             assert all(zeros_level(zeros, 3, [(0, d)]) == want for zeros in tables), (label, d)
-    best = low_weight_kernel_support(cols, 4, w_max, recurrence=f)
+    best = low_weight_kernel_support(f, m, 4, w_max)
     assert best == _syndrome_levels(cols, 4, w_max), label
     if m <= 127:
-        assert best == low_weight_kernel_support(cols, 4, w_max), label
+        assert best == full_search(cols, 4, w_max), label
 
 
 GOLD_CASES = [(f"gold{ell}", ell, GOLD_PAIRS[ell]) for ell in (5, 6, 7, 9)]
@@ -654,8 +658,8 @@ def test_kasami_zeros_match_syndrome_search(ell):
                                   lambda: gold_sequence(9, shift=3), lambda: small_kasami(8)],
                          ids=["gold5", "gold7", "gold9s3", "kasami8"])
 def test_zeros_match_syndromes_on_window_columns(make):
-    # thm2's columns of a 2T prefix: the first L bits of each window, with the
-    # prefix's own recurrence; T columns fit the field
+    # the first L bits of each window of a 2T prefix, whose dual sets are
+    # those of the prefix's own recurrence; T columns fit the field
     seq = make()
     n = 2 * seq.period
     _, short, e, f = _window_columns(seq.data, n)
@@ -671,8 +675,7 @@ def test_zeros_fall_back_with_more_columns_than_the_field():
     assert e == 0
     assert zeros_field(f, len(short), 64) is None
     assert zeros_field(f, seq.period, 64) is not None
-    assert (low_weight_kernel_support(short, 4, 5, recurrence=f)
-            == low_weight_kernel_support(short, 4, 5))
+    assert low_weight_kernel_support(f, len(short), 4, 5) == full_search(short, 4, 5)
 
 
 def test_zeros_run_after_a_period_breaking_first_bit():
@@ -686,8 +689,8 @@ def test_zeros_run_after_a_period_breaking_first_bit():
     full, short, e, g = _window_columns(bits, n)
     assert e == 1 and _zeros_of(short[1:], g)
     witness = find_half_peak_witness(BitSequence.from_int(bits, n), n, 6)
-    assert tuple(witness["D"]) == low_weight_kernel_support(full, 2, 6)
-    shifted = low_weight_kernel_support(short[1:], 2, 6, recurrence=g)
+    assert tuple(witness["D"]) == full_search(full, 2, 6)
+    shifted = low_weight_kernel_support(g, len(short) - 1, 2, 6)
     assert tuple(d - 1 for d in witness["D"]) == shifted
 
 
@@ -709,9 +712,7 @@ def test_recurrence_changes_no_answer(l, data):
         f = data.draw(st.sampled_from(ZERO_PATTERNS))
         l = f.bit_length() - 1
     m = data.draw(st.integers(min_value=4, max_value=40))
-    cols = _powers(f, m)
-    assert (low_weight_kernel_support(cols, 2, 6, recurrence=f)
-            == low_weight_kernel_support(cols, 2, 6))
+    assert low_weight_kernel_support(f, m, 2, 6) == full_search(_powers(f, m), 2, 6)
 
 
 def test_zeros_fit_only_the_gold_pattern():
@@ -750,9 +751,8 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
     cert = find_periodic_peak(span, 7)
     assert cert.shifts == shifts
     assert _verify_full_peak(span.block, span.period, shifts)
-    syn = dual_syndromes(span)
-    assert low_weight_kernel_support(syn, 2, 3, recurrence=_recurrence(span)) is None
-    zeros = _zeros_of(syn, _recurrence(span))
+    assert low_weight_kernel_support(_recurrence(span), span.period, 2, 3) is None
+    zeros = _zeros_of(dual_syndromes(span), _recurrence(span))
     assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None
 
 

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter.bitseq import mask, pack, unpack
+from seqmeter.bitseq import BitSequence, mask, pack, unpack
 from seqmeter.complexity import linear_complexity
 from seqmeter.generators import (
     DEFAULT_TAPS,
@@ -90,6 +90,14 @@ def decimated_pair(ell):
     v = "".join(u[3 * i % t] for i in range(t))
     l, coeffs = linear_complexity(pack(v * 2), 2 * t)
     return DEFAULT_TAPS[ell], tuple(j for j in reversed(range(l)) if coeffs[j])
+
+
+def _gold_prefix_with_breaking_bit(ell):
+    """Two periods of gold ell behind one bit that breaks the period: L = 2 ell + 1, f = x g."""
+    g = gold_sequence(ell, periods=4)
+    t = g.period
+    b = 1 - (g.data >> (t - 1) & 1)
+    return BitSequence.from_int(((g.data << 1) | b) & mask(2 * t), 2 * t)
 
 
 @pytest.mark.parametrize("ell", [5, 9, 11, 13, 15])
