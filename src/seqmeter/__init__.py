@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "bitseq": ("BitSequence", "ShiftSet", "dumps", "load", "loads", "save"),
+    "bitseq": ("BitSequence", "dumps", "load", "loads", "save"),
     "bounds": (
         "BoundReport",
         "find_half_peak_witness",
@@ -49,7 +49,6 @@ _EXPORTS = {
         "aperiodic_measure",
         "correlation_at",
         "delta_under_flips",
-        "periodic_autocorrelation",
         "periodic_measure",
         "search_cost",
     ),
@@ -65,7 +64,7 @@ _EXPORTS = {
         "small_kasami",
     ),
     "parallel": (),
-    "thresholds": ("full_peak_threshold", "half_peak_threshold", "hamming_condition"),
+    "thresholds": ("full_peak_threshold", "half_peak_threshold"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

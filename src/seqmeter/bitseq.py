@@ -7,12 +7,16 @@ sum and recurrence check downstream runs on these packed words instead of
 per-bit loops.
 
 `pack` and `unpack` are the one place where that bit order meets a
-string of '0'/'1' characters, s_0 first; every other conversion between
-bits and packed ints goes through them.  Both are linear: CPython parses
-and prints power-of-two bases by copying bits, with no base conversion
-and no `int_max_str_digits` limit.  Building an int with ``|= 1 << i`` or
-reading it with ``(data >> i) & 1`` copies the whole word at every bit
-and goes quadratic.
+string of '0'/'1' characters, s_0 first; every conversion between such
+strings and packed ints goes through them.  Both are linear: CPython
+parses and prints power-of-two bases by copying bits, with no base
+conversion and no `int_max_str_digits` limit.  Building an int with
+``|= 1 << i`` or reading it with ``(data >> i) & 1`` copies the whole
+word at every bit and goes quadratic.  Two kernels read other forms
+directly: `complexity._bm_run` and `_quiet` parse runs of 0/1 bytes
+with ``int(..., 2)``, which puts the first bit highest, into the
+reversed register of Berlekamp-Massey, and `correlation._walk_extremes`
+reads a row's bytes through ``int.to_bytes``.
 
 `fold_extensions` enumerates increasing index tuples with the XOR of
 their packed values, sharing the folds of common leading indices.  The
@@ -28,7 +32,7 @@ when something is left does it look for the first stray character.
 
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 BITS_PER_LINE = 64
 
@@ -114,10 +118,6 @@ class BitSequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("BitSequence is immutable")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def bit(self, i: int) -> int:
         """s_i, reducing i modulo the declared period when one exists."""
@@ -207,43 +207,16 @@ def save(seq: BitSequence, path: str | Path) -> None:
     Path(path).write_text(dumps(seq))
 
 
-class _ShiftSetFields(NamedTuple):
-    shifts: tuple[int, ...]
-
-
-class ShiftSet(_ShiftSetFields):
-    """Strictly increasing non-negative shifts d_1 < d_2 < ... < d_k."""
-
-    __slots__ = ()
-
-    def __new__(cls, shifts: Iterable[int]):
-        shifts = tuple(shifts)
-        if not shifts:
-            raise ValueError("shift set must be non-empty")
-        if shifts[0] < 0:
-            raise ValueError("shifts must be non-negative")
-        if any(a >= b for a, b in zip(shifts, shifts[1:])):
-            raise ValueError(f"shifts must be strictly increasing, got {shifts}")
-        return super().__new__(cls, shifts)
-
-    @property
-    def order(self) -> int:
-        return len(self.shifts)
-
-    def __iter__(self):
-        return iter(self.shifts)
-
-    def __len__(self):
-        return len(self.shifts)
-
-    def __getnewargs__(self):
-        # the tuple-based default would iterate, which yields the shifts
-        return (self.shifts,)
-
-
 def as_shifts(shifts: Iterable[int]) -> tuple[int, ...]:
-    """Validate and normalize a shift iterable to a tuple."""
-    return ShiftSet(tuple(shifts)).shifts
+    """The shifts as a tuple, checked to be non-negative and strictly increasing."""
+    shifts = tuple(shifts)
+    if not shifts:
+        raise ValueError("shift set must be non-empty")
+    if shifts[0] < 0:
+        raise ValueError("shifts must be non-negative")
+    if any(a >= b for a, b in zip(shifts, shifts[1:])):
+        raise ValueError(f"shifts must be strictly increasing, got {shifts}")
+    return shifts
 
 
 def fold_extensions(values: list[int], head: tuple[int, ...], size: int, start: int, end: int):

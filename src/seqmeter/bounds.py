@@ -109,24 +109,21 @@ def moc_correlation_bound(corr: dict, n: int) -> BoundReport:
     )
 
 
-def log_complexity_bound(k: int, n: int, delta: float = 0.0) -> float:
-    """(K/2)(log2 N + 1 - log2 K) - (1/2) log2 K + delta.
+def log_complexity_bound(k: int, n: int) -> float:
+    """(K/2)(log2 N + 1 - log2 K) - (1/2) log2 K.
 
     The asymptotic form of the Hamming-bound count: L(S,N) is at least
-    this, up to the additive constant delta, when C_j(S,N) < N/2 for
-    every j <= K.  delta is unpinned, default 0, and must be finite.  At
-    delta = 0 the formula is not a bound at every N: at K = 2, N = 12
-    and N = 13, 14 sequences each meet the hypothesis with L up to 0.2
-    below it.  Asking only j < K is refuted outright: 0110110110110110
-    has C_1 = 6 < 8 but L = 2 < 3.5, the value at K = 2, N = 16.
+    this, up to an unpinned additive constant, when C_j(S,N) < N/2 for
+    every j <= K.  It is not a bound at every N: at K = 2, N = 12 and
+    N = 13, 14 sequences each meet the hypothesis with L up to 0.2 below
+    it.  Asking only j < K is refuted outright: 0110110110110110 has
+    C_1 = 6 < 8 but L = 2 < 3.5, the value at K = 2, N = 16.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
     if k < 2:
         raise ValueError(f"K must be >= 2, got {k}")
     if k * k >= n:
         raise ValueError(f"need K^2 < N, got K={k}, N={n}")
-    return 0.5 * k * (math.log2(n) + 1 - math.log2(k)) - 0.5 * math.log2(k) + delta
+    return 0.5 * k * (math.log2(n) + 1 - math.log2(k)) - 0.5 * math.log2(k)
 
 
 def find_half_peak_witness(

@@ -76,13 +76,6 @@ class CyclicSpan(NamedTuple):
     pivots: tuple[int, ...]
     block: int  # the period itself, for certificate verification
 
-    def contains(self, vector: int) -> bool:
-        v = vector
-        for row, p in zip(self.basis, self.pivots):
-            if (v >> p) & 1:
-                v ^= row
-        return v == 0
-
 
 class PeakCertificate(NamedTuple):
     """A verified full peak in the periodic correlation measure."""
@@ -112,11 +105,14 @@ def build_span(seq: BitSequence) -> CyclicSpan:
     their span too.  The loop stops there, after at most L+1 rotations.
     Rows are kept reduced against each other, each with its lowest set
     bit as its pivot, and the reduced echelon basis of a space is unique,
-    so basis and pivots are those of all T rotations.
+    so basis and pivots are those of all T rotations.  The sequence must
+    store a full period; a shorter one would be read as padded with zeros.
     """
     if seq.period is None:
         raise ValueError("span construction needs a declared period")
     t = seq.period
+    if seq.n < t:
+        raise ValueError(f"span construction needs a full period: {seq.n} of {t} bits stored")
     m = mask(t)
     row = seq.data & m
     basis: list[int] = []

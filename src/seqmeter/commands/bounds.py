@@ -22,7 +22,6 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
                               "hypothesis C_j(S, N) < N/2 for every j <= K")
     b3.add_argument("--k", type=int, required=True)
     b3.add_argument("--n", type=int, required=True)
-    b3.add_argument("--delta", type=float, default=0.0)
     b3.set_defaults(func=_bounds_cor3)
     bv = bsub.add_parser("verify", parents=[common], help="check one guarantee on a concrete sequence")
     bv.add_argument("claim", choices=["thm1", "thm2", "thm4"])
@@ -81,10 +80,10 @@ def _bounds_cor3(args) -> int:
     from ..bounds import log_complexity_bound
 
     try:
-        value = log_complexity_bound(args.k, args.n, args.delta)
+        value = log_complexity_bound(args.k, args.n)
     except ValueError as exc:
         raise _usage(str(exc))
-    _emit(args, {"K": args.k, "N": args.n, "delta": args.delta, "value": value},
+    _emit(args, {"K": args.k, "N": args.n, "value": value},
           f"asymptotic log formula {value:.3f} (not a bound at every N; "
           f"hypothesis C_j(S, N) < N/2 for every j <= K)")
     return EXIT_OK

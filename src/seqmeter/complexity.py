@@ -195,20 +195,6 @@ def linear_complexity_profile(seq: BitSequence | int, n: int | None = None) -> C
     return ComplexityProfile("linear", tuple(profile), _recurrence_from_connection(conn, l))
 
 
-def recurrence_holds(seq: BitSequence | int, coeffs: tuple[int, ...], n: int | None = None) -> bool:
-    """Check s[i+L] == sum_m c_m s[i+m] for all 0 <= i < n-L."""
-    data, n = _data_n(seq, n)
-    l = len(coeffs)
-    cmask = 0
-    for m, c in enumerate(coeffs):
-        cmask |= c << m
-    for i in range(n - l):
-        pred = (cmask & (data >> i)).bit_count() & 1
-        if pred != (data >> (i + l)) & 1:
-            return False
-    return True
-
-
 def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:
     """Definition-level oracle: try every (L, coefficient vector) in increasing L.
 

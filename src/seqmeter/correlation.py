@@ -52,7 +52,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, fold_extensions, mask
+from .bitseq import BitSequence, as_shifts, fold_extensions, mask, unpack
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
 from .parallel import map_min
 
@@ -180,7 +180,7 @@ def _closest_extremes(row: int, length: int, hi: int, lo: int) -> tuple[int, int
     reaches the range.  A closest pair is adjacent among the positions
     at either extreme, since one between them would pair closer.
     """
-    steps = (1 if c == "0" else -1 for c in reversed(format(row, f"0{length}b")))
+    steps = (1 if c == "0" else -1 for c in unpack(row, length))
     ends = [(j, p) for j, p in enumerate(accumulate(steps, initial=0)) if p == hi or p == lo]
     return min((j - i, i) for (i, a), (j, b) in zip(ends, ends[1:]) if a != b)
 
@@ -276,6 +276,8 @@ def periodic_measure(
     if seq.period is None:
         raise ValueError("periodic measure needs a declared period")
     t = seq.period
+    if seq.n < t:
+        raise ValueError(f"periodic measure needs a full period: {seq.n} of {t} bits stored")
     if not 1 <= k <= t:
         raise ValueError(f"k must be in 1..{t}, got {k}")
     cost = periodic_search_cost(t, k)
@@ -335,17 +337,6 @@ def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
                     if value == t:
                         return -best_value, best_d
     return -best_value, best_d
-
-
-def periodic_autocorrelation(seq: BitSequence, shift: int) -> int:
-    """Order-2 periodic sum at one shift, computed bit by bit as a cross-check."""
-    if seq.period is None:
-        raise ValueError("needs a declared period")
-    t = seq.period
-    acc = 0
-    for i in range(t):
-        acc += 1 if seq.bit(i) == seq.bit((i + shift) % t) else -1
-    return acc
 
 
 def delta_under_flips(k: int, flips: int) -> int:

@@ -1,27 +1,37 @@
 """Sphere-packing counts: how many shift sets force a peak.
 
 Each function compares a count of small subsets with the size of a
-state space, in exact integers.  A leaf module importing only math, so
-`bounds table1` and the threshold checks load no search module.  These
-names live only here; `seqmeter.<name>` loads this module alone.
+state space, in exact integers, walking the binomials C(n, j) each
+from the one before.  A leaf module that imports nothing, so `bounds
+table1` and the threshold checks load no search module.  These names
+live only here; `seqmeter.<name>` loads this module alone.
 """
 
-import math
+
+def _binomials(n: int, stop: int):
+    """(j, C(n, j)) for j < stop, each from the one before by a small product and quotient."""
+    c = 1
+    for j in range(stop):
+        yield j, c
+        c = c * (n - j) // (j + 1)
 
 
 def half_peak_threshold(n: int, l: int) -> tuple[int, int] | None:
     """Smallest t with C(floor(n/2), t) >= 2**l, and the order cap 2t.
 
     When it exists, a half peak C_k >= n/2 is guaranteed for some order
-    1 < k <= 2t.  None when no t works (the binomial peaks at n/4 and
-    may never reach 2**l).
+    1 < k <= 2t.  None when no t works: the binomials rise up to
+    t = ceil(h/2), h = floor(n/2), and fall after it, and none reaches
+    2**h, since they sum to it with C(h, 0) = 1.
     """
     if l < 0 or n < 2:
         raise ValueError("need l >= 0 and n >= 2")
-    goal = 1 << l
     half = n // 2
-    for t in range(1, half + 1):
-        if math.comb(half, t) >= goal:
+    if l >= half:
+        return None
+    goal = 1 << l
+    for t, c in _binomials(half, (half + 1) // 2 + 1):
+        if t and c >= goal:
             return t, 2 * t
     return None
 
@@ -41,22 +51,9 @@ def full_peak_threshold(t: int, l: int) -> int | None:
     if l >= t:
         return None
     goal = 1 << l
-    total = 1  # i = 0 term
-    if total >= goal:
-        return 2
-    j = 0
-    while True:
-        j += 1
-        total += math.comb(t, j)
+    total = 0
+    for j, c in _binomials(t, t + 1):
+        total += c
         if total >= goal:
-            return 2 * j + 1
-
-
-def hamming_condition(p: int, t: int, dim: int, w: int) -> bool:
-    """Sphere-packing test: sum_{i <= (w-1)//2} C(t,i)(p-1)^i > p^(t-dim), exact ints."""
-    if w < 1:
-        raise ValueError("weight must be >= 1")
-    if not 0 <= dim <= t:
-        raise ValueError(f"dimension must be in 0..{t}")
-    total = sum(math.comb(t, i) * (p - 1) ** i for i in range((w - 1) // 2 + 1))
-    return total > p ** (t - dim)
+            return 2 * j + 1 if j else 2
+    return None  # unreachable: the whole sum is 2**t > 2**l

@@ -25,7 +25,7 @@ from seqmeter.complexity import (
 )
 from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
-from seqmeter.thresholds import half_peak_threshold
+from seqmeter.thresholds import full_peak_threshold, half_peak_threshold
 from test_codes import full_search
 from test_generators import _gold_prefix_with_breaking_bit
 
@@ -44,11 +44,42 @@ def test_half_peak_threshold_values():
         half_peak_threshold(10, -1)
 
 
+def _half_peak_by_comb(n, l):
+    goal, half = 1 << l, n // 2
+    for t in range(1, half + 1):
+        if math.comb(half, t) >= goal:
+            return t, 2 * t
+    return None
+
+
+def _full_peak_by_comb(t, l):
+    if l >= t:
+        return None
+    j, total = 0, 1
+    while total < 1 << l:
+        j += 1
+        total += math.comb(t, j)
+    return 2 * j + 1 if j else 2
+
+
+def test_thresholds_equal_the_comb_formulas():
+    # the incremental binomial walks against a fresh math.comb per term
+    for n in range(2, 161):
+        for l in range(n // 2 + 3):
+            assert half_peak_threshold(n, l) == _half_peak_by_comb(n, l), (n, l)
+    for t in range(1, 161):
+        for l in range(t + 3):
+            assert full_peak_threshold(t, l) == _full_peak_by_comb(t, l), (t, l)
+    for n, l in ((2000, 300), (2000, 990), (2001, 999), (2001, 1000), (4096, 2040)):
+        assert half_peak_threshold(n, l) == _half_peak_by_comb(n, l), (n, l)
+    for t, l in (((1 << 20) - 1, 129), ((1 << 18) - 1, 65), (1023, 1000), (1023, 1022)):
+        assert full_peak_threshold(t, l) == _full_peak_by_comb(t, l), (t, l)
+
+
 def test_log_bound_values():
     assert log_complexity_bound(2, 16) == 3.5
     expected = 1.5 * (10 + 1 - math.log2(3)) - 0.5 * math.log2(3)
     assert log_complexity_bound(3, 1024) == pytest.approx(expected, abs=1e-12)
-    assert log_complexity_bound(2, 16, delta=1.0) == 4.5
     with pytest.raises(ValueError):
         log_complexity_bound(1, 100)
     with pytest.raises(ValueError):
@@ -61,12 +92,6 @@ def test_log_bound_j_below_k_reading_is_refuted():
     seq = loads("0110110110110110")
     assert aperiodic_measure(seq, 1, 16).value == 6
     assert linear_complexity(seq, 16)[0] == 2 < log_complexity_bound(2, 16) == 3.5
-
-
-@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
-def test_log_bound_rejects_non_finite_delta(delta):
-    with pytest.raises(ValueError, match="finite"):
-        log_complexity_bound(2, 16, delta)
 
 
 def test_lc_scan_fires_on_msequence():

@@ -193,6 +193,25 @@ def test_peaks(ms3, capsys):
     assert doc["theta"] == 7
 
 
+def test_periodic_commands_refuse_a_short_file(ms3, tmp_path, capsys):
+    # 101 under period=7 is not the block 1010000: the missing bits are unknown
+    short, block = tmp_path / "short.txt", tmp_path / "block.txt"
+    short.write_text("period=7\n101\n")
+    block.write_text("period=7\n1001011\n")  # exactly one period of ms3
+    for argv in (lambda f: ["peaks", f], lambda f: ["bounds", "verify", "thm1", f],
+                 lambda f: ["corr", f, "--k", "2", "--periodic"]):
+        code, out, err = run(argv(str(short)), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("seqmeter: ") and err.endswith("3 of 7 bits stored\n")
+        answers = []
+        for path in (block, ms3):
+            code, out, _ = run(argv(str(path)), capsys)
+            doc = json.loads(out)
+            del doc["manifest"]
+            answers.append((code, doc))
+        assert answers[0] == answers[1] and answers[0][0] == 0
+
+
 def test_peaks_needs_period(tmp_path, capsys):
     path = tmp_path / "raw.txt"
     path.write_text("0101\n")
@@ -264,7 +283,8 @@ def test_bounds_thm2(capsys):
 
 def test_bounds_cor3(capsys):
     code, out, err = run(["bounds", "cor3", "--k", "2", "--n", "16"], capsys)
-    assert json.loads(out)["value"] == 3.5
+    doc = json.loads(out)
+    assert (code, sorted(doc), doc["value"]) == (0, ["K", "N", "manifest", "value"], 3.5)
     assert err == ("asymptotic log formula 3.500 (not a bound at every N; "
                    "hypothesis C_j(S, N) < N/2 for every j <= K)\n")
     code, _, _ = run(["bounds", "cor3", "--k", "40", "--n", "16"], capsys)
@@ -273,10 +293,10 @@ def test_bounds_cor3(capsys):
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
 def test_bounds_cor3_non_finite_delta_is_usage_error(delta, capsys):
-    # NaN and Infinity are not JSON, so the value is refused, not printed
+    # cor3 takes no additive constant, so any --delta is refused, not printed
     code, out, err = run(["bounds", "cor3", "--k", "2", "--n", "16", f"--delta={delta}"], capsys)
     assert (code, out) == (2, "")
-    assert "finite" in err
+    assert f"unrecognized arguments: --delta={delta}" in err
 
 
 def test_bounds_verify_claims(ms3, capsys):
@@ -591,7 +611,7 @@ HELP = {
     "bounds": ((), ["{table1,thm2,cor3,verify,kerror}"]),
     "bounds table1": (("--ell-max", "--csv"), []),
     "bounds thm2": (("--n", "--l"), []),
-    "bounds cor3": (("--k", "--n", "--delta"), []),
+    "bounds cor3": (("--k", "--n"), []),
     "bounds verify": (("--n", "--budget"), ["{thm1,thm2,thm4}", "file"]),
     "bounds kerror": (("--n", "--k", "--flips", "--budget"), ["file"]),
     "verify": ((), ["{all}"]),

@@ -8,6 +8,7 @@ from seqmeter.bitseq import BitSequence, mask
 from seqmeter.budget import BudgetExceededError
 from seqmeter.complexity import (
     _berlekamp_massey,
+    _data_n,
     _moc_profile,
     linear_complexity,
     linear_complexity_bruteforce,
@@ -16,13 +17,26 @@ from seqmeter.complexity import (
     max_order_complexity,
     max_order_complexity_bruteforce,
     max_order_complexity_profile,
-    recurrence_holds,
 )
 from seqmeter.generators import m_sequence
 
 
 def seq(bits):
     return BitSequence([int(b) for b in bits])
+
+
+def recurrence_holds(seq: BitSequence | int, coeffs: tuple[int, ...], n: int | None = None) -> bool:
+    """Check s[i+L] == sum_m c_m s[i+m] for all 0 <= i < n-L."""
+    data, n = _data_n(seq, n)
+    l = len(coeffs)
+    cmask = 0
+    for m, c in enumerate(coeffs):
+        cmask |= c << m
+    for i in range(n - l):
+        pred = (cmask & (data >> i)).bit_count() & 1
+        if pred != (data >> (i + l)) & 1:
+            return False
+    return True
 
 
 # Conventions: all-zero -> 0, a lone trailing 1 -> N.

@@ -16,13 +16,23 @@ from seqmeter.correlation import (
     aperiodic_measure,
     correlation_at,
     delta_under_flips,
-    periodic_autocorrelation,
     periodic_measure,
     periodic_search_cost,
     search_cost,
 )
 from seqmeter.generators import m_sequence
 from test_cli import RecordingExecutor
+
+
+def periodic_autocorrelation(seq: BitSequence, shift: int) -> int:
+    """Order-2 periodic sum at one shift, computed bit by bit as a cross-check."""
+    if seq.period is None:
+        raise ValueError("needs a declared period")
+    t = seq.period
+    acc = 0
+    for i in range(t):
+        acc += 1 if seq.bit(i) == seq.bit((i + shift) % t) else -1
+    return acc
 
 
 def brute_aperiodic(data, n, k):
@@ -143,6 +153,14 @@ def test_periodic_budget():
     assert periodic_search_cost(31, 3) == 435 * 31
     with pytest.raises(BudgetExceededError):
         periodic_measure(seq, 3, budget=100)
+
+
+def test_periodic_measure_needs_a_full_period():
+    with pytest.raises(ValueError, match="3 of 7 bits stored"):
+        periodic_measure(BitSequence([1, 0, 1], period=7), 2)
+    one = BitSequence(list(m_sequence(3))[:7], period=7)
+    for k in range(1, 8):
+        assert periodic_measure(one, k) == periodic_measure(m_sequence(3), k)
 
 
 def test_delta_under_flips():

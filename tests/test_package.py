@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,17 +13,17 @@ from seqmeter import budget, correlation
 PUBLIC = [
     "BitSequence", "BoundReport", "BudgetExceededError", "ComplexityProfile",
     "CorrelationResult", "CyclicSpan", "FermatSpec", "HallSpec", "LfsrSpec",
-    "NonPrimitiveTapsError", "PeakCertificate", "ShiftSet", "aperiodic_measure",
+    "NonPrimitiveTapsError", "PeakCertificate", "aperiodic_measure",
     "bitseq", "bounds", "build_span", "codes", "complexity", "correlation",
     "correlation_at", "delta_under_flips", "dumps", "fermat_threshold",
     "find_half_peak_witness", "find_periodic_peak",
     "full_peak_threshold", "generators", "gold_sequence", "half_peak_threshold",
-    "hall_sextic", "hamming_condition", "kerror_bound",
+    "hall_sextic", "kerror_bound",
     "kerror_linear_complexity", "lc_correlation_bound", "linear_complexity",
     "linear_complexity_profile", "load", "loads", "log_complexity_bound",
     "m_sequence", "max_order_complexity", "max_order_complexity_profile",
     "moc_correlation_bound", "moc_half_peak_check", "parallel",
-    "periodic_autocorrelation", "periodic_measure", "save", "search_cost",
+    "periodic_measure", "save", "search_cost",
     "small_kasami", "table1", "table1_row", "thresholds",
 ]
 SUBMODULES = ["bitseq", "bounds", "codes", "complexity", "correlation", "generators", "parallel",
@@ -82,6 +83,20 @@ def test_records_are_tuples():
     order, value, *_ = r
     assert (order, value) == (2, 5)
     assert tuple(seqmeter.HallSpec(7)) == (7, None)
-    # ShiftSet keeps its length and iteration over the shifts
-    s = seqmeter.ShiftSet((0, 2, 5))
-    assert (len(s), list(s), s == ((0, 2, 5),)) == (3, [0, 2, 5], True)
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that no module, script or benchmark reads is dead surface;
+    # its own def or class line does not count as a read
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "seqmeter"
+    files = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+    files += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    lines = [line for path in files for line in path.read_text().splitlines()]
+    unread = []
+    for name in seqmeter._HOME:
+        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unread.append(name)
+    assert unread == []

@@ -1,8 +1,8 @@
 """Contract of the result and parameter records.
 
 Every record keeps its repr text, its immutability, value equality and
-hashing, its constructor defaults and, for the parameter records, the
-exact validation messages.
+hashing, its constructor defaults and, for the parameter records and
+`bitseq.as_shifts`, the exact validation messages.
 """
 
 import copy
@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from seqmeter.bitseq import ShiftSet
+from seqmeter.bitseq import as_shifts
 from seqmeter.bounds import TABLE_FAMILIES, BoundReport, FamilyRow
 from seqmeter.codes import CyclicSpan, PeakCertificate
 from seqmeter.complexity import ComplexityProfile
@@ -20,7 +20,6 @@ from seqmeter.verify import CheckResult
 
 # name -> (factory, repr text); each factory builds a fresh, equal instance
 RECORDS = {
-    "ShiftSet": (lambda: ShiftSet([0, 2, 5]), "ShiftSet(shifts=(0, 2, 5))"),
     "ComplexityProfile": (
         lambda: ComplexityProfile("linear", (0, 1, 1), (1, 0)),
         "ComplexityProfile(kind='linear', values=(0, 1, 1), coefficients=(1, 0))",
@@ -105,7 +104,6 @@ def test_copy_and_pickle_round_trip(name):
 def test_unequal_fields_compare_unequal():
     assert CorrelationResult(2, 5, 6, (0, 3), "half-peak", 10) != CorrelationResult(
         2, 5, 6, (0, 4), "half-peak", 10)
-    assert ShiftSet((0, 1)) != ShiftSet((0, 2))
     assert HallSpec(7) != HallSpec(7, 3)
 
 
@@ -119,7 +117,6 @@ def test_constructor_defaults():
 
 
 def test_keyword_construction():
-    assert ShiftSet(shifts=(1, 4)) == ShiftSet((1, 4))
     assert LfsrSpec(degree=3, taps=(1, 1, 0), seed=(1, 0, 0)) == RECORDS["LfsrSpec"][0]()
     assert HallSpec(period=7, generator=3) == HallSpec(7, 3)
     assert FermatSpec(p=5) == FermatSpec(5)
@@ -129,14 +126,8 @@ def test_keyword_construction():
 
 
 def test_methods_and_properties():
-    s = ShiftSet([0, 2, 5])
-    assert s.shifts == (0, 2, 5) and isinstance(s.shifts, tuple)
-    assert s.order == len(s) == 3
-    assert list(s) == [0, 2, 5]
     assert ComplexityProfile("linear", (0, 1, 2)).final == 2
     assert ComplexityProfile("linear", ()).final == 0
-    span = RECORDS["CyclicSpan"][0]()
-    assert span.contains(9 ^ 36) and not span.contains(8)
     assert RECORDS["PeakCertificate"][0]().as_dict() == {
         "k": 3, "shifts": [0, 1, 3], "kind": "periodic-full", "theta": 7,
         "verified": True, "note": "anchored"}
@@ -157,10 +148,10 @@ def test_methods_and_properties():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: ShiftSet(()), "shift set must be non-empty"),
-    (lambda: ShiftSet([-1, 2]), "shifts must be non-negative"),
-    (lambda: ShiftSet([3, 1]), "shifts must be strictly increasing, got (3, 1)"),
-    (lambda: ShiftSet([0, 2, 2]), "shifts must be strictly increasing, got (0, 2, 2)"),
+    (lambda: as_shifts(()), "shift set must be non-empty"),
+    (lambda: as_shifts([-1, 2]), "shifts must be non-negative"),
+    (lambda: as_shifts([3, 1]), "shifts must be strictly increasing, got (3, 1)"),
+    (lambda: as_shifts([0, 2, 2]), "shifts must be strictly increasing, got (0, 2, 2)"),
     (lambda: LfsrSpec(1, (1,), (1,)), "degree must be >= 2, got 1"),
     (lambda: LfsrSpec(3, (1, 0), (1, 0, 0)), "taps must have length 3, got 2"),
     (lambda: LfsrSpec(3, (1, 0, 2), (1, 0, 0)), "taps must be 0/1 valued"),
