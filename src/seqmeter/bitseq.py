@@ -164,22 +164,26 @@ class BitSequence:
 
 
 def loads(text: str) -> BitSequence:
-    """Parse the text sequence format."""
+    """Parse the text sequence format.
+
+    Only the first non-blank line is read as a line, for the header: it
+    ends at the first of `str.splitlines`' line boundaries.  The body's
+    whitespace is dropped wherever it is, so the body starts where the
+    header's line ends, or at the first non-blank character.
+    """
     period = None
-    body_start = 0
-    lines = text.splitlines(keepends=True)
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            body_start += len(line)
-            continue
-        if stripped.startswith("period="):
-            try:
-                period = int(stripped[len("period="):])
-            except ValueError:
-                raise ValueError(f"bad period line: {stripped!r}") from None
-            body_start += len(line)
-        break
+    body_start = len(text) - len(text.lstrip())
+    if text.startswith("period=", body_start):
+        # the header ends at its first line boundary, no later than the first
+        # "\n"; each is one character, or "\r\n", whose "\n" is whitespace
+        end = text.find("\n", body_start)
+        line = text[body_start:end if end >= 0 else len(text)].splitlines()[0]
+        body_start += len(line) + 1
+        line = line.rstrip()
+        try:
+            period = int(line[len("period="):])
+        except ValueError:
+            raise ValueError(f"bad period line: {line!r}") from None
     body = "".join(text[body_start:].split())
     if body.encode("ascii", "replace").translate(None, b"01"):
         # the first stray character is not whitespace, so it occurs nowhere earlier

@@ -25,14 +25,17 @@ list and the other one once for its whole suffix-link walk.  A sentinel
 state at index -1, the root's suffix link, has both successors set, so
 the walk stops at it on the successor test alone.
 
-A declared period T shortens that pass to the first min(N, 2T - 1) bits.
-Take any string x followed by both bits in a T-periodic word.  If
-|x| >= T, every occurrence of x is followed by x[|x| - T], so there is no
-conflict; hence |x| < T.  Shifting each occurrence back by a multiple of
-T until it starts before T keeps its successor, and then x and its
-successor end by bit 2T - 2.  So M(S, N) = M(S, min(N, 2T - 1)), and the
-profile repeats its last value from there on.  Raw int inputs carry no
-period and always take the full pass.
+A declared period T stops that pass once the prefix length reaches
+T + m, m the value so far.  Take any string x followed by both bits in a
+T-periodic word.  Shifting each occurrence back by a multiple of T until
+it starts before T keeps its successor, so x is followed by both bits
+inside the first T + |x| bits.  Every suffix of x is followed by both
+bits too.  So if no string of length m is followed by both bits in the
+first T + m bits, no longer one is anywhere, M(S, N) = m, and the
+profile repeats m from there on.  A string of length T or more is
+followed only by its own bit T back, so m <= T and the pass reads at
+most 2T bits.  Raw int inputs carry no period and always take the full
+pass.
 
 The k-error L is the minimum L over every flip pattern of weight <= k.
 A depth-first walk over the patterns steps the same Berlekamp-Massey
@@ -244,14 +247,15 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     quadratic again.  Each rise of M is kept as (prefix length, new M),
     and the profile is built from those once at the end.
 
-    With a declared period T the pass stops after min(n, 2T - 1) bits and
-    repeats its last value: every string followed by both bits in a
-    T-periodic word is shorter than T (a longer one is followed by its own
-    bit T back), and shifting its occurrences back by multiples of T puts
-    them, with their successors, inside the first 2T - 1 bits.
+    With a declared period T the pass stops once the prefix length
+    reaches T + m, or n, and repeats its last value; the module docstring
+    says why that is exact.  m only grows, so the bits are read in
+    segments, each up to T + m for the m at its start, and the loop over
+    one segment carries no test of its own.
     """
-    stop = n if period is None else min(n, 2 * period - 1)
-    size = 2 * stop + 2
+    top = n if period is None else min(n, 2 * period)
+    stop = n if period is None else min(n, period)
+    size = 2 * top + 2
     length = [0] * size
     link = [0] * size
     link[0] = -1
@@ -263,43 +267,49 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     states = 1
     m = 0
     rises = [(1, 0)]
-    for c in _bit_bytes(data & mask(stop), stop):
-        own = succ[c]
-        other = succ[1 - c]
-        cur = states
-        states += 1
-        length[cur] = length[last] + 1
-        own[last] = cur
-        p = link[last]
-        while own[p] < 0:
-            own[p] = cur
-            if other[p] >= 0:
-                if length[p] >= m:
-                    m = length[p] + 1
-                    rises.append((length[cur], m))
+    bits = _bit_bytes(data & mask(top), top)
+    done = 0
+    while done < stop:
+        for c in bits[done:stop]:
+            own = succ[c]
+            other = succ[1 - c]
+            cur = states
+            states += 1
+            length[cur] = length[last] + 1
+            own[last] = cur
+            p = link[last]
+            while own[p] < 0:
+                own[p] = cur
+                if other[p] >= 0:
+                    if length[p] >= m:
+                        m = length[p] + 1
+                        rises.append((length[cur], m))
+                    p = link[p]
+                    while own[p] < 0:
+                        own[p] = cur
+                        p = link[p]
+                    break
                 p = link[p]
-                while own[p] < 0:
-                    own[p] = cur
-                    p = link[p]
-                break
-            p = link[p]
-        if p >= 0:
-            q = own[p]
-            lp = length[p] + 1
-            if length[q] == lp:
-                link[cur] = q
-            else:
-                clone = states
-                states += 1
-                length[clone] = lp
-                link[clone] = link[q]
-                zero[clone] = zero[q]
-                one[clone] = one[q]
-                while own[p] == q:
-                    own[p] = clone
-                    p = link[p]
-                link[q] = link[cur] = clone
-        last = cur
+            if p >= 0:
+                q = own[p]
+                lp = length[p] + 1
+                if length[q] == lp:
+                    link[cur] = q
+                else:
+                    clone = states
+                    states += 1
+                    length[clone] = lp
+                    link[clone] = link[q]
+                    zero[clone] = zero[q]
+                    one[clone] = one[q]
+                    while own[p] == q:
+                        own[p] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+        done = stop
+        if period is not None:
+            stop = min(n, period + m)
     rises.append((n + 1, m))
     values = []
     for (start, value), (end, _) in zip(rises, rises[1:]):
@@ -308,7 +318,7 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
 
 
 def _moc_values(seq: BitSequence | int, n: int | None) -> list[int]:
-    """The `_moc_profile` of the n-bit prefix, cut at 2T - 1 bits for a declared period T."""
+    """The `_moc_profile` of the n-bit prefix, cut at T + M bits for a declared period T."""
     data, n = _data_n(seq, n)
     period = seq.period if isinstance(seq, BitSequence) else None
     return _moc_profile(data, n, period)
@@ -317,8 +327,8 @@ def _moc_values(seq: BitSequence | int, n: int | None) -> list[int]:
 def max_order_complexity(seq: BitSequence | int, n: int | None = None) -> int:
     """Nth maximum-order complexity: the last value of the automaton pass.
 
-    Linear in n, and in min(n, 2T - 1) when seq declares a period T; see
-    `_moc_profile` for why the conflict rule and the cut are exact.
+    Linear in n, and in min(n, T + M) when seq declares a period T; see
+    the module docstring for why the conflict rule and the cut are exact.
     """
     values = _moc_values(seq, n)
     return values[-1] if values else 0

@@ -4,6 +4,15 @@ Primitivity of a feedback polynomial is certified operationally: the state
 orbit of the register must return to the seed after exactly 2**ell - 1
 steps.  No factorization is involved, so the check works for arbitrary
 user-supplied taps and reports the observed cycle length on failure.
+The register is not stepped one bit at a time: over GF(2), f(x)**k =
+f(x**k) for k a power of two, so the sequence also obeys the recurrence
+of f(x**k), and `_msequence_period` builds it from word-wide blocks of
+that recurrence with k doubling as the prefix grows.  The first return of
+the seed state is then found with one search for the seed window in the
+first 2**ell - 1 + ell bits.
+
+`small_kasami` decimates lap by lap (`_decimate`): the indices d*i mod T
+that fall in one lap around the period form one stride-d slice.
 
 Every generator returns a BitSequence with the period declared, rendered
 over `periods` full periods (default 2, enough for recurrence synthesis
@@ -12,7 +21,7 @@ and exact minimal-period scans downstream).
 
 from typing import NamedTuple
 
-from .bitseq import BitSequence, pack, unpack
+from .bitseq import BitSequence, mask, pack, unpack
 
 
 class NonPrimitiveTapsError(ValueError):
@@ -131,22 +140,55 @@ def default_lfsr_spec(ell: int) -> LfsrSpec:
 
 
 def _msequence_period(spec: LfsrSpec) -> str:
-    """One full period as a bit string, certifying the full cycle on the way."""
+    """One full period as a bit string, certifying the full cycle on the way.
+
+    With f(x) = x**ell + sum_e x**e over the tap exponents e, every
+    sequence the register emits is annihilated by f, hence by f(x)**k =
+    f(x**k) for k a power of two: s[i + k*ell] = XOR_e s[i + k*e] for
+    every i >= 0.  Given the first n >= k*ell bits, that gives bits n to
+    n + k*(ell - max e) - 1 at once, each term one shift of the packed
+    prefix.  k doubles while 2*k*ell <= n, so k > n / (4*ell) and each
+    round lengthens the prefix by more than (ell - max e) / (4*ell) of
+    itself: a period takes O(log T) rounds of shifted XORs.  The seed
+    state first recurs at step r exactly when the seed window starts at
+    r, so one `str.find` over the first T + ell bits finds the step at
+    which the stepped register would have returned.
+    """
     ell = spec.degree
-    taps = spec.taps_mask
-    seed = spec.seed_mask
+    exponents = [e for e, c in enumerate(spec.taps) if c]
+    width = ell - max(exponents, default=0)
     T = (1 << ell) - 1
-    top = ell - 1
-    state = seed
-    bits = []
-    for i in range(T):
-        bits.append("01"[state & 1])
-        state = (state >> 1) | (((state & taps).bit_count() & 1) << top)
-        if state == seed:
-            if i + 1 < T:
-                raise NonPrimitiveTapsError(ell, i + 1)
-            return "".join(bits)
-    raise NonPrimitiveTapsError(ell, None)
+    want = T + ell
+    data, n, k = spec.seed_mask, ell, 1
+    while n < want:
+        while 2 * k * ell <= n:
+            k *= 2
+        w = min(k * width, want - n)
+        base = n - k * ell
+        block = 0
+        for e in exponents:
+            block ^= data >> (base + k * e)
+        data |= (block & mask(w)) << n
+        n += w
+    bits = unpack(data, want)
+    r = bits.find(bits[:ell], 1)
+    if r != T:
+        raise NonPrimitiveTapsError(ell, r if 0 < r < T else None)
+    return bits[:T]
+
+
+def _decimate(u: str, d: int, shift: int) -> str:
+    """The string v with v[i] = u[d * (i + shift) % T] for i < T = len(u), d >= 1.
+
+    The indices d*j for j < T run d laps around u; lap q starts at the
+    first multiple of d at or above q*T, offset (-q*T) % d into u, and
+    takes every d-th character from there, so the laps joined in order
+    are the decimation at shift 0, which the shift then rotates.
+    """
+    T = len(u)
+    v = "".join(u[(-q * T) % d::d] for q in range(d))
+    shift %= T
+    return v[shift:] + v[:shift]
 
 
 def _tile(block: str, copies: int) -> BitSequence:
@@ -212,8 +254,7 @@ def small_kasami(ell: int, shift: int = 0, periods: int = 2) -> BitSequence:
     T = (1 << ell) - 1
     u = _msequence_period(default_lfsr_spec(ell))
     d = (1 << (ell // 2)) + 1
-    decimated = "".join(u[d * (i + shift) % T] for i in range(T))
-    block = unpack(pack(u) ^ pack(decimated), T)
+    block = unpack(pack(u) ^ pack(_decimate(u, d, shift)), T)
     observed, _ = linear_complexity(pack(block * 2), 2 * T)
     expected = 3 * ell // 2
     if observed != expected:

@@ -5,7 +5,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqmeter.bitseq import (
     BitSequence, as_shifts, dumps, fold_extensions, loads, mask, pack, unpack,
@@ -106,6 +106,56 @@ def test_loads_reports_first_stray_character():
     with pytest.raises(ValueError, match=r"^invalid character 'x' at offset 15$"):
         loads("period=2\n0\u00a01\u3000\u20280x1")
     assert loads("0\u00a01\u3000\u20281").to01() == "011"
+    # the header line ends at any of str.splitlines' line boundaries
+    with pytest.raises(ValueError, match=r"^invalid character 'x' at offset 10$"):
+        loads("period=2\x850x1")
+    with pytest.raises(ValueError, match=r"^invalid character 'x' at offset 11$"):
+        loads("period=2\u2028 0x1")
+    with pytest.raises(ValueError, match=r"^invalid character 'y' at offset 15$"):
+        loads("period=2\r\n01\r\n0y")
+    with pytest.raises(ValueError, match=r"^bad period line: 'period=x'$"):
+        loads(" period=x \x850101")
+    assert loads("\u2029period=2\r\n0101").period == 2
+
+
+def loads_reference(text):
+    """`loads` as it read the header before: every line of the text split off first."""
+    period = None
+    body_start = 0
+    for line in text.splitlines(keepends=True):
+        stripped = line.strip()
+        if not stripped:
+            body_start += len(line)
+            continue
+        if stripped.startswith("period="):
+            try:
+                period = int(stripped[len("period="):])
+            except ValueError:
+                raise ValueError(f"bad period line: {stripped!r}") from None
+            body_start += len(line)
+        break
+    body = "".join(text[body_start:].split())
+    if body.encode("ascii", "replace").translate(None, b"01"):
+        ch = body.lstrip("01")[0]
+        raise ValueError(f"invalid character {ch!r} at offset {text.index(ch, body_start)}")
+    return BitSequence.from_int(pack(body), len(body), period)
+
+
+def _loaded_or_error(load, text):
+    try:
+        return load(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from([
+    "0", "1", "01", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    "\x1f", "\x85", "\u00a0", "\u2028", "\u2029", "period=", "2", "-", "x",
+]), max_size=12))
+def test_loads_matches_splitlines_reference(parts):
+    text = "".join(parts)
+    assert _loaded_or_error(loads, text) == _loaded_or_error(loads_reference, text)
 
 
 def test_loads_empty():

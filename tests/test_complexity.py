@@ -281,11 +281,40 @@ def test_moc_sentinel_pass_matches_reference_exhaustive():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=3000), st.data())
 def test_moc_sentinel_pass_matches_reference(n, data):
+    # a declared period asserts that the bits repeat with it, as in BitSequence
     bits = data.draw(st.integers(min_value=0, max_value=mask(n)))
     period = data.draw(st.none() | st.integers(min_value=1, max_value=max(n, 1)))
-    if period is not None and data.draw(st.booleans()):
+    if period is not None:
         bits = _periodic(bits & mask(period), period, n)[0].data
     assert _moc_profile(bits, n, period) == moc_profile_reference(bits, n, period)
+
+
+def test_moc_period_stop_matches_old_cut_exhaustive():
+    # every block of period T <= 10 at every n <= 3T: the pass that stops at
+    # T + M equals the reference cut at 2T - 1 bits, and reads no bit from
+    # T + M on, so flipping those bits changes nothing
+    for t in range(1, 11):
+        top = 3 * t
+        for block in range(1 << t):
+            full = _periodic(block, t, top)[0].data
+            for n in range(top + 1):
+                data = full & mask(n)
+                values = _moc_profile(data, n, t)
+                assert values == moc_profile_reference(data, n, t), (t, block, n)
+                unread = mask(n) & ~mask(t + (values[-1] if values else 0))
+                assert _moc_profile(data ^ unread, n, t) == values, (t, block, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.data())
+def test_moc_period_stop_matches_old_cut(t, data):
+    block = data.draw(st.integers(min_value=0, max_value=mask(t)))
+    n = data.draw(st.integers(min_value=0, max_value=3 * t + 2))
+    bits = _periodic(block, t, n)[0].data
+    values = _moc_profile(bits, n, t)
+    assert values == moc_profile_reference(bits, n, t)
+    unread = mask(n) & ~mask(t + (values[-1] if values else 0))
+    assert _moc_profile(bits ^ unread, n, t) == values
 
 
 def _periodic(block, t, n):

@@ -12,6 +12,8 @@ from seqmeter.generators import (
     HallSpec,
     LfsrSpec,
     NonPrimitiveTapsError,
+    _decimate,
+    _msequence_period,
     default_lfsr_spec,
     fermat_quotient,
     fermat_threshold,
@@ -65,6 +67,89 @@ def test_nonprimitive_taps_rejected():
     with pytest.raises(NonPrimitiveTapsError) as exc:
         m_sequence(spec)
     assert exc.value.observed == 6
+
+
+def stepped_period(spec):
+    """The register stepped one bit at a time, kept as the reference for `_msequence_period`."""
+    ell = spec.degree
+    taps = spec.taps_mask
+    seed = spec.seed_mask
+    T = (1 << ell) - 1
+    top = ell - 1
+    state = seed
+    bits = []
+    for i in range(T):
+        bits.append("01"[state & 1])
+        state = (state >> 1) | (((state & taps).bit_count() & 1) << top)
+        if state == seed:
+            if i + 1 < T:
+                raise NonPrimitiveTapsError(ell, i + 1)
+            return "".join(bits)
+    raise NonPrimitiveTapsError(ell, None)
+
+
+def _period_or_error(make, spec):
+    try:
+        return make(spec)
+    except NonPrimitiveTapsError as exc:
+        return exc.degree, exc.observed, str(exc)
+
+
+def test_msequence_period_matches_stepped_register_exhaustive():
+    # every taps mask, all-zero and x^(ell-1) ones included, and every seed
+    for ell in range(2, 8):
+        for taps in range(1 << ell):
+            for seed in range(1, 1 << ell):
+                spec = LfsrSpec.from_masks(ell, taps, seed)
+                assert _period_or_error(_msequence_period, spec) == \
+                    _period_or_error(stepped_period, spec), (ell, taps, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=14), st.data())
+def test_msequence_period_matches_stepped_register(ell, data):
+    taps = data.draw(st.integers(min_value=0, max_value=mask(ell)))
+    seed = data.draw(st.integers(min_value=1, max_value=mask(ell)))
+    spec = LfsrSpec.from_masks(ell, taps, seed)
+    assert _period_or_error(_msequence_period, spec) == _period_or_error(stepped_period, spec)
+
+
+@pytest.mark.parametrize("ell", [8, 11, 14])
+def test_msequence_period_edge_taps(ell):
+    # all-zero taps emit the seed and then zeros; a tap on x^(ell-1) makes
+    # the first block one bit wide
+    for exponents in ((), (ell - 1,), (ell - 1, 0), (ell - 1, 1, 0), (0,)):
+        for seed in (1, 1 << (ell - 1), mask(ell), 0b101):
+            spec = LfsrSpec.from_exponents(ell, exponents, seed)
+            assert _period_or_error(_msequence_period, spec) == \
+                _period_or_error(stepped_period, spec), (exponents, seed)
+    assert _period_or_error(_msequence_period, LfsrSpec.from_exponents(ell, ())) == \
+        (ell, None, f"taps are not primitive for degree {ell}: "
+                    f"state orbit does not return to the seed within {mask(ell)} steps")
+
+
+def decimated_by_index(u, d, shift):
+    return "".join(u[d * (i + shift) % len(u)] for i in range(len(u)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.data())
+def test_decimate_matches_index_map(t, data):
+    u = unpack(data.draw(st.integers(min_value=0, max_value=mask(t))), t)
+    d = data.draw(st.integers(min_value=1, max_value=3 * t + 2))  # d > T as well
+    factors = [f for f in range(2, t + 1) if t % f == 0]
+    if factors and data.draw(st.booleans()):  # gcd(d, T) > 1
+        d = data.draw(st.sampled_from(factors)) * data.draw(st.integers(min_value=1, max_value=4))
+    shift = data.draw(st.integers(min_value=-3 * t, max_value=3 * t))
+    assert _decimate(u, d, shift) == decimated_by_index(u, d, shift)
+
+
+def test_decimate_small_cases():
+    u = "0010111"
+    for d in range(1, 16):  # d = 7 and 14 share the factor 7 with T
+        for shift in range(-8, 9):
+            assert _decimate(u, d, shift) == decimated_by_index(u, d, shift), (d, shift)
+    assert _decimate("001", 5, 0) == "010"  # d > T: one character per lap
 
 
 def test_lfsr_spec_validation():
