@@ -53,9 +53,6 @@ _EXPORTS = {
         "search_cost",
     ),
     "generators": (
-        "FermatSpec",
-        "HallSpec",
-        "LfsrSpec",
         "NonPrimitiveTapsError",
         "fermat_threshold",
         "gold_sequence",

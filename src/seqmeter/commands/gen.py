@@ -31,9 +31,6 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
 def cmd_gen(args) -> int:
     from ..bitseq import dumps, save
     from ..generators import (
-        HallSpec,
-        LfsrSpec,
-        default_lfsr_spec,
         fermat_threshold,
         gold_sequence,
         hall_sextic,
@@ -42,18 +39,15 @@ def cmd_gen(args) -> int:
     )
 
     if args.kind == "msequence":
-        if args.taps is not None:
-            spec = LfsrSpec.from_masks(args.ell, _parse_hex(args.taps, "--taps"),
-                                       _parse_hex(args.seed_state, "--seed") if args.seed_state else 1)
-        else:
-            spec = default_lfsr_spec(args.ell)
-        seq = m_sequence(spec, periods=args.periods)
+        taps = _parse_hex(args.taps, "--taps") if args.taps is not None else None
+        seed = _parse_hex(args.seed_state, "--seed") if args.seed_state else 1
+        seq = m_sequence(args.ell, taps, seed, periods=args.periods)
     elif args.kind == "gold":
         seq = gold_sequence(args.ell, shift=args.shift, periods=args.periods)
     elif args.kind == "kasami-small":
         seq = small_kasami(args.ell, shift=args.shift, periods=args.periods)
     elif args.kind == "hall":
-        seq = hall_sextic(HallSpec(args.t, args.g), periods=args.periods)
+        seq = hall_sextic(args.t, args.g, periods=args.periods)
     else:
         seq = fermat_threshold(args.p, periods=args.periods)
     if args.output:

@@ -47,7 +47,6 @@ can be checked against the bare definitions.
 """
 
 import math
-from itertools import islice
 from typing import NamedTuple
 
 from .bitseq import BitSequence, mask, unpack
@@ -118,36 +117,41 @@ def _bm_run(bits, start: int, state: tuple, stop: int, profile: list | None = No
     The discrepancy at position i is bit i of the carry-less product
     c * s, and c only changes where it is nonzero.  So once _JUMP + l bits
     in a row have had none, `_quiet` computes that product over every
-    remaining bit at once, and the run jumps to the next nonzero one, or
-    to the end, appending l to profile for each bit it skips.  The wait
-    of at least l bits pays for the product's one shift per term of c.
+    remaining bit at once, and the run restarts its loop on a slice from
+    the next nonzero one, or ends, appending l to profile for each bit it
+    skips.  The wait of at least l bits pays for the product's one shift
+    per term of c.  The jump does not cut rev: with l unchanged, the next
+    length change, at some step j, sets l to j + 1 - l, and the steps
+    after it read back to about bit j - l.
     """
     c, b, l, m, rev = state
-    it = enumerate(bits, start)
     ahead = start + l + _JUMP
-    for i, bit in it:
-        rev = (rev << 1) | bit
-        if (c & rev).bit_count() & 1:
-            t = c
-            c ^= b << (i - m)
-            if 2 * l <= i:
-                l, m, b = i + 1 - l, i, t
-                if l >= stop:
-                    return None
-                if rev.bit_length() > l + _SLACK:
-                    rev &= (1 << l) - 1
-            ahead = i + l + _JUMP
-        elif i >= ahead:
-            rest = bytes(bits[i + 1 - start:])
-            skip = _quiet(c, rev, rest)
-            if skip:
-                rev = (rev << skip) | int(rest[:skip].translate(_TO_CHARS), 2)
-                next(islice(it, skip - 1, None), None)
-                if profile is not None:
-                    profile.extend([l] * skip)
-        if profile is not None:
-            profile.append(l)
-    return c, b, l, m, rev
+    while True:
+        for i, bit in enumerate(bits, start):
+            rev = (rev << 1) | bit
+            if (c & rev).bit_count() & 1:
+                t = c
+                c ^= b << (i - m)
+                if 2 * l <= i:
+                    l, m, b = i + 1 - l, i, t
+                    if l >= stop:
+                        return None
+                    if rev.bit_length() > l + _SLACK:
+                        rev &= (1 << l) - 1
+                ahead = i + l + _JUMP
+            elif i >= ahead:
+                rest = bytes(bits[i + 1 - start:])
+                skip = _quiet(c, rev, rest)
+                if skip:
+                    rev = (rev << skip) | int(rest[:skip].translate(_TO_CHARS), 2)
+                    if profile is not None:
+                        profile.extend([l] * (skip + 1))
+                    bits, start = rest[skip:], i + 1 + skip
+                    break
+            if profile is not None:
+                profile.append(l)
+        else:
+            return c, b, l, m, rev
 
 
 def _quiet(c: int, rev: int, rest: bytes) -> int:

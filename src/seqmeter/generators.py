@@ -19,8 +19,6 @@ over `periods` full periods (default 2, enough for recurrence synthesis
 and exact minimal-period scans downstream).
 """
 
-from typing import NamedTuple
-
 from .bitseq import BitSequence, mask, pack, unpack
 
 
@@ -75,72 +73,23 @@ GOLD_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-class _LfsrFields(NamedTuple):
-    degree: int
-    taps: tuple[int, ...]
-    seed: tuple[int, ...]
+def _taps_mask(exponents) -> int:
+    """The taps mask with bit e set for each exponent e."""
+    return sum(1 << e for e in set(exponents))
 
 
-class LfsrSpec(_LfsrFields):
-    """Degree-ell binary LFSR: s[i+ell] = c_{ell-1} s[i+ell-1] + ... + c_0 s[i].
-
-    taps holds (c_0, ..., c_{ell-1}); seed holds (s_0, ..., s_{ell-1}).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, degree: int, taps: tuple[int, ...], seed: tuple[int, ...]):
-        if degree < 2:
-            raise ValueError(f"degree must be >= 2, got {degree}")
-        for name, bits in (("taps", taps), ("seed", seed)):
-            if len(bits) != degree:
-                raise ValueError(f"{name} must have length {degree}, got {len(bits)}")
-            if any(b not in (0, 1) for b in bits):
-                raise ValueError(f"{name} must be 0/1 valued")
-        if not any(seed):
-            raise ValueError("seed must be nonzero")
-        return super().__new__(cls, degree, taps, seed)
-
-    @classmethod
-    def from_masks(cls, degree: int, taps: int, seed: int = 1) -> "LfsrSpec":
-        return cls(
-            degree,
-            tuple((taps >> j) & 1 for j in range(degree)),
-            tuple((seed >> j) & 1 for j in range(degree)),
-        )
-
-    @classmethod
-    def from_exponents(cls, degree: int, exponents: tuple[int, ...], seed: int = 1) -> "LfsrSpec":
-        taps = 0
-        for e in exponents:
-            if not 0 <= e < degree:
-                raise ValueError(f"exponent {e} out of range for degree {degree}")
-            taps |= 1 << e
-        return cls.from_masks(degree, taps, seed)
-
-    @property
-    def taps_mask(self) -> int:
-        m = 0
-        for j, c in enumerate(self.taps):
-            m |= c << j
-        return m
-
-    @property
-    def seed_mask(self) -> int:
-        m = 0
-        for j, b in enumerate(self.seed):
-            m |= b << j
-        return m
-
-
-def default_lfsr_spec(ell: int) -> LfsrSpec:
+def _default_taps(ell: int) -> int:
     if ell not in DEFAULT_TAPS:
         raise ValueError(f"no default taps for degree {ell}; supply taps explicitly")
-    return LfsrSpec.from_exponents(ell, DEFAULT_TAPS[ell])
+    return _taps_mask(DEFAULT_TAPS[ell])
 
 
-def _msequence_period(spec: LfsrSpec) -> str:
+def _msequence_period(ell: int, taps: int, seed: int) -> str:
     """One full period as a bit string, certifying the full cycle on the way.
+
+    The register is s[i+ell] = c_{ell-1} s[i+ell-1] + ... + c_0 s[i]: bit j
+    of the taps mask is c_j and bit j of the seed mask is s_j.  Both masks
+    must fit in ell bits, and the seed must be nonzero.
 
     With f(x) = x**ell + sum_e x**e over the tap exponents e, every
     sequence the register emits is annihilated by f, hence by f(x)**k =
@@ -154,12 +103,18 @@ def _msequence_period(spec: LfsrSpec) -> str:
     r, so one `str.find` over the first T + ell bits finds the step at
     which the stepped register would have returned.
     """
-    ell = spec.degree
-    exponents = [e for e, c in enumerate(spec.taps) if c]
+    if ell < 2:
+        raise ValueError(f"degree must be >= 2, got {ell}")
+    for name, bits in (("taps", taps), ("seed", seed)):
+        if not 0 <= bits < 1 << ell:
+            raise ValueError(f"{name} must fit in {ell} bits, got {bits:#x}")
+    if not seed:
+        raise ValueError("seed must be nonzero")
+    exponents = [e for e in range(ell) if taps >> e & 1]
     width = ell - max(exponents, default=0)
     T = (1 << ell) - 1
     want = T + ell
-    data, n, k = spec.seed_mask, ell, 1
+    data, n, k = seed, ell, 1
     while n < want:
         while 2 * k * ell <= n:
             k *= 2
@@ -198,15 +153,16 @@ def _tile(block: str, copies: int) -> BitSequence:
     return BitSequence.from_int(pack(block * copies), len(block) * copies, period=len(block))
 
 
-def m_sequence(spec: LfsrSpec | int, periods: int = 2) -> BitSequence:
-    """Maximal-length LFSR sequence, period 2**ell - 1.
+def m_sequence(ell: int, taps: int | None = None, seed: int = 1, periods: int = 2) -> BitSequence:
+    """Maximal-length LFSR sequence of degree ell, period 2**ell - 1.
 
-    Accepts a full LfsrSpec or a bare degree (which uses the shipped taps
-    and the standard 10...0 seed).
+    taps and seed are the masks `_msequence_period` reads, as `gen
+    msequence --taps/--seed` parse them.  taps defaults to the shipped
+    DEFAULT_TAPS[ell], seed to the state 10...0 (s_0 = 1).
     """
-    if isinstance(spec, int):
-        spec = default_lfsr_spec(spec)
-    return _tile(_msequence_period(spec), periods)
+    if taps is None:
+        taps = _default_taps(ell)
+    return _tile(_msequence_period(ell, taps, seed), periods)
 
 
 def gold_sequence(
@@ -231,8 +187,8 @@ def gold_sequence(
             raise ValueError(f"no shipped preferred pair for degree {ell}; supply taps_pair")
         taps_pair = GOLD_PAIRS[ell]
     T = (1 << ell) - 1
-    u = _msequence_period(LfsrSpec.from_exponents(ell, taps_pair[0]))
-    v = _msequence_period(LfsrSpec.from_exponents(ell, taps_pair[1]))
+    u = _msequence_period(ell, _taps_mask(taps_pair[0]), 1)
+    v = _msequence_period(ell, _taps_mask(taps_pair[1]), 1)
     shift %= T
     block = unpack(pack(u) ^ pack(v[shift:] + v[:shift]), T)
     observed, _ = linear_complexity(pack(block * 2), 2 * T)
@@ -252,7 +208,7 @@ def small_kasami(ell: int, shift: int = 0, periods: int = 2) -> BitSequence:
     if ell % 2:
         raise ValueError(f"small Kasami needs even degree, got {ell}")
     T = (1 << ell) - 1
-    u = _msequence_period(default_lfsr_spec(ell))
+    u = _msequence_period(ell, _default_taps(ell), 1)
     d = (1 << (ell // 2)) + 1
     block = unpack(pack(u) ^ pack(_decimate(u, d, shift)), T)
     observed, _ = linear_complexity(pack(block * 2), 2 * T)
@@ -297,65 +253,28 @@ def smallest_primitive_root(t: int) -> int:
     raise ValueError(f"no primitive root modulo {t}")
 
 
-class _HallFields(NamedTuple):
-    period: int
-    generator: int | None  # None = smallest primitive root
+def hall_sextic(t: int, g: int | None = None, periods: int = 2) -> BitSequence:
+    """Hall's sextic residue sequence of prime period t = 1 (mod 6).
 
-
-class HallSpec(_HallFields):
-    """Hall sextic residue parameters: prime T = 1 (mod 6) and a primitive root."""
-
-    __slots__ = ()
-
-    def __new__(cls, period: int, generator: int | None = None):
-        if not is_prime(period):
-            raise ValueError(f"period {period} is not prime")
-        if period % 6 != 1:
-            raise ValueError(f"period {period} is not 1 mod 6")
-        if generator is not None and multiplicative_order(generator, period) != period - 1:
-            raise ValueError(f"{generator} is not a primitive root modulo {period}")
-        return super().__new__(cls, period, generator)
-
-    def resolved_generator(self) -> int:
-        if self.generator is None:
-            return smallest_primitive_root(self.period)
-        return self.generator
-
-
-def hall_sextic(spec: HallSpec | int, periods: int = 2) -> BitSequence:
-    """Hall's sextic residue sequence.
-
-    h_n = 1 iff n mod T falls in the sextic power classes 0, 1 or 3 of the
-    chosen primitive root.  Weight over one period is (T-1)/2; h_0 = 0.
+    h_n = 1 iff n mod t falls in the sextic power classes 0, 1 or 3 of the
+    primitive root g (default: the smallest).  Weight over one period is
+    (t-1)/2; h_0 = 0.
     """
-    if isinstance(spec, int):
-        spec = HallSpec(spec)
-    T = spec.period
-    g = spec.resolved_generator()
+    if not is_prime(t):
+        raise ValueError(f"period {t} is not prime")
+    if t % 6 != 1:
+        raise ValueError(f"period {t} is not 1 mod 6")
+    if g is None:
+        g = smallest_primitive_root(t)
+    elif multiplicative_order(g, t) != t - 1:
+        raise ValueError(f"{g} is not a primitive root modulo {t}")
     cls: dict[int, int] = {}
     v = 1
-    for e in range(T - 1):
+    for e in range(t - 1):
         cls[v] = e % 6
-        v = v * g % T
-    block = "0" + "".join("1" if cls[n] in (0, 1, 3) else "0" for n in range(1, T))
+        v = v * g % t
+    block = "0" + "".join("1" if cls[n] in (0, 1, 3) else "0" for n in range(1, t))
     return _tile(block, periods)
-
-
-class _FermatFields(NamedTuple):
-    p: int
-
-
-class FermatSpec(_FermatFields):
-    """Fermat quotient threshold parameters: an odd prime p (word-size)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if p >= 1 << 31:
-            raise ValueError("p must fit in 31 bits")
-        return super().__new__(cls, p)
 
 
 def fermat_quotient(p: int, u: int) -> int:
@@ -367,14 +286,15 @@ def fermat_quotient(p: int, u: int) -> int:
     return (x - 1) // p
 
 
-def fermat_threshold(spec: FermatSpec | int, periods: int = 2) -> BitSequence:
-    """Binary threshold sequence of Fermat quotients, period p**2.
+def fermat_threshold(p: int, periods: int = 2) -> BitSequence:
+    """Binary threshold sequence of Fermat quotients, period p**2, p an odd prime below 2**31.
 
     e_u = 0 iff q_p(u)/p < 1/2, evaluated exactly as 2*q < p.
     """
-    if isinstance(spec, int):
-        spec = FermatSpec(spec)
-    p = spec.p
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p >= 1 << 31:
+        raise ValueError("p must fit in 31 bits")
     T = p * p
     block = "".join("1" if 2 * fermat_quotient(p, u) >= p else "0" for u in range(T))
     return _tile(block, periods)

@@ -38,7 +38,7 @@ def ms3(tmp_path, capsys):
 
 
 def test_gen_writes_period_header(ms3):
-    text = open(ms3).read()
+    text = Path(ms3).read_text()
     assert text.startswith("period=7\n")
     assert text.strip().endswith("10010111001011")
 
@@ -48,6 +48,22 @@ def test_gen_stdout_roundtrip(capsys):
     assert code == 0
     assert "period=7" in out
     assert out.replace("period=7", "").replace("\n", "") == "10010111001011"
+
+
+def test_gen_msequence_seed_without_taps(capsys):
+    # the seed applies to the default taps, 0x3 at ell = 4
+    default = run(["gen", "msequence", "--ell", "4", "--seed", "3"], capsys)
+    assert default[0] == 0
+    assert default == run(["gen", "msequence", "--ell", "4", "--taps", "3", "--seed", "3"], capsys)
+    assert default != run(["gen", "msequence", "--ell", "4"], capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--taps", "13"], "taps must fit in 4 bits, got 0x13"),
+    (["--seed", "10"], "seed must fit in 4 bits, got 0x10"),
+], ids=["taps", "seed"])
+def test_gen_msequence_refuses_wide_masks(argv, message, capsys):
+    assert run(["gen", "msequence", "--ell", "4", *argv], capsys) == (2, "", f"seqmeter: {message}\n")
 
 
 def test_lc_json(ms3, capsys):

@@ -121,6 +121,19 @@ def test_bm_look_ahead_matches_reference(l, n, flips, data):
         assert kerror_linear_complexity(bits, n, errors=1) == kerror_by_patterns(bits, n, 1, lc)[-1]
 
 
+def test_bm_look_ahead_jumps_a_long_quiet_stretch():
+    # 10,060 quiet bits of an order-5 recurrence, then one flip: the run
+    # jumps the stretch once, and the length change at the flip reads the
+    # register back to its start
+    n, flip = 10_075, 10_060
+    bits = m_sequence(5, periods=325).data ^ (1 << flip)
+    profile, conn = bm_reference(bits, n)
+    assert profile[flip - 1:] == [5] + [flip + 1 - 5] * (n - flip)
+    got = linear_complexity_profile(bits, n)
+    assert list(got.values) == profile
+    assert got.coefficients == tuple((conn >> (profile[-1] - j)) & 1 for j in range(profile[-1]))
+
+
 def _bm_matches_reference(bits, n):
     profile = []
     l, conn = _berlekamp_massey(bits, n, profile)

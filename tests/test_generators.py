@@ -8,13 +8,9 @@ from seqmeter.complexity import linear_complexity
 from seqmeter.generators import (
     DEFAULT_TAPS,
     GOLD_PAIRS,
-    FermatSpec,
-    HallSpec,
-    LfsrSpec,
     NonPrimitiveTapsError,
     _decimate,
     _msequence_period,
-    default_lfsr_spec,
     fermat_quotient,
     fermat_threshold,
     gold_sequence,
@@ -63,17 +59,13 @@ def test_msequence_shift_and_add():
 
 def test_nonprimitive_taps_rejected():
     # x^4 + x^2 + 1 = (x^2+x+1)^2 has order 6, not 15
-    spec = LfsrSpec.from_exponents(4, (2, 0))
     with pytest.raises(NonPrimitiveTapsError) as exc:
-        m_sequence(spec)
+        m_sequence(4, taps=0b0101)
     assert exc.value.observed == 6
 
 
-def stepped_period(spec):
+def stepped_period(ell, taps, seed):
     """The register stepped one bit at a time, kept as the reference for `_msequence_period`."""
-    ell = spec.degree
-    taps = spec.taps_mask
-    seed = spec.seed_mask
     T = (1 << ell) - 1
     top = ell - 1
     state = seed
@@ -88,9 +80,9 @@ def stepped_period(spec):
     raise NonPrimitiveTapsError(ell, None)
 
 
-def _period_or_error(make, spec):
+def _period_or_error(make, *register):
     try:
-        return make(spec)
+        return make(*register)
     except NonPrimitiveTapsError as exc:
         return exc.degree, exc.observed, str(exc)
 
@@ -100,9 +92,9 @@ def test_msequence_period_matches_stepped_register_exhaustive():
     for ell in range(2, 8):
         for taps in range(1 << ell):
             for seed in range(1, 1 << ell):
-                spec = LfsrSpec.from_masks(ell, taps, seed)
-                assert _period_or_error(_msequence_period, spec) == \
-                    _period_or_error(stepped_period, spec), (ell, taps, seed)
+                register = (ell, taps, seed)
+                assert _period_or_error(_msequence_period, *register) == \
+                    _period_or_error(stepped_period, *register), register
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,20 +102,20 @@ def test_msequence_period_matches_stepped_register_exhaustive():
 def test_msequence_period_matches_stepped_register(ell, data):
     taps = data.draw(st.integers(min_value=0, max_value=mask(ell)))
     seed = data.draw(st.integers(min_value=1, max_value=mask(ell)))
-    spec = LfsrSpec.from_masks(ell, taps, seed)
-    assert _period_or_error(_msequence_period, spec) == _period_or_error(stepped_period, spec)
+    assert _period_or_error(_msequence_period, ell, taps, seed) == \
+        _period_or_error(stepped_period, ell, taps, seed)
 
 
 @pytest.mark.parametrize("ell", [8, 11, 14])
 def test_msequence_period_edge_taps(ell):
     # all-zero taps emit the seed and then zeros; a tap on x^(ell-1) makes
     # the first block one bit wide
-    for exponents in ((), (ell - 1,), (ell - 1, 0), (ell - 1, 1, 0), (0,)):
-        for seed in (1, 1 << (ell - 1), mask(ell), 0b101):
-            spec = LfsrSpec.from_exponents(ell, exponents, seed)
-            assert _period_or_error(_msequence_period, spec) == \
-                _period_or_error(stepped_period, spec), (exponents, seed)
-    assert _period_or_error(_msequence_period, LfsrSpec.from_exponents(ell, ())) == \
+    top = 1 << (ell - 1)
+    for taps in (0, top, top | 1, top | 0b11, 1):
+        for seed in (1, top, mask(ell), 0b101):
+            assert _period_or_error(_msequence_period, ell, taps, seed) == \
+                _period_or_error(stepped_period, ell, taps, seed), (taps, seed)
+    assert _period_or_error(_msequence_period, ell, 0, 1) == \
         (ell, None, f"taps are not primitive for degree {ell}: "
                     f"state orbit does not return to the seed within {mask(ell)} steps")
 
@@ -154,11 +146,11 @@ def test_decimate_small_cases():
 
 def test_lfsr_spec_validation():
     with pytest.raises(ValueError):
-        LfsrSpec.from_masks(4, taps=0b0011, seed=0)  # zero seed
+        m_sequence(4, taps=0b0011, seed=0)  # zero seed
     with pytest.raises(ValueError):
-        LfsrSpec.from_masks(1, taps=0b1, seed=1)  # degree too small
+        m_sequence(1, taps=0b1)  # degree too small
     with pytest.raises(ValueError):
-        default_lfsr_spec(21)  # no default taps that high
+        m_sequence(21)  # no default taps that high
 
 
 @pytest.mark.parametrize("ell", sorted(GOLD_PAIRS))
@@ -238,11 +230,11 @@ def test_hall_known_prefix():
 
 def test_hall_rejects_bad_modulus():
     with pytest.raises(ValueError):
-        HallSpec(8)  # not prime
+        hall_sextic(8)  # not prime
     with pytest.raises(ValueError):
-        HallSpec(11)  # not 1 mod 6
+        hall_sextic(11)  # not 1 mod 6
     with pytest.raises(ValueError):
-        HallSpec(13, generator=3)  # 3^3 = 1 mod 13, not primitive
+        hall_sextic(13, g=3)  # 3^3 = 1 mod 13, not primitive
 
 
 def test_fermat_quotient_values():
@@ -267,9 +259,9 @@ def test_fermat_known_prefix():
 
 def test_fermat_rejects_composite():
     with pytest.raises(ValueError):
-        FermatSpec(9)
+        fermat_threshold(9)
     with pytest.raises(ValueError):
-        FermatSpec(2)
+        fermat_threshold(2)
 
 
 @settings(max_examples=40, deadline=None)

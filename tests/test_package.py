@@ -12,9 +12,8 @@ from seqmeter import budget, correlation
 
 PUBLIC = [
     "BitSequence", "BoundReport", "BudgetExceededError", "ComplexityProfile",
-    "CorrelationResult", "CyclicSpan", "FermatSpec", "HallSpec", "LfsrSpec",
-    "NonPrimitiveTapsError", "PeakCertificate", "aperiodic_measure",
-    "bitseq", "bounds", "build_span", "codes", "complexity", "correlation",
+    "CorrelationResult", "CyclicSpan", "NonPrimitiveTapsError", "PeakCertificate",
+    "aperiodic_measure", "bitseq", "bounds", "build_span", "codes", "complexity", "correlation",
     "correlation_at", "delta_under_flips", "dumps", "fermat_threshold",
     "find_half_peak_witness", "find_periodic_peak",
     "full_peak_threshold", "generators", "gold_sequence", "half_peak_threshold",
@@ -82,7 +81,6 @@ def test_records_are_tuples():
     assert r == (2, 5, 6, (0, 3), "half-peak", 10, False)
     order, value, *_ = r
     assert (order, value) == (2, 5)
-    assert tuple(seqmeter.HallSpec(7)) == (7, None)
 
 
 def test_every_public_name_has_a_reader():

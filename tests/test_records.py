@@ -1,8 +1,8 @@
-"""Contract of the result and parameter records.
+"""Contract of the result records, and the validation messages of the parameter checks.
 
 Every record keeps its repr text, its immutability, value equality and
-hashing, its constructor defaults and, for the parameter records and
-`bitseq.as_shifts`, the exact validation messages.
+hashing and its constructor defaults.  The generators and
+`bitseq.as_shifts` keep their exact validation messages.
 """
 
 import copy
@@ -15,7 +15,7 @@ from seqmeter.bounds import TABLE_FAMILIES, BoundReport, FamilyRow
 from seqmeter.codes import CyclicSpan, PeakCertificate
 from seqmeter.complexity import ComplexityProfile
 from seqmeter.correlation import CorrelationResult
-from seqmeter.generators import FermatSpec, HallSpec, LfsrSpec
+from seqmeter.generators import fermat_threshold, gold_sequence, hall_sextic, m_sequence
 from seqmeter.verify import CheckResult
 
 # name -> (factory, repr text); each factory builds a fresh, equal instance
@@ -47,12 +47,6 @@ RECORDS = {
         lambda: FamilyRow("m-sequence", True, 4, 3),
         "FamilyRow(key='m-sequence', valid=True, dimension=4, claimed=3)",
     ),
-    "LfsrSpec": (
-        lambda: LfsrSpec(3, (1, 1, 0), (1, 0, 0)),
-        "LfsrSpec(degree=3, taps=(1, 1, 0), seed=(1, 0, 0))",
-    ),
-    "HallSpec": (lambda: HallSpec(7, 3), "HallSpec(period=7, generator=3)"),
-    "FermatSpec": (lambda: FermatSpec(5), "FermatSpec(p=5)"),
     "CheckResult": (
         lambda: CheckResult("table-thresholds", True, "ok", 0.5, 10.0, 4),
         "CheckResult(name='table-thresholds', passed=True, detail='ok', runtime=0.5, "
@@ -104,7 +98,6 @@ def test_copy_and_pickle_round_trip(name):
 def test_unequal_fields_compare_unequal():
     assert CorrelationResult(2, 5, 6, (0, 3), "half-peak", 10) != CorrelationResult(
         2, 5, 6, (0, 4), "half-peak", 10)
-    assert HallSpec(7) != HallSpec(7, 3)
 
 
 def test_constructor_defaults():
@@ -112,14 +105,10 @@ def test_constructor_defaults():
     assert PeakCertificate(3, (0, 1, 3), "periodic-full", 7).note == ""
     assert CorrelationResult(1, 2, 3, (0,), "none", 8).periodic is False
     assert BoundReport("moc-half-peak", {}, None, False).commentary == ""
-    assert HallSpec(7).generator is None
     assert CheckResult("c", False, "d", 0.0, 1.0).cases == 0
 
 
 def test_keyword_construction():
-    assert LfsrSpec(degree=3, taps=(1, 1, 0), seed=(1, 0, 0)) == RECORDS["LfsrSpec"][0]()
-    assert HallSpec(period=7, generator=3) == HallSpec(7, 3)
-    assert FermatSpec(p=5) == FermatSpec(5)
     assert CorrelationResult(order=1, value=2, witness_u=3, witness_d=(0,),
                              classification="none", length=8) == CorrelationResult(
         1, 2, 3, (0,), "none", 8, False)
@@ -137,10 +126,6 @@ def test_methods_and_properties():
     assert RECORDS["BoundReport"][0]().as_dict() == {
         "name": "lc-from-correlation", "inputs": {"N": 8}, "value": 3, "fired": True,
         "commentary": "L >= 3"}
-    spec = LfsrSpec.from_exponents(3, (1, 0), seed=5)
-    assert (spec.taps, spec.seed, spec.taps_mask, spec.seed_mask) == ((1, 1, 0), (1, 0, 1), 3, 5)
-    assert HallSpec(7).resolved_generator() == 3
-    assert HallSpec(13, 6).resolved_generator() == 6
     assert RECORDS["CheckResult"][0]().line() == (
         "[PASS] table-thresholds: ok (4 cases, 0.50s / budget 10s)")
     assert [row.key for row in TABLE_FAMILIES][:2] == ["m-sequence", "small-kasami"]
@@ -152,19 +137,19 @@ def test_methods_and_properties():
     (lambda: as_shifts([-1, 2]), "shifts must be non-negative"),
     (lambda: as_shifts([3, 1]), "shifts must be strictly increasing, got (3, 1)"),
     (lambda: as_shifts([0, 2, 2]), "shifts must be strictly increasing, got (0, 2, 2)"),
-    (lambda: LfsrSpec(1, (1,), (1,)), "degree must be >= 2, got 1"),
-    (lambda: LfsrSpec(3, (1, 0), (1, 0, 0)), "taps must have length 3, got 2"),
-    (lambda: LfsrSpec(3, (1, 0, 2), (1, 0, 0)), "taps must be 0/1 valued"),
-    (lambda: LfsrSpec(3, (1, 1, 0), (1, 0)), "seed must have length 3, got 2"),
-    (lambda: LfsrSpec(3, (1, 1, 0), (1, 0, 3)), "seed must be 0/1 valued"),
-    (lambda: LfsrSpec(3, (1, 1, 0), (0, 0, 0)), "seed must be nonzero"),
-    (lambda: LfsrSpec.from_exponents(3, (3,)), "exponent 3 out of range for degree 3"),
-    (lambda: HallSpec(9), "period 9 is not prime"),
-    (lambda: HallSpec(11), "period 11 is not 1 mod 6"),
-    (lambda: HallSpec(7, 2), "2 is not a primitive root modulo 7"),
-    (lambda: FermatSpec(2), "p must be an odd prime, got 2"),
-    (lambda: FermatSpec(9), "p must be an odd prime, got 9"),
-    (lambda: FermatSpec(2147483659), "p must fit in 31 bits"),
+    (lambda: m_sequence(1, taps=1), "degree must be >= 2, got 1"),
+    (lambda: m_sequence(21), "no default taps for degree 21; supply taps explicitly"),
+    (lambda: m_sequence(3, taps=0b1011), "taps must fit in 3 bits, got 0xb"),
+    (lambda: m_sequence(3, taps=-1), "taps must fit in 3 bits, got -0x1"),
+    (lambda: m_sequence(3, seed=0b1000), "seed must fit in 3 bits, got 0x8"),
+    (lambda: m_sequence(3, seed=0), "seed must be nonzero"),
+    (lambda: gold_sequence(5, taps_pair=((5, 0), (2, 0))), "taps must fit in 5 bits, got 0x21"),
+    (lambda: hall_sextic(9), "period 9 is not prime"),
+    (lambda: hall_sextic(11), "period 11 is not 1 mod 6"),
+    (lambda: hall_sextic(7, 2), "2 is not a primitive root modulo 7"),
+    (lambda: fermat_threshold(2), "p must be an odd prime, got 2"),
+    (lambda: fermat_threshold(9), "p must be an odd prime, got 9"),
+    (lambda: fermat_threshold(2147483659), "p must fit in 31 bits"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
