@@ -144,6 +144,14 @@ class BitSequence:
     def weight(self) -> int:
         return self.data.bit_count()
 
+    def period_block(self) -> int:
+        """The first period's bits; ValueError unless a period is declared and fully stored."""
+        if self.period is None:
+            raise ValueError("sequence needs a declared period")
+        if self.n < self.period:
+            raise ValueError(f"sequence needs a full period: {self.n} of {self.period} bits stored")
+        return self.data & mask(self.period)
+
     def minimal_period(self) -> int:
         """Smallest p >= 1 with s[i+p] == s[i] for every i with i+p < n.
 

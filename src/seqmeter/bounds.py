@@ -48,13 +48,25 @@ class BoundReport(NamedTuple):
         }
 
 
-def _contiguous_corr(corr: dict) -> list[int]:
+def _scan(name: str, corr: dict, n: int, holds, note) -> BoundReport:
+    """The first x = 0, 1, ... with holds(x, c), c = max C_k over k <= x+1, as a fired report.
+
+    corr must cover k = 1..K, so the scan stops at x = K-1; note(x, c) is
+    the commentary of the point found.
+    """
     if not corr:
         raise ValueError("empty correlation map")
     ks = sorted(corr)
-    if ks[0] != 1 or ks != list(range(1, len(ks) + 1)):
+    if ks != list(range(1, len(ks) + 1)):
         raise ValueError(f"correlation map must cover k = 1..K, got keys {ks}")
-    return [corr[k] for k in ks]
+    running = 0
+    for x in range(len(ks)):
+        running = max(running, corr[x + 1])
+        if holds(x, running):
+            return BoundReport(name, {"N": n, "K": len(ks), "max_corr": running}, x, True,
+                               note(x, running))
+    return BoundReport(name, {"N": n, "K": len(ks)}, None, False,
+                       "no self-consistent point within the supplied correlation orders")
 
 
 def lc_correlation_bound(corr: dict, n: int) -> BoundReport:
@@ -65,48 +77,14 @@ def lc_correlation_bound(corr: dict, n: int) -> BoundReport:
     violate the relation).  Needs corr to reach k = l+1, so the scan is
     limited to l <= K-1.
     """
-    values = _contiguous_corr(corr)
-    running = 0
-    for ell in range(len(values)):
-        running = max(running, values[ell])  # covers k = 1..ell+1
-        if ell >= n - running:
-            return BoundReport(
-                "lc-from-correlation",
-                {"N": n, "K": len(values), "max_corr": running},
-                ell,
-                True,
-                f"L >= {ell}: max C_k over k <= {ell + 1} is {running}",
-            )
-    return BoundReport(
-        "lc-from-correlation",
-        {"N": n, "K": len(values)},
-        None,
-        False,
-        "no self-consistent point within the supplied correlation orders",
-    )
+    return _scan("lc-from-correlation", corr, n, lambda l, c: l >= n - c,
+                 lambda l, c: f"L >= {l}: max C_k over k <= {l + 1} is {c}")
 
 
 def moc_correlation_bound(corr: dict, n: int) -> BoundReport:
     """Analogous certified bound on maximum-order complexity."""
-    values = _contiguous_corr(corr)
-    running = 0
-    for m in range(len(values)):
-        running = max(running, values[m])
-        if m + (1 << (m + 1)) * running >= n:
-            return BoundReport(
-                "moc-from-correlation",
-                {"N": n, "K": len(values), "max_corr": running},
-                m,
-                True,
-                f"M >= {m}: {m} + 2^{m + 1}*{running} >= {n}",
-            )
-    return BoundReport(
-        "moc-from-correlation",
-        {"N": n, "K": len(values)},
-        None,
-        False,
-        "no self-consistent point within the supplied correlation orders",
-    )
+    return _scan("moc-from-correlation", corr, n, lambda m, c: m + (1 << (m + 1)) * c >= n,
+                 lambda m, c: f"M >= {m}: {m} + 2^{m + 1}*{c} >= {n}")
 
 
 def log_complexity_bound(k: int, n: int) -> float:

@@ -78,22 +78,23 @@ class CyclicSpan(NamedTuple):
 
 
 class PeakCertificate(NamedTuple):
-    """A verified full peak in the periodic correlation measure."""
+    """A verified full peak: the fold of shifts is constant, so |Theta| = period."""
 
-    order: int
     shifts: tuple[int, ...]
-    kind: str  # "periodic-full"
-    verified_value: int
-    note: str = ""
+    period: int
+
+    @property
+    def order(self) -> int:
+        return len(self.shifts)
 
     def as_dict(self) -> dict:
         return {
             "k": self.order,
             "shifts": list(self.shifts),
-            "kind": self.kind,
-            "theta": self.verified_value,
+            "kind": "periodic-full",
+            "theta": self.period,
             "verified": True,
-            "note": self.note,
+            "note": "",
         }
 
 
@@ -106,15 +107,10 @@ def build_span(seq: BitSequence) -> CyclicSpan:
     Rows are kept reduced against each other, each with its lowest set
     bit as its pivot, and the reduced echelon basis of a space is unique,
     so basis and pivots are those of all T rotations.  The sequence must
-    store a full period; a shorter one would be read as padded with zeros.
+    store a full period (BitSequence.period_block).
     """
-    if seq.period is None:
-        raise ValueError("span construction needs a declared period")
+    row = block = seq.period_block()
     t = seq.period
-    if seq.n < t:
-        raise ValueError(f"span construction needs a full period: {seq.n} of {t} bits stored")
-    m = mask(t)
-    row = seq.data & m
     basis: list[int] = []
     pivots: list[int] = []
     for _ in range(t):
@@ -136,7 +132,7 @@ def build_span(seq: BitSequence) -> CyclicSpan:
         dimension=len(basis),
         basis=tuple(basis[i] for i in order),
         pivots=tuple(pivots[i] for i in order),
-        block=seq.data & m,
+        block=block,
     )
 
 
@@ -353,12 +349,12 @@ def _multiples(g: int, m: int, w_min: int, w_max: int) -> tuple[int, ...] | None
 
 
 def find_periodic_peak(
-    source: CyclicSpan | BitSequence,
+    span: CyclicSpan,
     t_max: int | None,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> PeakCertificate | None:
-    """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak.
+    """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak of span.
 
     A full peak is a fold that is constant over one period, so the search
     is low_weight_kernel_support from weight 1 over T columns x^j mod g
@@ -373,19 +369,18 @@ def find_periodic_peak(
     """
     if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    span = source if isinstance(source, CyclicSpan) else build_span(source)
     g = _peak_recurrence(span)
     support = low_weight_kernel_support(g, span.period, 1, t_max, budget, jobs)
     if support is None:
         return None
     if not _verify_full_peak(span.block, span.period, support):
         raise AssertionError(f"unverified full-peak support {support}")  # pragma: no cover
-    return PeakCertificate(len(support), as_shifts(support), "periodic-full", span.period)
+    return PeakCertificate(as_shifts(support), span.period)
 
 
 def _verify_full_peak(block: int, t: int, support: tuple[int, ...]) -> bool:
-    """The fold of support's rotations is constant, all zeros or all ones, over one period."""
-    data2 = (block & mask(t)) | ((block & mask(t)) << t)
+    """The fold of support's rotations of block < 2**t is constant, all zeros or all ones."""
+    data2 = block | block << t
     fold = 0
     for d in support:
         fold ^= data2 >> d

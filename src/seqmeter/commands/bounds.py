@@ -95,8 +95,6 @@ def _bounds_verify(args) -> int:
         from ..codes import build_span, find_periodic_peak
         from ..thresholds import full_peak_threshold
 
-        if seq.period is None:
-            raise _usage("this check needs a declared period")
         if args.n is not None:
             raise _usage("--n sets a prefix length; thm1 always checks one full period")
         span = build_span(seq)

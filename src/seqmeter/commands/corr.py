@@ -21,8 +21,6 @@ def cmd_corr(args) -> int:
 
     seq = _load(args.file)
     if args.periodic:
-        if seq.period is None:
-            raise _usage("--periodic needs a declared period in the file")
         if args.n is not None:
             raise _usage("--n sets an aperiodic prefix; --periodic always uses one full period")
         result = periodic_measure(seq, args.k, budget=args.budget, jobs=args.jobs)

@@ -40,7 +40,7 @@ def cmd_gen(args) -> int:
 
     if args.kind == "msequence":
         taps = _parse_hex(args.taps, "--taps") if args.taps is not None else None
-        seed = _parse_hex(args.seed_state, "--seed") if args.seed_state else 1
+        seed = _parse_hex(args.seed_state, "--seed") if args.seed_state is not None else 1
         seq = m_sequence(args.ell, taps, seed, periods=args.periods)
     elif args.kind == "gold":
         seq = gold_sequence(args.ell, shift=args.shift, periods=args.periods)

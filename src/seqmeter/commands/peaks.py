@@ -2,7 +2,7 @@
 
 import argparse
 
-from . import EXIT_OK, _emit, _env_budget, _load, _usage
+from . import EXIT_OK, _emit, _env_budget, _load
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
@@ -19,8 +19,6 @@ def cmd_peaks(args) -> int:
     from ..thresholds import full_peak_threshold
 
     seq = _load(args.file)
-    if seq.period is None:
-        raise _usage("peak search needs a declared period in the file")
     span = build_span(seq)
     t_max = full_peak_threshold(seq.period, span.dimension) if args.tmax is None else args.tmax
     cert = find_periodic_peak(span, t_max, budget=_env_budget(), jobs=args.jobs)
@@ -31,5 +29,5 @@ def cmd_peaks(args) -> int:
     payload = cert.as_dict()
     payload.update(found=True, dimension=span.dimension, tmax=t_max)
     _emit(args, payload,
-          f"full peak: order {cert.order}, shifts {list(cert.shifts)}, theta = {cert.verified_value}")
+          f"full peak: order {cert.order}, shifts {list(cert.shifts)}, theta = {cert.period}")
     return EXIT_OK

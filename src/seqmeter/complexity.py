@@ -56,9 +56,8 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError
 class ComplexityProfile(NamedTuple):
     """Per-N values of a complexity measure over prefixes 1..N."""
 
-    kind: str  # "linear" or "maximum-order"
     values: tuple[int, ...]
-    coefficients: tuple[int, ...] | None = None  # recurrence for the full prefix
+    coefficients: tuple[int, ...] | None = None  # linear: recurrence for the full prefix
 
     @property
     def final(self) -> int:
@@ -199,7 +198,7 @@ def linear_complexity_profile(seq: BitSequence | int, n: int | None = None) -> C
     data, n = _data_n(seq, n)
     profile = []
     l, conn = _berlekamp_massey(data, n, profile)
-    return ComplexityProfile("linear", tuple(profile), _recurrence_from_connection(conn, l))
+    return ComplexityProfile(tuple(profile), _recurrence_from_connection(conn, l))
 
 
 def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:
@@ -344,7 +343,7 @@ def max_order_complexity_profile(seq: BitSequence | int, n: int | None = None) -
     The value only grows with N (a window followed by both bits stays so),
     so the pass records its running maximum after each bit.
     """
-    return ComplexityProfile("maximum-order", tuple(_moc_values(seq, n)))
+    return ComplexityProfile(tuple(_moc_values(seq, n)))
 
 
 def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:

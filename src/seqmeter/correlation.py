@@ -273,17 +273,12 @@ def periodic_measure(
 
     The witness is re-verified by folding D over two copies of the block.
     """
-    if seq.period is None:
-        raise ValueError("periodic measure needs a declared period")
-    t = seq.period
-    if seq.n < t:
-        raise ValueError(f"periodic measure needs a full period: {seq.n} of {t} bits stored")
+    block, t = seq.period_block(), seq.period
     if not 1 <= k <= t:
         raise ValueError(f"k must be in 1..{t}, got {k}")
     cost = periodic_search_cost(t, k)
     if cost > budget:
         raise BudgetExceededError(cost, budget)
-    block = seq.data & mask(t)
     if k in (1, t):
         # the only shift set is (0, ..., k-1), and the re-verifying fold below
         # gives its value: too little work to pay for the scan's table of T

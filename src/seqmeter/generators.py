@@ -6,10 +6,11 @@ steps.  No factorization is involved, so the check works for arbitrary
 user-supplied taps and reports the observed cycle length on failure.
 The register is not stepped one bit at a time: over GF(2), f(x)**k =
 f(x**k) for k a power of two, so the sequence also obeys the recurrence
-of f(x**k), and `_msequence_period` builds it from word-wide blocks of
-that recurrence with k doubling as the prefix grows.  The first return of
-the seed state is then found with one search for the seed window in the
-first 2**ell - 1 + ell bits.
+of f(x**k), and `lfsr_cycle` builds it from word-wide blocks of that
+recurrence with k doubling as the prefix grows.  The first return of the
+seed state is then found with one search for the seed window in the
+first 2**ell - 1 + ell bits; `_msequence_period` requires it at step
+2**ell - 1.
 
 `small_kasami` decimates lap by lap (`_decimate`): the indices d*i mod T
 that fall in one lap around the period form one stride-d slice.
@@ -84,12 +85,14 @@ def _default_taps(ell: int) -> int:
     return _taps_mask(DEFAULT_TAPS[ell])
 
 
-def _msequence_period(ell: int, taps: int, seed: int) -> str:
-    """One full period as a bit string, certifying the full cycle on the way.
+def lfsr_cycle(ell: int, taps: int, seed: int) -> str | None:
+    """The register's output from the seed state up to that state's first return.
 
     The register is s[i+ell] = c_{ell-1} s[i+ell-1] + ... + c_0 s[i]: bit j
-    of the taps mask is c_j and bit j of the seed mask is s_j.  Both masks
-    must fit in ell bits, and the seed must be nonzero.
+    of the taps mask is c_j and bit j of the seed mask is s_j, both masks
+    of at most ell bits.  None when the seed state does not return within
+    2**ell - 1 steps; with c_0 = 1 the state map is invertible, so every
+    nonzero seed returns.
 
     With f(x) = x**ell + sum_e x**e over the tap exponents e, every
     sequence the register emits is annihilated by f, hence by f(x)**k =
@@ -103,17 +106,9 @@ def _msequence_period(ell: int, taps: int, seed: int) -> str:
     r, so one `str.find` over the first T + ell bits finds the step at
     which the stepped register would have returned.
     """
-    if ell < 2:
-        raise ValueError(f"degree must be >= 2, got {ell}")
-    for name, bits in (("taps", taps), ("seed", seed)):
-        if not 0 <= bits < 1 << ell:
-            raise ValueError(f"{name} must fit in {ell} bits, got {bits:#x}")
-    if not seed:
-        raise ValueError("seed must be nonzero")
     exponents = [e for e in range(ell) if taps >> e & 1]
     width = ell - max(exponents, default=0)
-    T = (1 << ell) - 1
-    want = T + ell
+    want = (1 << ell) - 1 + ell
     data, n, k = seed, ell, 1
     while n < want:
         while 2 * k * ell <= n:
@@ -127,9 +122,25 @@ def _msequence_period(ell: int, taps: int, seed: int) -> str:
         n += w
     bits = unpack(data, want)
     r = bits.find(bits[:ell], 1)
-    if r != T:
-        raise NonPrimitiveTapsError(ell, r if 0 < r < T else None)
-    return bits[:T]
+    return bits[:r] if r > 0 else None
+
+
+def _msequence_period(ell: int, taps: int, seed: int) -> str:
+    """One full period of the register (see lfsr_cycle) as a bit string, certifying the full cycle.
+
+    Both masks must fit in ell bits, and the seed must be nonzero.
+    """
+    if ell < 2:
+        raise ValueError(f"degree must be >= 2, got {ell}")
+    for name, bits in (("taps", taps), ("seed", seed)):
+        if not 0 <= bits < 1 << ell:
+            raise ValueError(f"{name} must fit in {ell} bits, got {bits:#x}")
+    if not seed:
+        raise ValueError("seed must be nonzero")
+    cycle = lfsr_cycle(ell, taps, seed)
+    if cycle is None or len(cycle) < (1 << ell) - 1:
+        raise NonPrimitiveTapsError(ell, None if cycle is None else len(cycle))
+    return cycle
 
 
 def _decimate(u: str, d: int, shift: int) -> str:

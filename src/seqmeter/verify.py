@@ -12,7 +12,7 @@ import time
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask
+from .bitseq import BitSequence, mask, pack
 from .bounds import (
     find_half_peak_witness,
     kerror_bound,
@@ -27,8 +27,15 @@ from .complexity import (
     max_order_complexity,
     max_order_complexity_bruteforce,
 )
-from .correlation import aperiodic_measure, delta_under_flips
-from .generators import gold_sequence, hall_sextic, m_sequence, small_kasami
+from .correlation import aperiodic_measure, correlation_at, delta_under_flips
+from .generators import (
+    fermat_threshold,
+    gold_sequence,
+    hall_sextic,
+    lfsr_cycle,
+    m_sequence,
+    small_kasami,
+)
 from .thresholds import full_peak_threshold, half_peak_threshold
 
 DEFAULT_SEED = 20240917
@@ -117,8 +124,11 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
             continue
         # one shift folds to a constant only when g = 1, for a constant block
         lowest = 1 if span.block in (0, mask(seq.period)) else 2
-        if not (lowest <= cert.order <= (t_cap or seq.period) and cert.verified_value == seq.period):
-            failures.append(f"{name}: bad certificate {cert}")
+        # re-fold the shifts over two periods: a full peak has |Theta| = T
+        two = BitSequence.from_int(span.block | span.block << seq.period, 2 * seq.period)
+        theta = correlation_at(two, seq.period, cert.shifts)
+        if not (lowest <= cert.order <= (t_cap or seq.period) and abs(theta) == seq.period):
+            failures.append(f"{name}: bad certificate {cert}, Theta = {theta}")
     detail = "all peaks found and verified" if not failures else "; ".join(failures)
     return _result("periodic-peaks", 30.0, start, not failures, detail, len(instances))
 
@@ -131,14 +141,8 @@ def _recurrence_block(rng: random.Random) -> tuple[int, int]:
     """
     deg = rng.randint(7, 8)
     taps = rng.getrandbits(deg - 1) << 1 | 1
-    start = state = rng.getrandbits(deg) or 1
-    t = block = 0
-    while True:
-        block |= (state & 1) << t
-        t += 1
-        state = state >> 1 | ((state & taps).bit_count() & 1) << (deg - 1)
-        if state == start:
-            return t, block
+    bits = lfsr_cycle(deg, taps, rng.getrandbits(deg) or 1)
+    return len(bits), pack(bits)
 
 
 def check_half_peak_random(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
@@ -262,8 +266,6 @@ def check_oracle_equivalence(scale: str = "full", seed: int = DEFAULT_SEED) -> C
 
 def check_special_sequences(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
     """Residue-class and quotient-threshold families have their textbook shape."""
-    from .generators import fermat_threshold, hall_sextic
-
     start = time.perf_counter()
     failures = []
     cases = 0

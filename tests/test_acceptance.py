@@ -34,6 +34,20 @@ def test_full_peaks_constructed_within_threshold():
     assert r.cases == 14
 
 
+def test_periodic_peaks_check_refolds_each_certificate(monkeypatch):
+    # a certificate whose last shift is moved by one keeps its order and
+    # period, so only re-folding its shifts can catch it
+    found = verify.find_periodic_peak
+
+    def moved(span, t_max):
+        cert = found(span, t_max)
+        return cert._replace(shifts=(*cert.shifts[:-1], cert.shifts[-1] + 1))
+
+    monkeypatch.setattr(verify, "find_periodic_peak", moved)
+    r = verify.check_periodic_peaks(scale="quick")
+    assert not r.passed and "m-sequence: bad certificate" in r.detail and "Theta = " in r.detail
+
+
 def test_half_peaks_on_random_periodic_corpus():
     r = _run(verify.check_half_peak_random)
     assert r.cases == 200

@@ -61,7 +61,9 @@ def test_gen_msequence_seed_without_taps(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--taps", "13"], "taps must fit in 4 bits, got 0x13"),
     (["--seed", "10"], "seed must fit in 4 bits, got 0x10"),
-], ids=["taps", "seed"])
+    (["--taps", ""], "--taps must be hexadecimal, got ''"),
+    (["--seed", ""], "--seed must be hexadecimal, got ''"),
+], ids=["taps", "seed", "empty-taps", "empty-seed"])
 def test_gen_msequence_refuses_wide_masks(argv, message, capsys):
     assert run(["gen", "msequence", "--ell", "4", *argv], capsys) == (2, "", f"seqmeter: {message}\n")
 
@@ -229,10 +231,15 @@ def test_periodic_commands_refuse_a_short_file(ms3, tmp_path, capsys):
 
 
 def test_peaks_needs_period(tmp_path, capsys):
-    path = tmp_path / "raw.txt"
-    path.write_text("0101\n")
-    code, _, _ = run(["peaks", str(path)], capsys)
-    assert code == 2
+    # every periodic command exits 2 with the library's one period check
+    raw, short = tmp_path / "raw.txt", tmp_path / "short.txt"
+    raw.write_text("0101\n")
+    short.write_text("period=7\n0101\n")
+    for argv in (["peaks"], ["bounds", "verify", "thm1"], ["corr", "--k", "2", "--periodic"]):
+        assert run([*argv, str(raw)], capsys) == (
+            2, "", "seqmeter: sequence needs a declared period\n"), argv
+        assert run([*argv, str(short)], capsys) == (
+            2, "", "seqmeter: sequence needs a full period: 4 of 7 bits stored\n"), argv
 
 
 def test_full_rank_span_peaks_at_every_shift(tmp_path, capsys):

@@ -167,26 +167,26 @@ def test_kernel_search_finds_lex_min():
 
 
 def test_peak_certificates():
-    cert = find_periodic_peak(m_sequence(3), 5)
-    assert (cert.order, cert.shifts, cert.verified_value) == (3, (0, 1, 3), 7)
+    cert = find_periodic_peak(build_span(m_sequence(3)), 5)
+    assert (cert.order, cert.shifts, cert.period) == (3, (0, 1, 3), 7)
 
-    cert7 = find_periodic_peak(m_sequence(7), full_peak_threshold(127, 7))
+    cert7 = find_periodic_peak(build_span(m_sequence(7)), full_peak_threshold(127, 7))
     assert cert7.shifts == (0, 1, 7)
-    assert cert7.verified_value == 127
+    assert cert7.period == 127
 
-    g5 = find_periodic_peak(gold_sequence(5), 7)
+    g5 = find_periodic_peak(build_span(gold_sequence(5)), 7)
     assert g5.order == 5
     assert g5.shifts == (0, 1, 4, 19, 22)
-    assert g5.verified_value == 31
+    assert g5.period == 31
 
-    g9 = find_periodic_peak(gold_sequence(9), 7)  # T = 511, L = 18, cap 7
-    assert (g9.order, g9.shifts, g9.verified_value) == (5, (0, 1, 2, 340, 402), 511)
+    g9 = find_periodic_peak(build_span(gold_sequence(9)), 7)  # T = 511, L = 18, cap 7
+    assert (g9.order, g9.shifts, g9.period) == (5, (0, 1, 2, 340, 402), 511)
 
 
 def test_certificate_agrees_with_exhaustive_scan():
     r = periodic_measure(m_sequence(3), 3)
-    cert = find_periodic_peak(m_sequence(3), 3)
-    assert r.value == cert.verified_value
+    cert = find_periodic_peak(build_span(m_sequence(3)), 3)
+    assert r.value == cert.period
     assert tuple(r.witness_d) == cert.shifts
 
 
@@ -226,7 +226,7 @@ def test_certificate_is_the_scans_first_full_peak_exhaustively():
     for t in range(1, 13):
         for bits in range(1 << t) if t < 12 else _least_rotations(t):
             seq = BitSequence.from_int(bits, t, period=t)
-            cert = find_periodic_peak(seq, None)
+            cert = find_periodic_peak(build_span(seq), None)
             assert _first_full_peak(seq) == (cert.order, cert.shifts), (t, bits)
 
 
@@ -256,16 +256,16 @@ def test_multiples_walk_price():
 
 def test_certificate_reproduces_under_direct_evaluation():
     seq = gold_sequence(5)  # carries two periods, room for a length-T window
-    cert = find_periodic_peak(seq, 7)
+    cert = find_periodic_peak(build_span(seq), 7)
     v = correlation_at(seq, seq.period, cert.shifts)
-    assert abs(v) == cert.verified_value
+    assert abs(v) == cert.period
 
 
 def test_degenerate_zero_sequence():
     # g = 1, so the weight-1 level answers, as for the constant ones block
     for bits in (0, 0b111111):
-        cert = find_periodic_peak(BitSequence.from_int(bits, 6, period=6), 4)
-        assert (cert.order, cert.shifts, cert.verified_value, cert.note) == (1, (0,), 6, "")
+        cert = find_periodic_peak(build_span(BitSequence.from_int(bits, 6, period=6)), 4)
+        assert (cert.order, cert.shifts, cert.period) == (1, (0,), 6)
 
 
 def test_peak_search_budget():
@@ -283,7 +283,7 @@ def test_peak_search_budget():
     assert (low_weight_kernel_support(_recurrence(span), 31, 2, 7)
             == full_search(dual_syndromes(span), 2, 7) == (0, 1, 4, 19, 22))
     # a search that ends at weight 3 never reaches a budgeted level
-    assert find_periodic_peak(m_sequence(3), 5, budget=0).shifts == (0, 1, 3)
+    assert find_periodic_peak(build_span(m_sequence(3)), 5, budget=0).shifts == (0, 1, 3)
 
 
 def test_zeros_search_budget():
@@ -291,9 +291,9 @@ def test_zeros_search_budget():
     # C(30, w - 3) heads plus 2^5 field-table entries, 62 at w = 4, 467 at w = 5
     for budget, cost in ((61, 62), (466, 467)):
         with pytest.raises(BudgetExceededError) as exc:
-            find_periodic_peak(gold_sequence(5), 7, budget=budget)
+            find_periodic_peak(build_span(gold_sequence(5)), 7, budget=budget)
         assert (exc.value.cost, exc.value.budget) == (cost, budget)
-    assert find_periodic_peak(gold_sequence(5), 7, budget=467).shifts == (0, 1, 4, 19, 22)
+    assert find_periodic_peak(build_span(gold_sequence(5)), 7, budget=467).shifts == (0, 1, 4, 19, 22)
 
 
 def test_kernel_search_budget():
@@ -316,7 +316,7 @@ def test_recurrence_must_not_vanish_at_zero():
 
 def test_order_cap_validated():
     with pytest.raises(ValueError):
-        find_periodic_peak(m_sequence(3), 0)
+        find_periodic_peak(build_span(m_sequence(3)), 0)
 
 
 def test_uncapped_peak_search_and_full_rank_chain():
@@ -328,13 +328,13 @@ def test_uncapped_peak_search_and_full_rank_chain():
     assert _recurrence(span) == 0b10000001
     assert _peak_recurrence(span) == 0b1111111
     cert = find_periodic_peak(span, full_peak_threshold(7, span.dimension))
-    assert (cert.order, cert.shifts, cert.verified_value) == (7, tuple(range(7)), 7)
+    assert (cert.order, cert.shifts, cert.period) == (7, tuple(range(7)), 7)
     assert find_periodic_peak(span, 6) is None
     with pytest.raises(ValueError):
         find_periodic_peak(span, 0)
     # below full rank, no cap is the same as a cap of T
-    for seq in (m_sequence(3), gold_sequence(5), small_kasami(4)):
-        assert find_periodic_peak(seq, None) == find_periodic_peak(seq, seq.period)
+    for span in map(build_span, (m_sequence(3), gold_sequence(5), small_kasami(4))):
+        assert find_periodic_peak(span, None) == find_periodic_peak(span, span.period)
 
 
 def test_full_peak_threshold_values():
@@ -502,10 +502,10 @@ def test_anchored_search_matches_full_search(t, data):
 @given(st.integers(min_value=5, max_value=10), st.data())
 def test_jobs_do_not_change_certificates(t, data):
     bits = data.draw(st.integers(min_value=1, max_value=(1 << t) - 2))
-    seq = BitSequence.from_int(bits | (bits << t), 2 * t, period=t)
-    a = find_periodic_peak(seq, 6)
+    span = build_span(BitSequence.from_int(bits | (bits << t), 2 * t, period=t))
+    a = find_periodic_peak(span, 6)
     with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
-        b = find_periodic_peak(seq, 6, jobs=3)
+        b = find_periodic_peak(span, 6, jobs=3)
     if a is None:
         assert b is None
     else:
@@ -761,9 +761,10 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
 
 
 def test_zeros_levels_fan_out_to_the_same_certificate():
+    span = build_span(gold_sequence(7))
     with mock.patch("os.cpu_count", return_value=4), \
             mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
             mock.patch.object(RecordingExecutor, "seen", []):
-        assert find_periodic_peak(gold_sequence(7), 7, jobs=3) == find_periodic_peak(gold_sequence(7), 7)
+        assert find_periodic_peak(span, 7, jobs=3) == find_periodic_peak(span, 7)
         assert RecordingExecutor.seen == [3, 3]

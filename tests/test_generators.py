@@ -9,6 +9,7 @@ from seqmeter.generators import (
     DEFAULT_TAPS,
     GOLD_PAIRS,
     NonPrimitiveTapsError,
+    NotPreferredPairError,
     _decimate,
     _msequence_period,
     fermat_quotient,
@@ -16,6 +17,7 @@ from seqmeter.generators import (
     gold_sequence,
     hall_sextic,
     is_prime,
+    lfsr_cycle,
     m_sequence,
     multiplicative_order,
     small_kasami,
@@ -120,6 +122,29 @@ def test_msequence_period_edge_taps(ell):
                     f"state orbit does not return to the seed within {mask(ell)} steps")
 
 
+def stepped_cycle(ell, taps, seed):
+    """The register stepped one bit at a time until the seed state returns."""
+    state, bits = seed, []
+    while True:
+        bits.append("01"[state & 1])
+        state = (state >> 1) | (((state & taps).bit_count() & 1) << (ell - 1))
+        if state == seed:
+            return "".join(bits)
+
+
+def test_lfsr_cycle_matches_stepped_register_exhaustive():
+    # c_0 = 1 makes every nonzero seed return; non-primitive taps give the
+    # shorter cycles through their seeds
+    lengths = set()
+    for ell in range(1, 7):
+        for taps in range(1, 1 << ell, 2):
+            for seed in range(1, 1 << ell):
+                cycle = lfsr_cycle(ell, taps, seed)
+                assert cycle == stepped_cycle(ell, taps, seed), (ell, taps, seed)
+                lengths.add(len(cycle))
+    assert sorted(lengths) == [*range(1, 11), 12, 14, 15, 21, 28, 30, 31, 63]
+
+
 def decimated_by_index(u, d, shift):
     return "".join(u[d * (i + shift) % len(u)] for i in range(len(u)))
 
@@ -187,6 +212,17 @@ def test_gold_shift_changes_sequence():
     b = gold_sequence(5, shift=1)
     assert a.data != b.data
     assert a.period == b.period
+
+
+@pytest.mark.parametrize("shift,observed", [(0, 0), (1, 5)])
+def test_gold_rejects_a_pair_that_is_not_preferred(shift, observed):
+    # one m-sequence against itself: at shift 0 the XOR vanishes, at shift 1
+    # it is another shift of the same m-sequence
+    with pytest.raises(NotPreferredPairError) as exc:
+        gold_sequence(5, shift=shift, taps_pair=((2, 0), (2, 0)))
+    assert (exc.value.expected, exc.value.observed) == (10, observed)
+    assert str(exc.value) == (
+        f"pair is not preferred: combined linear complexity {observed}, want 10")
 
 
 def test_gold_rejects_bad_degree():

@@ -21,17 +21,16 @@ from seqmeter.verify import CheckResult
 # name -> (factory, repr text); each factory builds a fresh, equal instance
 RECORDS = {
     "ComplexityProfile": (
-        lambda: ComplexityProfile("linear", (0, 1, 1), (1, 0)),
-        "ComplexityProfile(kind='linear', values=(0, 1, 1), coefficients=(1, 0))",
+        lambda: ComplexityProfile((0, 1, 1), (1, 0)),
+        "ComplexityProfile(values=(0, 1, 1), coefficients=(1, 0))",
     ),
     "CyclicSpan": (
         lambda: CyclicSpan(7, 3, (9, 18, 36), (0, 1, 2), 116),
         "CyclicSpan(period=7, dimension=3, basis=(9, 18, 36), pivots=(0, 1, 2), block=116)",
     ),
     "PeakCertificate": (
-        lambda: PeakCertificate(3, (0, 1, 3), "periodic-full", 7, "anchored"),
-        "PeakCertificate(order=3, shifts=(0, 1, 3), kind='periodic-full', "
-        "verified_value=7, note='anchored')",
+        lambda: PeakCertificate((0, 1, 3), 7),
+        "PeakCertificate(shifts=(0, 1, 3), period=7)",
     ),
     "CorrelationResult": (
         lambda: CorrelationResult(2, 5, 6, (0, 3), "half-peak", 10, True),
@@ -101,8 +100,7 @@ def test_unequal_fields_compare_unequal():
 
 
 def test_constructor_defaults():
-    assert ComplexityProfile("maximum-order", (0, 1)).coefficients is None
-    assert PeakCertificate(3, (0, 1, 3), "periodic-full", 7).note == ""
+    assert ComplexityProfile((0, 1)).coefficients is None
     assert CorrelationResult(1, 2, 3, (0,), "none", 8).periodic is False
     assert BoundReport("moc-half-peak", {}, None, False).commentary == ""
     assert CheckResult("c", False, "d", 0.0, 1.0).cases == 0
@@ -115,11 +113,12 @@ def test_keyword_construction():
 
 
 def test_methods_and_properties():
-    assert ComplexityProfile("linear", (0, 1, 2)).final == 2
-    assert ComplexityProfile("linear", ()).final == 0
+    assert ComplexityProfile((0, 1, 2)).final == 2
+    assert ComplexityProfile(()).final == 0
+    assert RECORDS["PeakCertificate"][0]().order == 3
     assert RECORDS["PeakCertificate"][0]().as_dict() == {
         "k": 3, "shifts": [0, 1, 3], "kind": "periodic-full", "theta": 7,
-        "verified": True, "note": "anchored"}
+        "verified": True, "note": ""}
     assert RECORDS["CorrelationResult"][0]().as_dict() == {
         "k": 2, "value": 5, "U": 6, "D": [0, 3], "classification": "half-peak",
         "n": 10, "periodic": True}
