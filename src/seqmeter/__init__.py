@@ -26,8 +26,6 @@ _EXPORTS = {
         "log_complexity_bound",
         "moc_correlation_bound",
         "moc_half_peak_check",
-        "table1",
-        "table1_row",
     ),
     "codes": (
         "CyclicSpan",
@@ -61,7 +59,7 @@ _EXPORTS = {
         "small_kasami",
     ),
     "parallel": (),
-    "thresholds": ("full_peak_threshold", "half_peak_threshold"),
+    "thresholds": ("full_peak_threshold", "half_peak_threshold", "table1", "table1_row"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

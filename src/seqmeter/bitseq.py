@@ -18,6 +18,9 @@ with ``int(..., 2)``, which puts the first bit highest, into the
 reversed register of Berlekamp-Massey, and `correlation._walk_extremes`
 reads a row's bytes through ``int.to_bytes``.
 
+`periodic_correlation` re-folds a shift set over two periods, the check
+that every periodic answer (a measure's witness, a full peak) passes.
+
 `fold_extensions` enumerates increasing index tuples with the XOR of
 their packed values, sharing the folds of common leading indices.  The
 correlation scans (shift sets over shifted copies) and the dual search in
@@ -229,6 +232,23 @@ def as_shifts(shifts: Iterable[int]) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(shifts, shifts[1:])):
         raise ValueError(f"shifts must be strictly increasing, got {shifts}")
     return shifts
+
+
+def periodic_correlation(block: int, t: int, shifts: Iterable[int]) -> int:
+    """Theta(D) = sum_{i<t} (-1)**(s[i+d_1]+...+s[i+d_k]) for the sequence of period t and first period block.
+
+    D is folded over two copies of block, so no shift wraps and each must
+    lie in 0..t (a shift of t reads the block again, as 0 does).  A full
+    periodic peak is |Theta| = t: a fold of all zeros or all ones.
+    """
+    d = as_shifts(shifts)
+    if d[-1] > t:
+        raise ValueError(f"shifts must be at most the period {t}, got {d}")
+    two = block | block << t
+    fold = 0
+    for dj in d:
+        fold ^= two >> dj
+    return t - 2 * (fold & mask(t)).bit_count()
 
 
 def fold_extensions(values: list[int], head: tuple[int, ...], size: int, start: int, end: int):

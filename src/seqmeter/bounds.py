@@ -10,7 +10,8 @@ returns the weakest certified reading):
 The sphere-packing thresholds turn the same correlation data around:
 once enough shift sets exist to exhaust the recurrence's state space, a
 peak is forced.  All fired/not-fired decisions use exact integers; only
-display values are floats.
+display values are floats.  The thresholds themselves, and Table 1
+built from them, live in `seqmeter.thresholds`.
 
 Convention: every logarithm here is log base 2.
 
@@ -24,7 +25,6 @@ from typing import NamedTuple
 
 from .bitseq import BitSequence, mask
 from .budget import DEFAULT_BUDGET
-from .thresholds import full_peak_threshold
 
 # exhaustive order-k search is only attempted below this many summands
 # before falling back to the constructive window-collision argument
@@ -227,63 +227,6 @@ def _agreeing_pair(data: int, n: int, m: int) -> tuple[int, int] | None:
             if ((data >> d1) ^ shifted) & tail == 0:
                 return d1, d2
     return None
-
-
-# Table of sequence families: validity predicate, dimension formula, and the
-# claimed order cap for a full periodic peak.  Claims for three families
-# disagree with the exact threshold; see README.  large-kasami (ell >= 6) claims
-# 9 where the exact cap is 7, so the claim holds but is looser than exact.
-# Two claims sit below the exact cap at every degree, so exact counting does
-# not support them: 5-term-trace claims 11 (exact 13 from ell = 11 on), and
-# welch-gong claims the non-integer (2^(ell/3)+1)/ell.
-class FamilyRow(NamedTuple):
-    key: str
-    valid: object  # ell -> bool
-    dimension: object  # ell -> int
-    claimed: object  # ell -> int | float
-
-
-TABLE_FAMILIES: tuple[FamilyRow, ...] = (
-    FamilyRow("m-sequence", lambda e: e >= 2, lambda e: e, lambda e: 3),
-    FamilyRow("small-kasami", lambda e: e >= 4 and e % 2 == 0, lambda e: 3 * e // 2, lambda e: 5),
-    FamilyRow("gold", lambda e: e >= 3 and e % 4 != 0, lambda e: 2 * e, lambda e: 7),
-    FamilyRow("large-kasami", lambda e: e >= 4 and e % 2 == 0, lambda e: 5 * e // 2, lambda e: 9),
-    FamilyRow("3-term-trace", lambda e: e >= 5 and e % 2 == 1, lambda e: 3 * e, lambda e: 9),
-    FamilyRow("5-term-trace", lambda e: e >= 5 and e % 2 == 1, lambda e: 5 * e, lambda e: 11),
-    FamilyRow("welch-gong", lambda e: e >= 6 and e % 3 == 0, lambda e: (1 << (e // 3)) + 1,
-              lambda e: ((1 << (e // 3)) + 1) / e),
-)
-
-
-def table1_row(family: str, ell: int) -> dict:
-    """One family/degree cell: period, dimension, exact threshold, claimed cap."""
-    row = next((f for f in TABLE_FAMILIES if f.key == family), None)
-    if row is None:
-        raise ValueError(f"unknown family {family!r}")
-    if not row.valid(ell):
-        raise ValueError(f"ell={ell} is not valid for family {family!r}")
-    t = (1 << ell) - 1
-    l = row.dimension(ell)
-    threshold = full_peak_threshold(t, l)
-    claimed = row.claimed(ell)
-    return {
-        "family": family,
-        "ell": ell,
-        "period": t,
-        "dimension": l,
-        "threshold": threshold,
-        "claimed": claimed,
-        "matches": threshold == claimed,
-    }
-
-
-def table1(ell_max: int = 20) -> list[dict]:
-    out = []
-    for row in TABLE_FAMILIES:
-        for ell in range(2, ell_max + 1):
-            if row.valid(ell):
-                out.append(table1_row(row.key, ell))
-    return out
 
 
 def kerror_bound(

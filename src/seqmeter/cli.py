@@ -9,8 +9,10 @@ Every CLI call is a new process, which compiles each module it loads
 wherever bytecode is not cached.  So this module holds only the entry
 point and the command table; each command's arguments and handler live
 in its module under `seqmeter.commands`, and a call imports, compiles
-and builds the parser of only the command it runs.  Each handler in turn
-imports the modules it runs (see `seqmeter/__init__.py`).
+and builds the parser of only the command it runs; the `bounds` and `gen`
+groups likewise build only the subcommand invoked.  Help and usage
+errors print what a parser holding every command would.  Each handler in
+turn imports the modules it runs (see `seqmeter/__init__.py`).
 """
 
 import argparse
@@ -19,7 +21,7 @@ import sys
 
 from . import __version__
 from .budget import BudgetExceededError
-from .commands import EXIT_BUDGET, EXIT_USAGE, _env_budget
+from .commands import EXIT_BUDGET, EXIT_USAGE, _add_subcommands, _env_budget
 
 # command -> (its module under seqmeter.commands, its help line)
 COMMANDS = {
@@ -35,12 +37,12 @@ COMMANDS = {
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: every command is listed, only the one it names is built.
+    """The parser for `argv`, holding the one command it names when it names a valid one.
 
-    Each command is registered with its help line, so top-level help and
-    usage errors are those of a full parser.  The command is the first word
-    of `argv` that is not an option (no top-level option takes a value);
-    only its module is imported and only its arguments are added.
+    Only that command's module is imported and only its arguments are
+    added.  For help, a missing or an unknown command, every command is
+    registered with its help line, so the listing and the error are those
+    of a full parser (see `commands._add_subcommands`).
     """
     parser = argparse.ArgumentParser(
         prog="seqmeter",
@@ -54,12 +56,15 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
-    invoked = next((word for word in argv if not word.startswith("-")), None)
-    for name, (module, help_line) in COMMANDS.items():
+
+    def add(sub, name, rest):
+        module, help_line = COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_line)
-        if name == invoked:
-            importlib.import_module(f".commands.{module}", __package__).add_arguments(p, common, name)
+        if rest is not None:
+            importlib.import_module(f".commands.{module}", __package__).add_arguments(
+                p, common, name, rest)
+
+    _add_subcommands(parser, "command", COMMANDS, argv, add)
     return parser
 
 

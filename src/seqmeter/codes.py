@@ -54,7 +54,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, fold_extensions, mask
+from .bitseq import BitSequence, as_shifts, fold_extensions, periodic_correlation
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .parallel import map_min
 
@@ -373,15 +373,6 @@ def find_periodic_peak(
     support = low_weight_kernel_support(g, span.period, 1, t_max, budget, jobs)
     if support is None:
         return None
-    if not _verify_full_peak(span.block, span.period, support):
+    if abs(periodic_correlation(span.block, span.period, support)) != span.period:
         raise AssertionError(f"unverified full-peak support {support}")  # pragma: no cover
     return PeakCertificate(as_shifts(support), span.period)
-
-
-def _verify_full_peak(block: int, t: int, support: tuple[int, ...]) -> bool:
-    """The fold of support's rotations of block < 2**t is constant, all zeros or all ones."""
-    data2 = block | block << t
-    fold = 0
-    for d in support:
-        fold ^= data2 >> d
-    return fold & mask(t) in (0, mask(t))

@@ -3,43 +3,54 @@
 import argparse
 import sys
 
-from . import EXIT_CHECK_FAILED, EXIT_OK, _emit, _load, _usage
+from . import EXIT_CHECK_FAILED, EXIT_OK, _add_subcommands, _emit, _load, _usage
+
+# subcommand -> its help line
+SUBCOMMANDS = {
+    "table1": "family table: periods, dimensions, thresholds",
+    "thm2": "aperiodic half-peak threshold from N and L",
+    "cor3": "asymptotic log formula for L, not a bound at every N; "
+            "hypothesis C_j(S, N) < N/2 for every j <= K",
+    "verify": "check one guarantee on a concrete sequence",
+    "kerror": "complexity bound surviving bit flips",
+}
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
-    bsub = parser.add_subparsers(dest="bounds_command", required=True)
-    bt = bsub.add_parser("table1", parents=[common], help="family table: periods, dimensions, thresholds")
-    bt.add_argument("--ell-max", type=int, default=20, dest="ell_max")
-    bt.add_argument("--csv", action="store_true")
-    bt.set_defaults(func=_bounds_table1)
-    b2 = bsub.add_parser("thm2", parents=[common], help="aperiodic half-peak threshold from N and L")
-    b2.add_argument("--n", type=int, required=True)
-    b2.add_argument("--l", type=int, required=True)
-    b2.set_defaults(func=_bounds_thm2)
-    b3 = bsub.add_parser("cor3", parents=[common],
-                         help="asymptotic log formula for L, not a bound at every N; "
-                              "hypothesis C_j(S, N) < N/2 for every j <= K")
-    b3.add_argument("--k", type=int, required=True)
-    b3.add_argument("--n", type=int, required=True)
-    b3.set_defaults(func=_bounds_cor3)
-    bv = bsub.add_parser("verify", parents=[common], help="check one guarantee on a concrete sequence")
-    bv.add_argument("claim", choices=["thm1", "thm2", "thm4"])
-    bv.add_argument("file")
-    bv.add_argument("--n", type=int)
-    bv.add_argument("--budget", type=int, default=None)
-    bv.set_defaults(func=_bounds_verify)
-    bk = bsub.add_parser("kerror", parents=[common], help="complexity bound surviving bit flips")
-    bk.add_argument("file")
-    bk.add_argument("--n", type=int)
-    bk.add_argument("--k", type=int, default=2)
-    bk.add_argument("--flips", type=int, required=True)
-    bk.add_argument("--budget", type=int, default=None)
-    bk.set_defaults(func=_bounds_kerror)
+                  name: str, argv: list[str]) -> None:
+    def add(sub, name, rest):
+        p = sub.add_parser(name, parents=[common], help=SUBCOMMANDS[name])
+        if name == "table1":
+            p.add_argument("--ell-max", type=int, default=20, dest="ell_max")
+            p.add_argument("--csv", action="store_true")
+            p.set_defaults(func=_bounds_table1)
+        elif name == "thm2":
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--l", type=int, required=True)
+            p.set_defaults(func=_bounds_thm2)
+        elif name == "cor3":
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
+            p.set_defaults(func=_bounds_cor3)
+        elif name == "verify":
+            p.add_argument("claim", choices=["thm1", "thm2", "thm4"])
+            p.add_argument("file")
+            p.add_argument("--n", type=int)
+            p.add_argument("--budget", type=int, default=None)
+            p.set_defaults(func=_bounds_verify)
+        else:
+            p.add_argument("file")
+            p.add_argument("--n", type=int)
+            p.add_argument("--k", type=int, default=2)
+            p.add_argument("--flips", type=int, required=True)
+            p.add_argument("--budget", type=int, default=None)
+            p.set_defaults(func=_bounds_kerror)
+
+    _add_subcommands(parser, "bounds_command", SUBCOMMANDS, argv, add)
 
 
 def _bounds_table1(args) -> int:
-    from ..bounds import table1
+    from ..thresholds import table1
 
     rows = table1(args.ell_max)
     if args.csv:

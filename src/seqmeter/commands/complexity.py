@@ -6,7 +6,7 @@ from . import EXIT_OK, _emit, _load
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
+                  name: str, argv: list[str]) -> None:
     parser.add_argument("file")
     parser.add_argument("--n", type=int, help="prefix length (default: whole file)")
     if name == "kerror":

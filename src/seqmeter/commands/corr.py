@@ -6,7 +6,7 @@ from . import EXIT_OK, _emit, _load, _usage
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
+                  name: str, argv: list[str]) -> None:
     parser.add_argument("file")
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--n", type=int, help="prefix length (aperiodic only)")

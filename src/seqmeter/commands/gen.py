@@ -3,29 +3,33 @@
 import argparse
 import sys
 
-from . import EXIT_OK, _parse_hex
+from . import EXIT_OK, _add_subcommands, _parse_hex
+
+KINDS = ("msequence", "gold", "kasami-small", "hall", "fermat")
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
+                  name: str, argv: list[str]) -> None:
     parser.set_defaults(func=cmd_gen)
-    gen_sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in ("msequence", "gold", "kasami-small"):
-        g = gen_sub.add_parser(kind, parents=[common])
-        g.add_argument("--ell", type=int, required=True, help="register degree")
-        if kind == "msequence":
-            g.add_argument("--taps", help="feedback taps, hex mask of c_0..c_{ell-1}")
-            g.add_argument("--seed", dest="seed_state", help="initial state, hex")
+
+    def add(sub, kind, rest):
+        g = sub.add_parser(kind, parents=[common])
+        if kind == "hall":
+            g.add_argument("--t", type=int, required=True, help="prime period, 1 mod 6")
+            g.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
+        elif kind == "fermat":
+            g.add_argument("--p", type=int, required=True, help="odd prime")
         else:
-            g.add_argument("--shift", type=int, default=0)
-    hall = gen_sub.add_parser("hall", parents=[common])
-    hall.add_argument("--t", type=int, required=True, help="prime period, 1 mod 6")
-    hall.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
-    fermat = gen_sub.add_parser("fermat", parents=[common])
-    fermat.add_argument("--p", type=int, required=True, help="odd prime")
-    for g in gen_sub.choices.values():
+            g.add_argument("--ell", type=int, required=True, help="register degree")
+            if kind == "msequence":
+                g.add_argument("--taps", help="feedback taps, hex mask of c_0..c_{ell-1}")
+                g.add_argument("--seed", dest="seed_state", help="initial state, hex")
+            else:
+                g.add_argument("--shift", type=int, default=0)
         g.add_argument("--periods", type=int, default=2, help="periods to emit (default 2)")
         g.add_argument("-o", "--output", help="output file (default: stdout)")
+
+    _add_subcommands(parser, "kind", KINDS, argv, add)
 
 
 def cmd_gen(args) -> int:

@@ -6,7 +6,7 @@ from . import EXIT_OK, _emit, _env_budget, _load
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
+                  name: str, argv: list[str]) -> None:
     parser.add_argument("file")
     parser.add_argument("--tmax", type=int, default=None,
                         help="weight cap (default: the sphere-packing threshold; none at full rank)")

@@ -7,7 +7,7 @@ from . import EXIT_CHECK_FAILED, EXIT_OK, _emit
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str) -> None:
+                  name: str, argv: list[str]) -> None:
     vsub = parser.add_subparsers(dest="verify_command", required=True)
     va = vsub.add_parser("all", parents=[common])
     va.add_argument("--scale", choices=["quick", "full"], default="quick")

@@ -52,7 +52,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, fold_extensions, mask, unpack
+from .bitseq import BitSequence, as_shifts, fold_extensions, mask, periodic_correlation, unpack
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
 from .parallel import map_min
 
@@ -293,7 +293,7 @@ def periodic_measure(
         work = t * sum(math.comb(t - k * g + k - 2, k - 2) for g in range(1, t // k + 1))
         best = map_min(_scan_periodic, (block, t, k), heads, jobs, work)
         value, d = -best[0], best[1]
-    folded = abs(correlation_at(BitSequence.from_int(block | block << t, 2 * t), t, d))
+    folded = abs(periodic_correlation(block, t, d))
     if value is None:
         value = folded
     elif folded != value:

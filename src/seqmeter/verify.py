@@ -12,13 +12,8 @@ import time
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask, pack
-from .bounds import (
-    find_half_peak_witness,
-    kerror_bound,
-    moc_half_peak_check,
-    table1,
-)
+from .bitseq import BitSequence, mask, pack, periodic_correlation
+from .bounds import find_half_peak_witness, kerror_bound, moc_half_peak_check
 from .codes import build_span, find_periodic_peak
 from .complexity import (
     kerror_linear_complexity,
@@ -27,7 +22,7 @@ from .complexity import (
     max_order_complexity,
     max_order_complexity_bruteforce,
 )
-from .correlation import aperiodic_measure, correlation_at, delta_under_flips
+from .correlation import aperiodic_measure, delta_under_flips
 from .generators import (
     fermat_threshold,
     gold_sequence,
@@ -36,7 +31,7 @@ from .generators import (
     m_sequence,
     small_kasami,
 )
-from .thresholds import full_peak_threshold, half_peak_threshold
+from .thresholds import full_peak_threshold, half_peak_threshold, table1
 
 DEFAULT_SEED = 20240917
 
@@ -125,8 +120,7 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
         # one shift folds to a constant only when g = 1, for a constant block
         lowest = 1 if span.block in (0, mask(seq.period)) else 2
         # re-fold the shifts over two periods: a full peak has |Theta| = T
-        two = BitSequence.from_int(span.block | span.block << seq.period, 2 * seq.period)
-        theta = correlation_at(two, seq.period, cert.shifts)
+        theta = periodic_correlation(span.block, seq.period, cert.shifts)
         if not (lowest <= cert.order <= (t_cap or seq.period) and abs(theta) == seq.period):
             failures.append(f"{name}: bad certificate {cert}, Theta = {theta}")
     detail = "all peaks found and verified" if not failures else "; ".join(failures)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeter.bitseq import (
-    BitSequence, as_shifts, dumps, fold_extensions, loads, mask, pack, unpack,
+    BitSequence, as_shifts, dumps, fold_extensions, loads, mask, pack, periodic_correlation, unpack,
 )
+from seqmeter.correlation import correlation_at
 from seqmeter.generators import m_sequence
 
 
@@ -255,3 +256,13 @@ def test_fold_extensions_match_combinations():
                                                                     size - len(head))]
                     assert list(fold_extensions(values, head, size, start, end)) == expected, \
                         (head, start, size, end)
+
+
+def test_periodic_correlation_matches_correlation_at_over_two_periods():
+    # every block and every shift set in 0..T of every period T <= 8
+    for t in range(1, 9):
+        sets = [d for k in range(1, t + 2) for d in itertools.combinations(range(t + 1), k)]
+        for block in range(1 << t):
+            two = BitSequence.from_int(block | block << t, 2 * t)
+            for d in sets:
+                assert periodic_correlation(block, t, d) == correlation_at(two, t, d), (t, block, d)

@@ -15,8 +15,6 @@ from seqmeter.bounds import (
     lc_correlation_bound,
     moc_correlation_bound,
     moc_half_peak_check,
-    table1,
-    table1_row,
 )
 from seqmeter.complexity import (
     kerror_linear_complexity,
@@ -25,7 +23,7 @@ from seqmeter.complexity import (
 )
 from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
-from seqmeter.thresholds import full_peak_threshold, half_peak_threshold
+from seqmeter.thresholds import full_peak_threshold, half_peak_threshold, table1, table1_row
 from test_codes import full_search
 from test_generators import _gold_prefix_with_breaking_bit
 

@@ -595,16 +595,16 @@ CLI = ["budget", "cli", "commands"]
     (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
     (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]),
      CLI + ["bitseq", "commands.complexity", "complexity"]),
-    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["bitseq", "bounds", "commands.bounds", "thresholds"]),
+    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["commands.bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["commands.bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
      CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel"]),
     (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "correlation", "parallel"]),
 ], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
         "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeter import codes, parallel
-from seqmeter.bitseq import BitSequence, loads, mask, pack, unpack
+from seqmeter.bitseq import BitSequence, loads, mask, pack, periodic_correlation, unpack
 from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
     CyclicSpan,
@@ -17,7 +17,6 @@ from seqmeter.codes import (
     _powers,
     _recurrence,
     _tails,
-    _verify_full_peak,
     build_span,
     find_periodic_peak,
     low_weight_kernel_support,
@@ -754,7 +753,7 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
     span = build_span(gold_sequence(ell))
     cert = find_periodic_peak(span, 7)
     assert cert.shifts == shifts
-    assert _verify_full_peak(span.block, span.period, shifts)
+    assert abs(periodic_correlation(span.block, span.period, shifts)) == span.period
     assert low_weight_kernel_support(_recurrence(span), span.period, 2, 3) is None
     zeros = _zeros_of(dual_syndromes(span), _recurrence(span))
     assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None

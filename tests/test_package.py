@@ -74,6 +74,15 @@ def test_star_import_skips_dataclasses_and_inspect():
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+def test_table1_lives_with_the_thresholds():
+    # Table 1 tabulates full_peak_threshold only, so `bounds table1` loads the leaf module alone
+    from seqmeter import bounds, thresholds
+
+    for name in ("FamilyRow", "TABLE_FAMILIES", "table1", "table1_row"):
+        assert hasattr(thresholds, name) and not hasattr(bounds, name)
+    assert seqmeter.table1 is thresholds.table1 and seqmeter.table1_row is thresholds.table1_row
+
+
 def test_records_are_tuples():
     # the one API difference from frozen dataclasses: len, iteration and == with a tuple
     r = seqmeter.CorrelationResult(2, 5, 6, (0, 3), "half-peak", 10)

@@ -1,8 +1,9 @@
 """Contract of the result records, and the validation messages of the parameter checks.
 
 Every record keeps its repr text, its immutability, value equality and
-hashing and its constructor defaults.  The generators and
-`bitseq.as_shifts` keep their exact validation messages.
+hashing and its constructor defaults.  The generators,
+`bitseq.as_shifts` and `bitseq.periodic_correlation` keep their exact
+validation messages.
 """
 
 import copy
@@ -10,12 +11,13 @@ import pickle
 
 import pytest
 
-from seqmeter.bitseq import as_shifts
-from seqmeter.bounds import TABLE_FAMILIES, BoundReport, FamilyRow
+from seqmeter.bitseq import as_shifts, periodic_correlation
+from seqmeter.bounds import BoundReport
 from seqmeter.codes import CyclicSpan, PeakCertificate
 from seqmeter.complexity import ComplexityProfile
 from seqmeter.correlation import CorrelationResult
 from seqmeter.generators import fermat_threshold, gold_sequence, hall_sextic, m_sequence
+from seqmeter.thresholds import TABLE_FAMILIES, FamilyRow
 from seqmeter.verify import CheckResult
 
 # name -> (factory, repr text); each factory builds a fresh, equal instance
@@ -136,6 +138,7 @@ def test_methods_and_properties():
     (lambda: as_shifts([-1, 2]), "shifts must be non-negative"),
     (lambda: as_shifts([3, 1]), "shifts must be strictly increasing, got (3, 1)"),
     (lambda: as_shifts([0, 2, 2]), "shifts must be strictly increasing, got (0, 2, 2)"),
+    (lambda: periodic_correlation(0b10011, 5, (0, 6)), "shifts must be at most the period 5, got (0, 6)"),
     (lambda: m_sequence(1, taps=1), "degree must be >= 2, got 1"),
     (lambda: m_sequence(21), "no default taps for degree 21; supply taps explicitly"),
     (lambda: m_sequence(3, taps=0b1011), "taps must fit in 3 bits, got 0xb"),
