@@ -207,26 +207,34 @@ def moc_half_peak_check(
                            f"not fired: 2^(M+2) = {1 << (m + 2)} > {n}")
     r = aperiodic_measure(seq, 2, n, budget=budget)
     inputs["C2"] = r.value
-    pair = _agreeing_pair(seq.data & mask(n), n, m)
+    d1, d2 = _agreeing_pair(seq.data, m)
+    inputs["witness"] = [d1, d2]
     held = 2 * r.value >= n
-    note = f"C_2 = {r.value}, need >= {n}/2: {'holds' if held else 'VIOLATED'}"
-    if pair is not None:
-        d1, d2 = pair
-        inputs["witness"] = [d1, d2]
-        note += f"; windows at {d1} and {d2} agree on all {n - d2} overlapping bits"
-        if d2 == 1 << m:
-            note += " (pair sits at 2^M exactly, not strictly below)"
+    note = (f"C_2 = {r.value}, need >= {n}/2: {'holds' if held else 'VIOLATED'}"
+            f"; windows at {d1} and {d2} agree on all {n - d2} overlapping bits")
+    if d2 == 1 << m:
+        note += " (pair sits at 2^M exactly, not strictly below)"
     return BoundReport("moc-half-peak", inputs, r.value, True, note)
 
 
-def _agreeing_pair(data: int, n: int, m: int) -> tuple[int, int] | None:
-    for d2 in range(1, (1 << m) + 1):
-        tail = mask(n - d2)
-        shifted = data >> d2
-        for d1 in range(d2):
-            if ((data >> d1) ^ shifted) & tail == 0:
-                return d1, d2
-    return None
+def _agreeing_pair(data: int, m: int) -> tuple[int, int]:
+    """The least d2 <= 2**M whose M-bit window occurs at some d1 < d2, with that d1.
+
+    M is the maximum-order complexity of the prefix, so one feedback
+    function of order M extends every window: two positions whose
+    M-windows agree agree on their whole overlap, and once the check fires
+    (2**(M+2) <= N) that overlap is at least 3 * 2**M >= M bits long, so
+    the converse holds too.  The first repeated window is then the pair
+    with the least d2 and, for it, the least d1.
+    """
+    data &= mask((1 << m) + m)
+    low = mask(m)
+    first = {}
+    for d2 in range((1 << m) + 1):  # 2**M + 1 windows of M bits: one repeats
+        d1 = first.setdefault((data >> d2) & low, d2)
+        if d1 != d2:
+            break
+    return d1, d2
 
 
 def kerror_bound(

@@ -13,9 +13,23 @@ and builds the parser of only the command it runs; the `bounds` and `gen`
 groups likewise build only the subcommand invoked.  Help and usage
 errors print what a parser holding every command would.  Each handler in
 turn imports the modules it runs (see `seqmeter/__init__.py`).
+
+A process enters through `run()`: the console script `seqmeter` and
+`python -m seqmeter.cli` both call it.  It runs `main()` and then, on
+every way out (a return, argparse's SystemExit, a traceback), moves
+every object still alive into the permanent generation with
+`gc.freeze()`.  Interpreter shutdown runs full collections over the heap
+a run leaves behind, and no collection walks the permanent generation,
+so a call ends about 6 ms sooner.  Shutdown itself still runs (atexit
+hooks, stream flushes, module teardown); what the freeze skips is only
+the collection of cyclic garbage, and no output depends on it: files are
+written whole by `Path.write_text`, JSON goes to stdout, and a `--jobs`
+pool is joined inside its `with` block before `main()` returns.
+`main()` is the in-process API and leaves the collector as it found it.
 """
 
 import argparse
+import gc
 import importlib
 import sys
 
@@ -68,11 +82,34 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_separator(words: list[str], start: int, names) -> int | None:
+    """Drop a `--` directly before the (sub)command that words[start:] invoke; return its index.
+
+    The invoked word is the first one from start not starting with "-",
+    and None is returned when it is not one of names.  argparse hands a
+    `--` before it to the subparsers action, which rejects it as a
+    choice, so that `--` is dropped when it is the only one before the
+    word.  Any other `--` is left to argparse.
+    """
+    i = next((i for i in range(start, len(words)) if not words[i].startswith("-")), len(words))
+    if i == len(words) or words[i] not in names:
+        return None
+    if words[i - 1] == "--" and words[start:i].count("--") == 1:
+        del words[i - 1]
+        i -= 1
+    return i
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--" in argv:
+        i = _drop_separator(argv, 0, COMMANDS)
+        if i is not None:
+            module = importlib.import_module(f".commands.{COMMANDS[argv[i]][0]}", __package__)
+            if hasattr(module, "SUBCOMMANDS"):  # a group: bounds, gen
+                _drop_separator(argv, i + 1, module.SUBCOMMANDS)
     args = build_parser(argv).parse_args(argv)
-    args.argv = list(argv)  # the manifest records the words parsed, not sys.argv
+    args.argv = argv  # the manifest records the words parsed, not sys.argv
     if getattr(args, "budget", None) is None and hasattr(args, "budget"):
         args.budget = _env_budget()
     # The budgets price work, not memory, so a search they let through can
@@ -98,5 +135,13 @@ def main(argv=None) -> int:
         sys.unraisablehook = hook
 
 
+def run() -> int:
+    """The process entry: main() on sys.argv, then the heap frozen for shutdown (see above)."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

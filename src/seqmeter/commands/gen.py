@@ -5,7 +5,8 @@ import sys
 
 from . import EXIT_OK, _add_subcommands, _parse_hex
 
-KINDS = ("msequence", "gold", "kasami-small", "hall", "fermat")
+# one subcommand per sequence family
+SUBCOMMANDS = ("msequence", "gold", "kasami-small", "hall", "fermat")
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
@@ -29,7 +30,7 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
         g.add_argument("--periods", type=int, default=2, help="periods to emit (default 2)")
         g.add_argument("-o", "--output", help="output file (default: stdout)")
 
-    _add_subcommands(parser, "kind", KINDS, argv, add)
+    _add_subcommands(parser, "kind", SUBCOMMANDS, argv, add)
 
 
 def cmd_gen(args) -> int:

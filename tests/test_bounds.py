@@ -271,6 +271,51 @@ def test_moc_half_peak_declines_on_high_moc():
     assert not rep.fired
 
 
+def _agreeing_pair_by_shifts(data, n, m):
+    """Reference: the least d2 <= 2**M, then the least d1 < d2, agreeing on the whole overlap."""
+    for d2 in range(1, (1 << m) + 1):
+        tail = mask(n - d2)
+        shifted = data >> d2
+        for d1 in range(d2):
+            if ((data >> d1) ^ shifted) & tail == 0:
+                return d1, d2
+    return None
+
+
+def _check_agreeing_pair(seq, n):
+    m = max_order_complexity(seq, n)
+    if (1 << (m + 2)) > n:
+        return False
+    data = seq.data & mask(n)
+    assert bounds._agreeing_pair(data, m) == _agreeing_pair_by_shifts(data, n, m), (data, n)
+    return True
+
+
+def test_agreeing_pair_matches_the_shift_search_exhaustively():
+    fired = sum(_check_agreeing_pair(BitSequence.from_int(data, n), n)
+                for n in range(1, 17) for data in range(1 << n))
+    assert fired == 82  # every fired prefix of length at most 16
+
+
+@pytest.mark.parametrize("ell", range(2, 9))
+def test_agreeing_pair_matches_the_shift_search_on_m_sequences(ell):
+    seq = m_sequence(ell, periods=6)
+    assert _check_agreeing_pair(seq, seq.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_agreeing_pair_matches_the_shift_search_on_feedback_sequences(order, data):
+    # a sequence that a feedback function of this order extends has M <= order,
+    # so thm4 fires from N = 2**(order + 2)
+    table = data.draw(st.integers(min_value=0, max_value=(1 << (1 << order)) - 1))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << order) - 1))
+    n = data.draw(st.integers(min_value=1 << (order + 2), max_value=(1 << (order + 2)) + 40))
+    for i in range(order, n):
+        bits |= ((table >> ((bits >> (i - order)) & mask(order))) & 1) << i
+    assert _check_agreeing_pair(BitSequence.from_int(bits, n), n)
+
+
 def test_table_rows_frozen():
     r = table1_row("large-kasami", 4)
     assert r["threshold"] == 9 and r["matches"]

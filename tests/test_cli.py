@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import io
 import json
 import os
@@ -537,6 +538,73 @@ def test_subprocess_roundtrip(tmp_path):
         env=env, capture_output=True, text=True)
     assert lc.returncode == 0
     assert json.loads(lc.stdout)["value"] == 10
+
+
+def _console_script_target():
+    """The `seqmeter` console script's module and function, as `pyproject.toml` names them."""
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        target = re.search(r'^seqmeter = "(.+)"$', text, re.MULTILINE).group(1)
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["seqmeter"]
+    return target.split(":")
+
+
+def _launches():
+    """The two ways a process starts the CLI: `python -m seqmeter.cli` and the console script."""
+    module, func = _console_script_target()
+    return {"-m": [sys.executable, "-m", "seqmeter.cli"],
+            "script": [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]}
+
+
+def test_main_leaves_the_collector_as_it_found_it(ms3, capsys):
+    # main() is the in-process API: the freeze belongs to the process entry alone
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["lc", ms3], ["--version"], ["lc"], ["corr", ms3, "--k", "5", "--budget", "10"]):
+        run(argv, capsys)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["lc", "{ms3}"], 0),
+    (["corr", "{ms3}", "--k", "5", "--budget", "10"], 3),
+    (["lc"], 2),
+    (["--version"], 0),
+], ids=["success", "budget", "usage", "version"])
+@pytest.mark.parametrize("launch", ["-m", "script"])
+def test_process_entry_matches_main(launch, argv, code, ms3, capsys, monkeypatch):
+    argv = [word.format(ms3=ms3) for word in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(argv, capsys)
+    assert expected[0] == code
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+    res = subprocess.run([*_launches()[launch], *argv], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == expected
+
+
+FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen at exit: {{gc.get_freeze_count()}}", file=sys.stderr))
+{start}
+"""
+
+
+@pytest.mark.parametrize("argv,code", [(["lc", "{ms3}"], 0), (["lc"], 2)], ids=["success", "usage"])
+@pytest.mark.parametrize("launch", ["-m", "script"])
+def test_process_entry_freezes_the_heap_before_shutdown(launch, argv, code, ms3):
+    # shutdown's collections skip the permanent generation, on every way out of the entry
+    module, func = _console_script_target()
+    start = {"-m": "runpy.run_module('seqmeter.cli', run_name='__main__')",
+             "script": f"from {module} import {func}\nsys.exit({func}())"}[launch]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT.format(start=start),
+                          *(word.format(ms3=ms3) for word in argv)],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == code, res.stderr
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("frozen at exit: ") and int(last.split()[-1]) > 0, res.stderr
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

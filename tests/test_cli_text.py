@@ -85,3 +85,18 @@ TEXT = {
 def test_cli_text(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(argv.split(), capsys) == TEXT[argv]
+
+
+# a `--` directly before the command or a group's subcommand is dropped
+SEPARATED = ["-- lc seq.txt", "--quiet -- lc seq.txt", "bounds -- table1", "gen -- msequence --ell 3"]
+
+
+@pytest.mark.parametrize("argv", SEPARATED)
+def test_separator_before_a_command(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.txt").write_text("period=7\n00101110010111\n")
+    words = argv.split()
+    without = run([word for word in words if word != "--"], capsys)
+    assert without[0] == 0
+    assert run(words, capsys) == without
