@@ -58,7 +58,6 @@ _EXPORTS = {
         "m_sequence",
         "small_kasami",
     ),
-    "parallel": (),
     "thresholds": ("full_peak_threshold", "half_peak_threshold", "table1", "table1_row"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,9 +23,13 @@ a run leaves behind, and no collection walks the permanent generation,
 so a call ends about 6 ms sooner.  Shutdown itself still runs (atexit
 hooks, stream flushes, module teardown); what the freeze skips is only
 the collection of cyclic garbage, and no output depends on it: files are
-written whole by `Path.write_text`, JSON goes to stdout, and a `--jobs`
-pool is joined inside its `with` block before `main()` returns.
-`main()` is the in-process API and leaves the collector as it found it.
+written whole by `Path.write_text`, JSON goes to stdout, and every
+search runs in this process.  `main()` is the in-process API and leaves
+the collector as it found it.
+
+Usage errors that argparse does not catch (an unreadable file, a bad
+number, conflicting options) are raised as ValueError, and `main()`
+alone prints them, as one `seqmeter: <message>` line, and returns 2.
 """
 
 import argparse
@@ -110,8 +114,6 @@ def main(argv=None) -> int:
                 _drop_separator(argv, i + 1, module.SUBCOMMANDS)
     args = build_parser(argv).parse_args(argv)
     args.argv = argv  # the manifest records the words parsed, not sys.argv
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _env_budget()
     # The budgets price work, not memory, so a search they let through can
     # still run out of it.  While its MemoryError unwinds, the generators it
     # was looping over are closed with memory still full, and each failed
@@ -119,6 +121,8 @@ def main(argv=None) -> int:
     hook = sys.unraisablehook
     sys.unraisablehook = lambda u: None if issubclass(u.exc_type, MemoryError) else hook(u)
     try:
+        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+            args.budget = _env_budget()
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"seqmeter: {exc}", file=sys.stderr)
@@ -126,8 +130,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("seqmeter: search ran out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"seqmeter: {exc}", file=sys.stderr)
         return EXIT_USAGE

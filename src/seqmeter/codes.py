@@ -56,15 +56,6 @@ from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, fold_extensions, periodic_correlation
 from .budget import DEFAULT_BUDGET, BudgetExceededError
-from .parallel import map_min
-
-# Fan-out work of one hash-table entry, probe or zeros-level head, in the
-# summands of `parallel.FORK_BREAK_EVEN`.  Measured like that constant: an
-# anchored weight-6 level over 200 random 40-bit columns (price 1.3e6)
-# took 170 ms alone and 147 ms on 2 workers, while levels priced up to
-# 6.4e5 lost to the fork and to pickling their tail tables (weight 5 over
-# 800 columns: 469 -> 518 ms).  An entry costs 130-900 ns, a summand 0.7-13.
-_ENTRY_WORK = 10
 
 
 class CyclicSpan(NamedTuple):
@@ -214,8 +205,8 @@ def _level(cols: list[int], a: int, h: int, tails, prefixes) -> tuple[int, ...] 
     on its own below m - a, leaving room for a tail: one XOR and one
     probe per head.  prefixes are in lexicographic order and each head
     adds elements above its prefix, so the heads arrive in the supports'
-    order and the first fit is the minimum.  low_weight_kernel_support's
-    prefixes hold 0; the empty prefix walks every head.
+    order and the first fit is the minimum.  low_weight_kernel_support
+    passes the one anchor [(0,)]; the empty prefix walks every head.
     """
     m = len(cols)
     if tails is None:
@@ -248,7 +239,6 @@ def low_weight_kernel_support(
     w_min: int = 1,
     w_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> tuple[int, ...] | None:
     """Smallest support D in 0..m-1, of weight in [w_min, w_max], with g | sum_{d in D} x^d.
 
@@ -269,9 +259,8 @@ def low_weight_kernel_support(
     longer tails are hashed, per level, by _tails.
     Levels 2 and 3 cost linear work and run unpriced; every other level
     checks its cost against budget before it allocates, raising
-    BudgetExceededError when over.  Levels below 4 are one slice; from 4
-    jobs > 1 splits a level's heads by their first free element once its
-    price passes the fork break-even of `parallel.map_min`.
+    BudgetExceededError when over.  Every level walks its heads from the
+    one anchor (0,), in this process.
 
     The dual supports are the multiples q g with deg q < m - deg g.
     From the first level that costs no less than their number,
@@ -296,7 +285,7 @@ def low_weight_kernel_support(
         else:
             a = max(1, (w + 1) // 2 - 1)
             h = w - a
-            level = None
+            by_zeros = False
             cost = math.comb(m - 1, a) + math.comb(m - 1, h - 1)
             priced = w >= 4  # levels 2 and 3 walk at most m heads and tails
             if free < cost.bit_length():
@@ -313,20 +302,17 @@ def low_weight_kernel_support(
                     if price > budget:
                         raise BudgetExceededError(price, budget, "heads and field-table entries")
                     zeros = zeros or gf.gold_zeros(g, m, *field)
-                    if zeros:
-                        level = gf.zeros_level, (zeros, w - 2)
-                        cost = price
-                    else:
+                    by_zeros = bool(zeros)
+                    if not zeros:
                         field = False  # the zeros do not fit; every later level hashes syndromes
-                if level is None and cost > budget:
+                if not by_zeros and cost > budget:
                     raise BudgetExceededError(cost, budget, "hash-table entries and probes")
-            if level is None:
+            if by_zeros:
+                best = gf.zeros_level(zeros, w - 2, [(0,)])
+            else:
                 if a == 1 and ones is None:
                     ones = dict(zip(cols, range(m)))
-                level = _level, (cols, a, h, ones if a == 1 else None)
-            # from 4 the heads are split by their first free element; below, one slice
-            prefixes = [(0, d) for d in range(1, m)] if w >= 4 else [(0,)]
-            best = map_min(*level, prefixes, jobs, cost * _ENTRY_WORK)
+                best = _level(cols, a, h, ones if a == 1 else None, [(0,)])
         if best is not None:
             return best
     return None
@@ -352,7 +338,6 @@ def find_periodic_peak(
     span: CyclicSpan,
     t_max: int | None,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> PeakCertificate | None:
     """Find the minimum-weight shift set (weight <= t_max) with a full periodic peak of span.
 
@@ -370,7 +355,7 @@ def find_periodic_peak(
     if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     g = _peak_recurrence(span)
-    support = low_weight_kernel_support(g, span.period, 1, t_max, budget, jobs)
+    support = low_weight_kernel_support(g, span.period, 1, t_max, budget)
     if support is None:
         return None
     if abs(periodic_correlation(span.block, span.period, support)) != span.period:

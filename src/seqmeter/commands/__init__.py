@@ -49,11 +49,6 @@ def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names, argv: li
         add(sub, name, argv[i + 1:] if name == invoked else None)
 
 
-def _usage(msg: str) -> SystemExit:
-    print(f"seqmeter: {msg}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
-
-
 def _env_budget() -> int:
     raw = os.environ.get("SEQMETER_BUDGET")
     if raw is None:
@@ -61,7 +56,7 @@ def _env_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _usage(f"SEQMETER_BUDGET must be an integer, got {raw!r}")
+        raise ValueError(f"SEQMETER_BUDGET must be an integer, got {raw!r}")
 
 
 def _manifest(args) -> dict:
@@ -88,11 +83,11 @@ def _load(path: str):
     try:
         return load(path)
     except (OSError, ValueError) as exc:
-        raise _usage(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _parse_hex(text: str, what: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
-        raise _usage(f"{what} must be hexadecimal, got {text!r}")
+        raise ValueError(f"{what} must be hexadecimal, got {text!r}")

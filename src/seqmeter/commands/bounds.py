@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import EXIT_CHECK_FAILED, EXIT_OK, _add_subcommands, _emit, _load, _usage
+from . import EXIT_CHECK_FAILED, EXIT_OK, _add_subcommands, _emit, _load
 
 # subcommand -> its help line
 SUBCOMMANDS = {
@@ -90,10 +90,7 @@ def _bounds_thm2(args) -> int:
 def _bounds_cor3(args) -> int:
     from ..bounds import log_complexity_bound
 
-    try:
-        value = log_complexity_bound(args.k, args.n)
-    except ValueError as exc:
-        raise _usage(str(exc))
+    value = log_complexity_bound(args.k, args.n)
     _emit(args, {"K": args.k, "N": args.n, "value": value},
           f"asymptotic log formula {value:.3f} (not a bound at every N; "
           f"hypothesis C_j(S, N) < N/2 for every j <= K)")
@@ -107,7 +104,7 @@ def _bounds_verify(args) -> int:
         from ..thresholds import full_peak_threshold
 
         if args.n is not None:
-            raise _usage("--n sets a prefix length; thm1 always checks one full period")
+            raise ValueError("--n sets a prefix length; thm1 always checks one full period")
         span = build_span(seq)
         cap = full_peak_threshold(seq.period, span.dimension)
         if cap is None:

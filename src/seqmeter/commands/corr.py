@@ -2,7 +2,7 @@
 
 import argparse
 
-from . import EXIT_OK, _emit, _load, _usage
+from . import EXIT_OK, _emit, _load
 
 
 def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
@@ -12,7 +12,7 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
     parser.add_argument("--n", type=int, help="prefix length (aperiodic only)")
     parser.add_argument("--periodic", action="store_true")
     parser.add_argument("--budget", type=int, default=None, help="summand budget")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     parser.set_defaults(func=cmd_corr)
 
 
@@ -22,10 +22,10 @@ def cmd_corr(args) -> int:
     seq = _load(args.file)
     if args.periodic:
         if args.n is not None:
-            raise _usage("--n sets an aperiodic prefix; --periodic always uses one full period")
-        result = periodic_measure(seq, args.k, budget=args.budget, jobs=args.jobs)
+            raise ValueError("--n sets an aperiodic prefix; --periodic always uses one full period")
+        result = periodic_measure(seq, args.k, budget=args.budget)
     else:
-        result = aperiodic_measure(seq, args.k, args.n, budget=args.budget, jobs=args.jobs)
+        result = aperiodic_measure(seq, args.k, args.n, budget=args.budget)
     _emit(args, result.as_dict(),
           f"order-{args.k} correlation: {result.value} ({result.classification})")
     return EXIT_OK

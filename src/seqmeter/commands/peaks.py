@@ -10,7 +10,7 @@ def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentPars
     parser.add_argument("file")
     parser.add_argument("--tmax", type=int, default=None,
                         help="weight cap (default: the sphere-packing threshold; none at full rank)")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     parser.set_defaults(func=cmd_peaks)
 
 
@@ -21,7 +21,7 @@ def cmd_peaks(args) -> int:
     seq = _load(args.file)
     span = build_span(seq)
     t_max = full_peak_threshold(seq.period, span.dimension) if args.tmax is None else args.tmax
-    cert = find_periodic_peak(span, t_max, budget=_env_budget(), jobs=args.jobs)
+    cert = find_periodic_peak(span, t_max, budget=_env_budget())
     if cert is None:
         _emit(args, {"found": False, "tmax": t_max, "dimension": span.dimension},
               f"no full peak of order <= {t_max}")

@@ -21,9 +21,9 @@ the suffix automaton (DAWG) of the prefix finds these strings as they
 appear, for every N at once and in linear time (Blumer et al. 1985;
 Jansen & Boekee, CRYPTO '89).  The alphabet is binary, so the automaton
 keeps one successor list per bit, and each appended bit picks its own
-list and the other one once for its whole suffix-link walk.  A sentinel
-state at index -1, the root's suffix link, has both successors set, so
-the walk stops at it on the successor test alone.
+list once for its whole suffix-link walk.  A sentinel state at index
+-1, the root's suffix link, has both successors set, so the walk stops
+at it on the successor test alone.
 
 A declared period T stops that pass once the prefix length reaches
 T + m, m the value so far.  Take any string x followed by both bits in a
@@ -232,8 +232,8 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     Both its successors are 0, the root, which is no state's successor:
     the suffix-link walk (own[p] < 0) and the clone redirect (own[p] ==
     q) both stop at it without testing p >= 0.  For each appended
-    bit c the pass names own = the list for c and other = the list for
-    1 - c once, so the suffix-link walk indexes both with p alone.
+    bit c the pass names own = the list for c once, so the suffix-link
+    walk indexes it with p alone.
     All strings of a state end at the same positions, so they are followed
     by the same bits: the state's longest string, of length[p], is followed
     by both bits exactly when p has both successors, and M(S, i) is 1 plus
@@ -241,14 +241,17 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     one only on the suffix-link walk of an appended bit c, or as a clone,
     which copies those of a longer state.  So M >= length[p] + 1 whenever
     the walk gives p successor c while it already has 1 - c, and nothing
-    else can raise M.  The walk visits strictly shorter strings, and a
-    suffix of a string followed by 1 - c is followed by 1 - c too, so only
-    the first such p can raise M; the rest of the walk just sets own.  The
-    state of the whole prefix, last, has no successor yet, so it takes own
-    before the walk starts at its link.  The bits are read once, as one
-    byte each: shifting the n-bit int at each step would make the pass
-    quadratic again.  Each rise of M is kept as (prefix length, new M),
-    and the profile is built from those once at the end.
+    else can raise M.  The state of the whole prefix, last, has no
+    successor yet, so it takes own before the walk starts at its link p.
+    That p is the root of a nonempty prefix, or holds the longest suffix
+    that also ends earlier, so it has a successor: if it lacks c, it has
+    1 - c.  Only it can raise M, because the walk visits strictly shorter
+    strings and a suffix of a string followed by 1 - c is followed by
+    1 - c too; the rest of the walk just sets own.  The first bit's walk
+    starts at the sentinel and does not run.  The bits are read once, as
+    one byte each: shifting the n-bit int at each step would make the
+    pass quadratic again.  Each rise of M is kept as (prefix length, new
+    M), and the profile is built from those once at the end.
 
     With a declared period T the pass stops once the prefix length
     reaches T + m, or n, and repeats its last value; the module docstring
@@ -275,24 +278,18 @@ def _moc_profile(data: int, n: int, period: int | None = None) -> list[int]:
     while done < stop:
         for c in bits[done:stop]:
             own = succ[c]
-            other = succ[1 - c]
             cur = states
             states += 1
             length[cur] = length[last] + 1
             own[last] = cur
             p = link[last]
-            while own[p] < 0:
-                own[p] = cur
-                if other[p] >= 0:
-                    if length[p] >= m:
-                        m = length[p] + 1
-                        rises.append((length[cur], m))
+            if own[p] < 0:  # then p has successor 1 - c: see the docstring
+                if length[p] >= m:
+                    m = length[p] + 1
+                    rises.append((length[cur], m))
+                while own[p] < 0:
+                    own[p] = cur
                     p = link[p]
-                    while own[p] < 0:
-                        own[p] = cur
-                        p = link[p]
-                    break
-                p = link[p]
             if p >= 0:
                 q = own[p]
                 lp = length[p] + 1

@@ -15,19 +15,20 @@ by an explicit summand budget, priced for the full search.  The price is
 a worst-case ceiling: the stops below visit less without changing what
 the budget admits.
 
-Both scans share one shift-set enumerator, `bitseq.fold_extensions`,
-which the dual search in `codes` walks its supports with too.  A slice
-shifts the packed sequence once per offset; the copies hold about as
-many bits as the search has summands at most, so the budget bounds them
-too.  The enumerator yields the first k-1 shifts in lexicographic order,
-keeping the folds of shared leading shifts, and the scan loops over the
-last shift itself: one XOR per shift set.  The periodic scan popcounts
-that fold.  The aperiodic scan enumerates gap tuples G = (0, a_1, ...,
-a_{k-1}) instead: D = d_1 + G sums the row Y = XOR of s >> a over G
-from position d_1 on, so one row serves every d_1 and U, and its best
-value is the range of Y's +-1 walk, read a byte at a time through
-precomputed tables (`_scan_gaps`).  That is C(N-1, k-1) rows of at
-most N/8 table steps, where a row per shift set would be ~C(N, k).
+Both scans run in one process and share one shift-set enumerator,
+`bitseq.fold_extensions`, which the dual search in `codes` walks its
+supports with too.  A scan shifts the packed sequence once per offset;
+the copies hold about as many bits as the search has summands at most,
+so the budget bounds them too.  The enumerator yields the first k-1
+shifts in lexicographic order, keeping the folds of shared leading
+shifts, and the scan loops over the last shift itself: one XOR per
+shift set.  The periodic scan popcounts that fold.  The aperiodic scan
+enumerates gap tuples G = (0, a_1, ..., a_{k-1}) instead: D = d_1 + G
+sums the row Y = XOR of s >> a over G from position d_1 on, so one row
+serves every d_1 and U, and its best value is the range of Y's +-1
+walk, read a byte at a time through precomputed tables
+(`_scan_gaps`).  That is C(N-1, k-1) rows of at most N/8 table steps,
+where a row per shift set would be ~C(N, k).
 
 Stops skip work without changing the answer.  The aperiodic scan ends a
 last-gap loop once the row is shorter than the best value, because rows
@@ -44,8 +45,8 @@ alone could not tighten the count bound, because a walk that falls,
 rises through the cut and falls again reaches it.  The periodic scan
 visits only the shift sets that open with their smallest cyclic gap,
 which hold the lexicographically smallest rotation of every set
-(`_scan_periodic`), and a slice returns at its first full peak, which
-no later shift set of the slice can beat.
+(`_scan_periodic`), and it returns at its first full peak, which no
+later shift set can beat.
 """
 
 import math
@@ -54,7 +55,6 @@ from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, fold_extensions, mask, periodic_correlation, unpack
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
-from .parallel import map_min
 
 
 def search_cost(n: int, k: int) -> int:
@@ -185,23 +185,22 @@ def _closest_extremes(row: int, length: int, hi: int, lo: int) -> tuple[int, int
     return min((j - i, i) for (i, a), (j, b) in zip(ends, ends[1:]) if a != b)
 
 
-def _scan_gaps(data: int, n: int, k: int, firsts: list[int]):
-    """Minimal (-value, U, D) key over the D whose first gap d_2 - d_1 is in firsts.
+def _scan_gaps(data: int, n: int, k: int):
+    """Minimal (-value, U, D) key over every order-k shift set D of the n-bit data.
 
     D = d_1 + G for a gap tuple G = (0, a_1, ..., a_{k-1}); at k = 1,
-    firsts is [0] and G = (0,).  The row of G has n - a_{k-1} bits, and
-    a window's sum is the difference of the row's walk at d_1 + U and
-    d_1, so the row's value is the walk's range and its witnesses the
-    closest extremes, found only for a row reaching the best value.
+    G = (0,), walked as a_1 = 0.  The row of G has n - a_{k-1} bits,
+    and a window's sum is the difference of the row's walk at d_1 + U
+    and d_1, so the row's value is the walk's range and its witnesses
+    the closest extremes, found only for a row reaching the best value.
     The stops are the module docstring's; all are strict, so a row that
-    may tie the value with a smaller (U, D) still runs.  Pure function
-    of the arguments, safe to ship to worker processes.
+    may tie the value with a smaller (U, D) still runs.
     """
     m = mask(n - k + 1)  # no row is longer
     shifted = [(data >> j) & m for j in range(n)]
     best = None
     best_value = 0
-    for a1 in firsts:
+    for a1 in range(1, n - k + 2) if k >= 2 else (0,):
         head = (0, a1)[:k - 1]  # k = 2 picks a_1 itself as the last gap
         for prefix, fold in fold_extensions(shifted, head, k - 1, a1 + 1, n - max(best_value, 1)):
             for last in range(prefix[-1] + 1, n) if k > 2 else (a1,):
@@ -242,7 +241,8 @@ def aperiodic_measure(
     Ties among maximizing witnesses go to the lexicographically smallest
     (U, D).  Raises BudgetExceededError before doing any work if the
     search space, priced at search_cost, is too large.  The witness is
-    re-verified with correlation_at.
+    re-verified with correlation_at.  jobs is accepted and ignored: the
+    scan runs in this process.
     """
     if n is None:
         n = seq.n
@@ -254,9 +254,7 @@ def aperiodic_measure(
     if cost > budget:
         raise BudgetExceededError(cost, budget)
     data = seq.data & mask(n)
-    firsts = list(range(1, n - k + 2)) if k >= 2 else [0]
-    # the fork's price: the rows hold C(n, k) bits in all, each folded from k shifts
-    best = map_min(_scan_gaps, (data, n, k), firsts, jobs, k * math.comb(n, k))
+    best = _scan_gaps(data, n, k)
     value, u, d = -best[0], best[1], best[2]
     if abs(correlation_at(seq, u, d, n)) != value:
         raise AssertionError(f"witness U={u}, D={d} failed re-verification")
@@ -267,7 +265,6 @@ def periodic_measure(
     seq: BitSequence,
     k: int,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> CorrelationResult:
     """Exact periodic order-k measure over one full period, d_1 fixed at 0.
 
@@ -285,13 +282,7 @@ def periodic_measure(
         # shifted copies
         value, d = None, tuple(range(k))
     else:
-        # the scan picks the last shift itself; heads fix d_1 = 0 and, from k = 3,
-        # the smallest gap d_2 = g <= T/k as well, to give the fan-out its slices
-        heads = [(0, g) for g in range(1, t // k + 1)] if k >= 3 else [(0,)]
-        # C(T - kg + k - 2, k - 2) shift sets open with g: the k - 1 gaps after
-        # the first are each at least g and sum to T - g
-        work = t * sum(math.comb(t - k * g + k - 2, k - 2) for g in range(1, t // k + 1))
-        best = map_min(_scan_periodic, (block, t, k), heads, jobs, work)
+        best = _scan_periodic(block, t, k)
         value, d = -best[0], best[1]
     folded = abs(periodic_correlation(block, t, d))
     if value is None:
@@ -301,26 +292,25 @@ def periodic_measure(
     return CorrelationResult(k, value, t, d, _classify(value, k, t, True), t, periodic=True)
 
 
-def _scan_periodic(block: int, t: int, k: int, heads: list[tuple[int, ...]]):
-    """Minimal (-|v|, D) key over the D that extend one of heads and open with their smallest gap.
+def _scan_periodic(block: int, t: int, k: int):
+    """Minimal (-|v|, D) key over the D with d_1 = 0 that open with their smallest gap.
 
     The cyclic gaps of D are d_{i+1} - d_i and T - d_k.  Rotating D so
     that another element sits at 0 keeps the full-period sum, and the
     lexicographically smallest rotation opens with the smallest gap, so
     the smallest maximizing D is such a set.  At k = 2 these are (0, d)
-    with d <= T/2.  From k = 3 a head (0, g) fixes d_2 = g, and every
-    later shift lies at least g above the one before, the last at most
-    T - g.  Shift sets are visited in lexicographic order, so the first
-    full peak (|v| = T, the largest value possible) is this slice's
-    answer and the scan returns on it; the minimum over slices is then
-    the same for any split of the heads.
+    with d <= T/2.  From k = 3 each head (0, g), g <= T/k, fixes d_2 = g,
+    and every later shift lies at least g above the one before, the last
+    at most T - g; the scan picks the last shift itself.  Shift sets are
+    visited in lexicographic order, so the first full peak (|v| = T, the
+    largest value possible) is the answer and the scan returns on it.
     """
     m = mask(t)
     two = block | (block << t)  # two periods: shifts up to t-1 never wrap
     shifted = [(two >> j) & m for j in range(t)]
     best_value, best_d = -1, None
-    for head in heads:
-        g, stop = (head[1], t - head[1] + 1) if k > 2 else (1, t // 2 + 1)
+    for g in range(1, t // k + 1) if k > 2 else (1,):
+        head, stop = ((0, g), t - g + 1) if k > 2 else ((0,), t // 2 + 1)
         for prefix, fold in fold_extensions(shifted, head, k - 1, 2 * g, t - 2 * g + 1):
             # d_3 >= 2g comes from start; below k = 5 no later gap is in the prefix
             if k > 4 and any(b - a < g for a, b in zip(prefix[2:], prefix[3:])):

@@ -44,6 +44,14 @@ def test_from_int_and_bits():
     assert s.weight() == 3
 
 
+def test_from_int_rejects_bad_lengths_and_wide_data():
+    with pytest.raises(ValueError, match="^length must be >= 0$"):
+        BitSequence.from_int(0, -1)
+    for data in (0b10000, -1):
+        with pytest.raises(ValueError, match="^data has bits beyond the stated length$"):
+            BitSequence.from_int(data, 4)
+
+
 def test_bit_wraps_with_period():
     s = BitSequence.from_int(0b011, 3, period=3)
     assert s.bit(3) == s.bit(0)

@@ -229,6 +229,15 @@ def test_half_peak_witness_above_the_window_skips_the_search():
     search.assert_not_called()
 
 
+def test_half_peak_witness_none_when_every_order_is_exhausted():
+    # with no order in 2..k_max there is nothing to search
+    assert find_half_peak_witness(BitSequence.from_int(1 << 99, 100), 100, 1) is None
+    # order 2 at N = 40 is priced below the fallback cost and peaks at 12 < 20
+    s = loads("0101001111111100111001101010111000101001")
+    assert aperiodic_measure(s, 2).value == 12
+    assert find_half_peak_witness(s, 40, 2) is None
+
+
 def test_half_peak_witness_on_gold_prefix_with_breaking_bit():
     # the full window search would hash C(2046, 2) pairs at weight 4; from
     # coordinate 1 on the windows keep the Gold recurrence and its zeros
@@ -362,6 +371,11 @@ def test_kerror_bound_zero_flips_matches_plain_scan():
     rep = kerror_bound(s, 16, k=2, flips=0)
     assert rep.value == plain.value
     assert rep.fired == plain.fired
+
+
+def test_kerror_bound_needs_an_order():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        kerror_bound(BitSequence.from_int(0b1011, 4), k=0)
 
 
 @settings(max_examples=25, deadline=None)

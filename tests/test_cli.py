@@ -1,4 +1,3 @@
-import concurrent.futures
 import gc
 import io
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seqmeter import parallel, verify
+from seqmeter import verify
 from seqmeter.bitseq import BitSequence, save
 from seqmeter.cli import COMMANDS, main
 from test_generators import _gold_prefix_with_breaking_bit
@@ -21,7 +20,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def run(argv, capsys):
-    """Exit code plus parsed stdout, tolerating SystemExit from usage errors."""
+    """Exit code plus parsed stdout, tolerating the SystemExit of argparse's usage errors."""
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -305,6 +304,20 @@ def test_bounds_thm2(capsys):
     assert doc["fired"] and doc["t"] == 2 and doc["k_max"] == 4
 
 
+def test_thm2_not_fired(tmp_path, capsys):
+    # L = N: no subset count reaches 2^L, so neither form of thm2 fires
+    code, out, err = run(["bounds", "thm2", "--n", "13", "--l", "13"], capsys)
+    assert (code, err) == (0, "no subset count reaches the state-space size; no guarantee\n")
+    assert {k: v for k, v in json.loads(out).items() if k != "manifest"} == {
+        "N": 13, "L": 13, "fired": False}
+    path = tmp_path / "last13.txt"
+    save(BitSequence.from_int(1 << 12, 13), path)
+    code, out, err = run(["bounds", "verify", "thm2", str(path)], capsys)
+    assert (code, err) == (0, "hypothesis not fired\n")
+    assert {k: v for k, v in json.loads(out).items() if k != "manifest"} == {
+        "N": 13, "L": 13, "fired": False}
+
+
 def test_bounds_cor3(capsys):
     code, out, err = run(["bounds", "cor3", "--k", "2", "--n", "16"], capsys)
     doc = json.loads(out)
@@ -356,10 +369,31 @@ def test_usage_errors(ms3, tmp_path, capsys):
     assert err == "seqmeter: --n sets a prefix length; thm1 always checks one full period\n"
 
 
+def test_usage_errors_return_2_in_process(ms3, tmp_path, capsys, monkeypatch):
+    # main() prints each usage error the handlers raise and returns 2; only
+    # argparse's own errors leave by SystemExit
+    for argv in (["lc", str(tmp_path / "nope.txt")],
+                 ["gen", "msequence", "--ell", "3", "--taps", "ZZ"],
+                 ["corr", ms3, "--k", "2", "--periodic", "--n", "5"],
+                 ["bounds", "cor3", "--k", "40", "--n", "16"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("seqmeter: "), argv
+    monkeypatch.setenv("SEQMETER_BUDGET", "abc")
+    assert main(["corr", ms3, "--k", "2"]) == 2
+
+
 def test_budget_exit(ms3, capsys, monkeypatch):
     assert run(["corr", ms3, "--k", "5", "--budget", "10"], capsys)[0] == 3
     monkeypatch.setenv("SEQMETER_BUDGET", "10")
     assert run(["corr", ms3, "--k", "5"], capsys)[0] == 3
+
+
+def test_unparsable_budget_variable_is_usage_error(ms3, capsys, monkeypatch):
+    # read by main for commands with --budget, and by the peaks handler itself
+    monkeypatch.setenv("SEQMETER_BUDGET", "abc")
+    message = "seqmeter: SEQMETER_BUDGET must be an integer, got 'abc'\n"
+    for argv in (["corr", ms3, "--k", "2"], ["peaks", ms3]):
+        assert run(argv, capsys) == (2, "", message), argv
 
 
 @pytest.fixture
@@ -447,48 +481,36 @@ def test_json_flag_removed(ms3, capsys):
         assert run(argv, capsys)[0] == 2
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    seen: list[int] = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_jobs_clamped_to_cores_and_slices(ms3, gold5, tmp_path, capsys, monkeypatch):
-    expected = {argv[0]: run(argv + ["--quiet"], capsys)[1]
-                for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5])}
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    monkeypatch.setattr(parallel, "FORK_BREAK_EVEN", 0)  # these searches are below it
+def test_jobs_clamped_to_cores_and_slices(ms3, gold5, capsys):
+    # every search runs in this process, so --jobs is accepted and ignored: a
+    # large value prints what the default does, save the manifest's record of it
     for argv in (["corr", ms3, "--k", "3"], ["peaks", gold5]):
+        expected = run(argv + ["--quiet"], capsys)[1]
         code, out, _ = run(argv + ["--jobs", "1000", "--quiet"], capsys)
         assert code == 0
         assert json.loads(out)["manifest"]["jobs"] == 1000
-        # the manifest records the argv parsed, so it names the clamped option too
         out = out.replace('"jobs": 1000', '"jobs": 1').replace('"--jobs", "1000", ', "")
-        assert out == expected[argv[0]]
-    # aperiodic k=3 on 14 bits has 12 first shifts; gold5 peaks runs levels 4 and 5
-    assert RecordingExecutor.seen == [4, 4, 4]
-    # five heads (0, g), g <= 15/3, for the periodic order-3 scan of a 15-periodic sequence
-    ms4 = str(tmp_path / "ms4.txt")
-    assert run(["gen", "msequence", "--ell", "4", "-o", ms4], capsys)[0] == 0
-    assert run(["corr", ms4, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
-    assert RecordingExecutor.seen[-1] == 4
-    monkeypatch.setattr("os.cpu_count", lambda: 64)
-    assert run(["corr", ms4, "--k", "3", "--periodic", "--jobs", "1000"], capsys)[0] == 0
-    assert RecordingExecutor.seen[-1] == 5
+        assert out == expected
+
+
+def test_no_worker_process(tmp_path):
+    # an order-5 scan of 73 bits (its rows hold k * C(N, k) = 7.5e7 bits, a
+    # search big enough to split) loads neither process-pool module
+    path = tmp_path / "r73.txt"
+    save(BitSequence.from_int(random.Random(73).getrandbits(73), 73), path)
+    code = f"""
+import contextlib, io, json, sys
+from seqmeter.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main({["corr", str(path), "--k", "5", "--jobs", "2", "--quiet"]!r}) == 0
+print(json.loads(out.getvalue())["D"])
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[1, 5, 17, 21, 28]", "[]"]
 
 
 def test_quiet_both_positions(ms3, capsys):
@@ -654,11 +676,11 @@ CLI = ["budget", "cli", "commands"]
     (RUN_MAIN.format(argv=["--version"]), CLI),
     (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
     (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]),
-     CLI + ["bitseq", "commands.corr", "correlation", "parallel"]),
+     CLI + ["bitseq", "commands.corr", "correlation"]),
     (RUN_MAIN.format(argv=["peaks", "ms3.txt"]),
-     CLI + ["bitseq", "codes", "commands.peaks", "parallel", "thresholds"]),
+     CLI + ["bitseq", "codes", "commands.peaks", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]),
-     CLI + ["bitseq", "codes", "commands.bounds", "parallel", "thresholds"]),
+     CLI + ["bitseq", "codes", "commands.bounds", "thresholds"]),
     (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "commands.gen", "generators"]),
     (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
     (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]),
@@ -668,11 +690,11 @@ CLI = ["budget", "cli", "commands"]
     (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]),
      CLI + ["bitseq", "bounds", "commands.bounds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel", "thresholds"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "parallel"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation"]),
     (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "correlation", "parallel"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "correlation"]),
 ], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
         "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import math
 from unittest import mock
@@ -6,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter import codes, parallel
+from seqmeter import codes
 from seqmeter.bitseq import BitSequence, loads, mask, pack, periodic_correlation, unpack
 from seqmeter.bounds import find_half_peak_witness
 from seqmeter.codes import (
@@ -26,7 +25,6 @@ from seqmeter.correlation import BudgetExceededError, correlation_at, periodic_m
 from seqmeter.generators import GOLD_PAIRS, gold_sequence, hall_sextic, m_sequence, small_kasami
 from seqmeter.thresholds import full_peak_threshold
 from seqmeter.zeros import _pdiv, gold_zeros, zeros_field, zeros_level
-from test_cli import RecordingExecutor
 from test_generators import decimated_pair
 
 
@@ -462,21 +460,6 @@ def test_anchored_one_element_tail_levels_match_enumeration_exhaustively():
     assert {(1, 2), (1, 3), (1, 4)} <= walked
 
 
-def test_fan_out_matches_enumeration():
-    # four cores and an in-process executor: levels from 4 up split their
-    # heads three ways without forking, over every g(0) = 1 of degree <= 7;
-    # 91 searches reach such a level before the multiples of g are fewer
-    with mock.patch("os.cpu_count", return_value=4), \
-            mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
-            mock.patch.object(RecordingExecutor, "seen", []):
-        for g in range(1, 256, 2):
-            for m in (4, 12, 16, 20):
-                best = low_weight_kernel_support(g, m, 1, m, jobs=3)
-                assert best == brute_min_support(_powers(g, m), m), (g, m)
-        assert RecordingExecutor.seen == [3] * 91
-
-
 def _assert_anchored_matches_full_search(t, bits):
     span = build_span(BitSequence.from_int(bits, t, period=t))
     full = full_search(_powers(_peak_recurrence(span), t), 1, t)
@@ -495,20 +478,6 @@ def test_anchored_search_matches_full_search_exhaustively():
 def test_anchored_search_matches_full_search(t, data):
     bits = data.draw(st.integers(min_value=1, max_value=(1 << t) - 1))
     _assert_anchored_matches_full_search(t, bits)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=5, max_value=10), st.data())
-def test_jobs_do_not_change_certificates(t, data):
-    bits = data.draw(st.integers(min_value=1, max_value=(1 << t) - 2))
-    span = build_span(BitSequence.from_int(bits | (bits << t), 2 * t, period=t))
-    a = find_periodic_peak(span, 6)
-    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
-        b = find_periodic_peak(span, 6, jobs=3)
-    if a is None:
-        assert b is None
-    else:
-        assert a.as_dict() == b.as_dict()
 
 
 def _window_columns(bits, n):
@@ -757,13 +726,3 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
     assert low_weight_kernel_support(_recurrence(span), span.period, 2, 3) is None
     zeros = _zeros_of(dual_syndromes(span), _recurrence(span))
     assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None
-
-
-def test_zeros_levels_fan_out_to_the_same_certificate():
-    span = build_span(gold_sequence(7))
-    with mock.patch("os.cpu_count", return_value=4), \
-            mock.patch.object(parallel, "FORK_BREAK_EVEN", 0), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
-            mock.patch.object(RecordingExecutor, "seen", []):
-        assert find_periodic_peak(span, 7, jobs=3) == find_periodic_peak(span, 7)
-        assert RecordingExecutor.seen == [3, 3]

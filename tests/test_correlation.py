@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import math
 import tracemalloc
@@ -7,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeter import correlation, parallel
+from seqmeter import correlation
 from seqmeter.bitseq import BitSequence, fold_extensions, mask
 from seqmeter.correlation import (
     BudgetExceededError,
@@ -21,7 +20,6 @@ from seqmeter.correlation import (
     search_cost,
 )
 from seqmeter.generators import m_sequence
-from test_cli import RecordingExecutor
 
 
 def periodic_autocorrelation(seq: BitSequence, shift: int) -> int:
@@ -208,48 +206,6 @@ def test_flip_perturbation_ceiling(n, data):
     assert abs(a - b) <= delta_under_flips(k, flips)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=6, max_value=16), st.data())
-def test_jobs_do_not_change_the_answer(n, data):
-    bits = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    s = BitSequence.from_int(bits, n)
-    a = aperiodic_measure(s, 2)
-    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):  # fork despite the small price
-        b = aperiodic_measure(s, 2, jobs=3)
-    assert a.as_dict() == b.as_dict()
-
-
-def test_fan_out_forks_only_from_the_break_even():
-    # the aperiodic scan is priced for the fork at k * C(N, k), the bits of its gap rows times k
-    s = BitSequence.from_int(0b1011001110001011, 16)
-    expected = aperiodic_measure(s, 2)
-    price = 2 * math.comb(16, 2)
-    with mock.patch("os.cpu_count", return_value=4), \
-            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor), \
-            mock.patch.object(RecordingExecutor, "seen", []):
-        with mock.patch.object(parallel, "FORK_BREAK_EVEN", price + 1):
-            assert aperiodic_measure(s, 2, jobs=3) == expected
-        assert RecordingExecutor.seen == []
-        with mock.patch.object(parallel, "FORK_BREAK_EVEN", price):
-            assert aperiodic_measure(s, 2, jobs=3) == expected
-        assert RecordingExecutor.seen == [3]
-    # the benchmark's one fan-out query, aperiodic k = 3 at N = 64, stays in-process
-    assert 3 * math.comb(64, 3) < parallel.FORK_BREAK_EVEN
-
-
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_forked_gap_slices_match_one_process(k):
-    # each worker scans every other first gap against its own best value; ties
-    # between slices (periodic, constant, sparse inputs) are settled by the key
-    inputs = [(0b1011001110001011, 16), (0b011011011011011011, 18), (0, 13),
-              (1 << 9, 20), (0b10111000100101100111, 20)]
-    for bits, n in inputs:
-        s = BitSequence.from_int(bits, n)
-        alone = aperiodic_measure(s, k)
-        with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
-            assert aperiodic_measure(s, k, jobs=3) == alone, (bits, n)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.data())
 def test_periodic_matches_bitloop(t, data):
@@ -428,23 +384,6 @@ def test_periodic_rotation_cut_matches_full_scan_exhaustively():
                     reference[t, cls, k] = full_periodic_scan(cls, t, k)
                 r = periodic_measure(s, k)
                 assert (-r.value, r.witness_d) == reference[t, cls, k], (t, bits, k)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=3, max_value=4), st.data())
-def test_periodic_jobs_do_not_change_the_answer(k, data):
-    # rotated m-sequence blocks have full peaks at k = 3 and 4, where each slice stops early
-    if data.draw(st.booleans()):
-        t = data.draw(st.integers(min_value=k, max_value=16))
-        bits = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
-    else:
-        seq = m_sequence(data.draw(st.sampled_from([3, 4])))
-        t, block = seq.period, seq.data & mask(seq.period)
-        r = data.draw(st.integers(min_value=0, max_value=t - 1))
-        bits = ((block >> r) | (block << (t - r))) & mask(t)
-    s = BitSequence.from_int(bits, t, period=t)
-    with mock.patch.object(parallel, "FORK_BREAK_EVEN", 0):
-        assert periodic_measure(s, k).as_dict() == periodic_measure(s, k, jobs=3).as_dict()
 
 
 def test_single_shift_set_orders_run_in_linear_memory():
