@@ -133,11 +133,6 @@ class BitSequence:
             raise IndexError(f"index {i} (mod {self.period}) beyond stored length {self.n}")
         return (self.data >> i) & 1
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"index {i} out of range for length {self.n}")
-        return (self.data >> i) & 1
-
     def prefix(self, n: int) -> "BitSequence":
         """First n bits, keeping the declared period."""
         if not 0 <= n <= self.n:

@@ -156,15 +156,14 @@ def find_half_peak_witness(
             }
     if exhausted_all:
         return None
-    from .complexity import linear_complexity
+    from .complexity import _minimal_polynomial
 
     width = n - n // 2  # ceil(n/2)
-    l, coeffs = linear_complexity(data, n)
+    l, f = _minimal_polynomial(data, n)
     if l > width:
         return None
     from .codes import low_weight_kernel_support  # constructive path only
 
-    f = sum(c << r for r, c in enumerate(coeffs)) | 1 << l
     e = (f & -f).bit_length() - 1  # f = x^e g with g(0) = 1
     support = low_weight_kernel_support(f >> e, n // 2 - e, 2, k_max, budget)
     if support is None:

@@ -10,12 +10,12 @@ Rows and codewords are packed ints, bit j = coordinate j.  The search
 for a minimum-weight support works on the columns x^j mod g: D
 qualifies iff the XOR of its columns vanishes.
 
-Both steps before the search use the span's dimension L, not its period
-T.  build_span eliminates rotations only until the first one that
-depends on the earlier ones, at most L+1 of them.  The span is the set
-of T-periodic sequences that satisfy one recurrence of length L, so its
-first L coordinates are an information set: the pivots are 0..L-1, and
-the syndrome of coordinate j against the basis is x^j mod f (_powers).
+The span is the set of T-periodic sequences that satisfy one recurrence
+f of degree L, so its first L coordinates are an information set and
+the syndrome of coordinate j is x^j mod f (_powers).  build_span reads
+f from Berlekamp-Massey over two periods, in O(T L): the shortest LFSR
+of a prefix is unique once the prefix is at least twice its length
+(Massey 1969), and 2T >= 2L.
 
 low_weight_kernel_support is the one syndrome search, one level per
 weight: it hashes the supports' tails and walks their heads in
@@ -56,16 +56,30 @@ from typing import NamedTuple
 
 from .bitseq import BitSequence, as_shifts, fold_extensions, periodic_correlation
 from .budget import DEFAULT_BUDGET, BudgetExceededError
+from .complexity import _minimal_polynomial
 
 
 class CyclicSpan(NamedTuple):
-    """Row space of the T cyclic rotations of one period block."""
+    """Row space of the T cyclic rotations of one period block, held by its recurrence."""
 
     period: int
-    dimension: int
-    basis: tuple[int, ...]  # reduced rows, lowest set bit of each is its pivot
-    pivots: tuple[int, ...]
+    recurrence: int  # f = x^L + sum_r c_r x^r, bit r = c_r; x^T + 1 at full rank
     block: int  # the period itself, for certificate verification
+
+    @property
+    def dimension(self) -> int:
+        return self.recurrence.bit_length() - 1
+
+    # basis and pivots only feed the benchmark's digests; ROADMAP item 7's re-record deletes them
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(range(self.dimension))
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """Reduced echelon rows, lowest set bit of each its pivot (see _powers)."""
+        cols = _powers(self.recurrence, self.period)
+        return tuple(sum((c >> r & 1) << j for j, c in enumerate(cols)) for r in range(self.dimension))
 
 
 class PeakCertificate(NamedTuple):
@@ -90,41 +104,9 @@ class PeakCertificate(NamedTuple):
 
 
 def build_span(seq: BitSequence) -> CyclicSpan:
-    """Gaussian elimination over the cyclic rotations of the period block.
-
-    Rotation j+1 is the cyclic shift of rotation j, so once one rotation
-    reduces to zero against the earlier ones every later rotation lies in
-    their span too.  The loop stops there, after at most L+1 rotations.
-    Rows are kept reduced against each other, each with its lowest set
-    bit as its pivot, and the reduced echelon basis of a space is unique,
-    so basis and pivots are those of all T rotations.  The sequence must
-    store a full period (BitSequence.period_block).
-    """
-    row = block = seq.period_block()
-    t = seq.period
-    basis: list[int] = []
-    pivots: list[int] = []
-    for _ in range(t):
-        v = row
-        for b, p in zip(basis, pivots):
-            if (v >> p) & 1:
-                v ^= b
-        if not v:
-            break
-        p = (v & -v).bit_length() - 1
-        # keep rows reduced against each other so pivots stay unique
-        basis = [b ^ v if (b >> p) & 1 else b for b in basis]
-        basis.append(v)
-        pivots.append(p)
-        row = (row >> 1) | ((row & 1) << (t - 1))
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return CyclicSpan(
-        period=t,
-        dimension=len(basis),
-        basis=tuple(basis[i] for i in order),
-        pivots=tuple(pivots[i] for i in order),
-        block=block,
-    )
+    """The span of seq's rotations; seq must store a full period (BitSequence.period_block)."""
+    block, t = seq.period_block(), seq.period
+    return CyclicSpan(t, _minimal_polynomial(block | block << t, 2 * t)[1], block)
 
 
 def _powers(g: int, m: int) -> list[int]:
@@ -139,23 +121,6 @@ def _powers(g: int, m: int) -> list[int]:
     return out
 
 
-def _recurrence(span: CyclicSpan) -> int:
-    """f = x^L + sum_r c_r x^r, with c column L of the basis (bit r = c_r).
-
-    Any L consecutive coordinates of a cyclic span of dimension L are an
-    information set, so the pivots are 0..L-1, basis[r] starts with the
-    unit vector e_r, and its bit L is c_r in s_{i+L} = sum_r c_r s_{i+r}.
-    Bit L is read cyclically, so a full-rank span gets f = x^T + 1.
-    """
-    l = span.dimension
-    if span.pivots != tuple(range(l)):
-        raise ValueError(f"pivots {span.pivots} are not 0..{l - 1}; not a cyclic span")
-    f = 1 << l
-    for r, row in enumerate(span.basis):
-        f |= ((row >> (l % span.period)) & 1) << r
-    return f
-
-
 def _peak_recurrence(span: CyclicSpan) -> int:
     """g = f / gcd(f, x + 1) for the span's recurrence f.
 
@@ -164,7 +129,7 @@ def _peak_recurrence(span: CyclicSpan) -> int:
     x + 1 divides f iff f has an even number of terms, and then g's
     coefficient j is the sum of f's above j.
     """
-    f = _recurrence(span)
+    f = span.recurrence
     if f.bit_count() & 1:
         return f
     g = 0

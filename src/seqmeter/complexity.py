@@ -178,6 +178,15 @@ def _berlekamp_massey(data: int, n: int, profile: list | None = None) -> tuple[i
     return l, conn
 
 
+def _minimal_polynomial(data: int, n: int) -> tuple[int, int]:
+    """(L, f) for the n-bit prefix, f = x^L + sum_r c_r x^r with bit r = c_r.
+
+    f is the connection polynomial reversed over its L + 1 coefficients.
+    """
+    l, conn = _berlekamp_massey(data, n)
+    return l, int(unpack(conn, l + 1), 2)  # int(.., 2) reads bit 0 as the top bit
+
+
 def _recurrence_from_connection(conn: int, l: int) -> tuple[int, ...]:
     # c_m = C_{L-m}: coefficient of s[i+m] in the prediction of s[i+L]
     return tuple(unpack(conn, l + 1)[:0:-1].encode().translate(_TO_BITS))

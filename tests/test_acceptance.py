@@ -48,6 +48,27 @@ def test_periodic_peaks_check_refolds_each_certificate(monkeypatch):
     assert not r.passed and "m-sequence: bad certificate" in r.detail and "Theta = " in r.detail
 
 
+def test_oracle_check_catches_one_wrong_complexity(monkeypatch):
+    # Berlekamp-Massey off by one on a single 4-bit prefix; only the
+    # brute-force oracle can tell
+    lc = verify.linear_complexity
+
+    def wrong(v, n):
+        l, coeffs = lc(v, n)
+        return (l + 1, coeffs) if (v, n) == (0b1011, 4) else (l, coeffs)
+
+    monkeypatch.setattr(verify, "linear_complexity", wrong)
+    r = verify.check_oracle_equivalence(scale="quick")
+    assert not r.passed and r.detail == "recurrence mismatch at n=4, data=1011"
+
+
+def test_kerror_check_catches_a_truth_below_the_bound(monkeypatch):
+    # a k-error kernel that answers 0 falls below every bound that fires
+    monkeypatch.setattr(verify, "kerror_linear_complexity", lambda seq, n, errors: 0)
+    r = verify.check_kerror_consistency(scale="quick")
+    assert not r.passed and "0101010101010101 F=0: true 0 < bound 1" in r.detail
+
+
 def test_half_peaks_on_random_periodic_corpus():
     r = _run(verify.check_half_peak_random)
     assert r.cases == 200

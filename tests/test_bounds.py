@@ -238,6 +238,19 @@ def test_half_peak_witness_none_when_every_order_is_exhausted():
     assert find_half_peak_witness(s, 40, 2) is None
 
 
+def test_half_peak_witness_exhausts_an_order_priced_at_the_fallback_cost():
+    # an order whose price equals the cheaper of the fallback cost and the
+    # budget is still searched outright; one summand above it is not
+    s = m_sequence(3, periods=10)  # n = 70, L = 3: D = (0, 7) peaks at 63
+    price = search_cost(70, 2)
+    with mock.patch.object(bounds, "EXHAUSTIVE_FALLBACK_COST", price):
+        assert find_half_peak_witness(s, 70, 2)["method"] == "exhaustive"
+    with mock.patch.object(bounds, "EXHAUSTIVE_FALLBACK_COST", price - 1):
+        assert find_half_peak_witness(s, 70, 2)["method"] == "constructive"
+    assert find_half_peak_witness(s, 70, 2, budget=price)["method"] == "exhaustive"
+    assert find_half_peak_witness(s, 70, 2, budget=price - 1)["method"] == "constructive"
+
+
 def test_half_peak_witness_on_gold_prefix_with_breaking_bit():
     # the full window search would hash C(2046, 2) pairs at weight 4; from
     # coordinate 1 on the windows keep the Gold recurrence and its zeros

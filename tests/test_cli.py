@@ -678,9 +678,9 @@ CLI = ["budget", "cli", "commands"]
     (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]),
      CLI + ["bitseq", "commands.corr", "correlation"]),
     (RUN_MAIN.format(argv=["peaks", "ms3.txt"]),
-     CLI + ["bitseq", "codes", "commands.peaks", "thresholds"]),
+     CLI + ["bitseq", "codes", "commands.peaks", "complexity", "thresholds"]),
     (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]),
-     CLI + ["bitseq", "codes", "commands.bounds", "thresholds"]),
+     CLI + ["bitseq", "codes", "commands.bounds", "complexity", "thresholds"]),
     (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "commands.gen", "generators"]),
     (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
     (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]),

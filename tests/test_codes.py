@@ -14,7 +14,6 @@ from seqmeter.codes import (
     _multiples,
     _peak_recurrence,
     _powers,
-    _recurrence,
     _tails,
     build_span,
     find_periodic_peak,
@@ -39,7 +38,7 @@ def span_contains(span: CyclicSpan, vector: int) -> bool:
 
 def dual_syndromes(span):
     """Syndrome j against the span basis, x^j mod the span's recurrence."""
-    return _powers(_recurrence(span), span.period)
+    return _powers(span.recurrence, span.period)
 
 
 def full_search(cols, w_min, w_max):
@@ -55,7 +54,9 @@ def full_search(cols, w_min, w_max):
 
 
 def _span_oracle(seq):
-    """The span by elimination over all T rotations, with no early stop."""
+    """(dimension, basis, pivots, block, recurrence) by elimination over all T
+    rotations, with no early stop; the recurrence is read from basis column L,
+    cyclically, so a full-rank span gets x^T + 1."""
     t = seq.period
     basis, pivots = [], []
     v = seq.data & mask(t)
@@ -71,23 +72,27 @@ def _span_oracle(seq):
             pivots.append(p)
         v = (v >> 1) | ((v & 1) << (t - 1))
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return CyclicSpan(t, len(basis), tuple(basis[i] for i in order),
-                      tuple(pivots[i] for i in order), seq.data & mask(t))
+    basis = tuple(basis[i] for i in order)
+    l = len(basis)
+    f = 1 << l
+    for r, row in enumerate(basis):
+        f |= ((row >> (l % t)) & 1) << r
+    return l, basis, tuple(pivots[i] for i in order), seq.data & mask(t), f
 
 
-def _syndromes_oracle(span):
+def _syndromes_oracle(basis, t):
     """Syndrome j as column j of the basis, transposed through '0'/'1' strings."""
-    rows = [unpack(row, span.period) for row in span.basis]
+    rows = [unpack(row, t) for row in basis]
     if not rows:
-        return [0] * span.period
+        return [0] * t
     return [pack("".join(col)) for col in zip(*rows)]
 
 
 def _assert_span_matches_oracle(seq):
     span = build_span(seq)
-    assert span == _span_oracle(seq), seq
-    assert span.pivots == tuple(range(span.dimension))
-    assert dual_syndromes(span) == _syndromes_oracle(span), seq
+    want = _span_oracle(seq)
+    assert (span.dimension, span.basis, span.pivots, span.block, span.recurrence) == want, seq
+    assert dual_syndromes(span) == _syndromes_oracle(want[1], span.period), seq
 
 
 def test_span_and_syndromes_match_full_elimination_exhaustively():
@@ -101,7 +106,7 @@ def test_span_and_syndromes_match_full_elimination_exhaustively():
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8), st.data())
 def test_span_and_syndromes_match_full_elimination_on_low_rank_blocks(p, q, data):
     # the XOR of a period-p and a period-q pattern satisfies the short recurrence
-    # (x^p - 1)(x^q - 1), so its span has rank <= p + q and the rotations stop early
+    # (x^p - 1)(x^q - 1), so its span has rank <= p + q, mostly far below T
     lcm = math.lcm(p, q)
     t = lcm * data.draw(st.integers(min_value=1, max_value=64 // lcm))
     a = data.draw(st.integers(min_value=0, max_value=(1 << p) - 1))
@@ -118,14 +123,6 @@ def test_span_and_syndromes_match_full_elimination_on_low_rank_blocks(p, q, data
         *(f"kasami{ell}" for ell in (4, 6, 8, 10, 12))])
 def test_family_spans_match_full_elimination(seq):
     _assert_span_matches_oracle(seq)
-
-
-def test_dual_syndromes_need_leading_pivots():
-    # no block's rotations reduce to one row with its pivot at 1, so column 1
-    # of this hand-built span is no recurrence
-    span = CyclicSpan(period=4, dimension=1, basis=(0b0110,), pivots=(1,), block=0b0110)
-    with pytest.raises(ValueError, match="pivots"):
-        _recurrence(span)
 
 
 def test_span_dimensions():
@@ -158,7 +155,7 @@ def test_dual_syndromes_cancel_on_dual_support():
 
 
 def test_kernel_search_finds_lex_min():
-    f = _recurrence(build_span(m_sequence(3)))
+    f = build_span(m_sequence(3)).recurrence
     assert low_weight_kernel_support(f, 7, 1, 2) is None
     assert low_weight_kernel_support(f, 7, 1, 3) == (0, 1, 3)
 
@@ -277,7 +274,7 @@ def test_peak_search_budget():
     best = low_weight_kernel_support(f, 31, 2, 7, budget=465 + 435)
     assert best == full_search(cols, 2, 7) == (0, 1, 3, 7, 15)
     span = build_span(gold_sequence(5))
-    assert (low_weight_kernel_support(_recurrence(span), 31, 2, 7)
+    assert (low_weight_kernel_support(span.recurrence, 31, 2, 7)
             == full_search(dual_syndromes(span), 2, 7) == (0, 1, 4, 19, 22))
     # a search that ends at weight 3 never reaches a budgeted level
     assert find_periodic_peak(build_span(m_sequence(3)), 5, budget=0).shifts == (0, 1, 3)
@@ -308,7 +305,7 @@ def test_kernel_search_budget():
 def test_recurrence_must_not_vanish_at_zero():
     span = build_span(gold_sequence(5))
     with pytest.raises(ValueError, match="g\\(0\\) = 0"):
-        low_weight_kernel_support(_recurrence(span) << 1, 31, 2, 7)
+        low_weight_kernel_support(span.recurrence << 1, 31, 2, 7)
 
 
 def test_order_cap_validated():
@@ -322,7 +319,7 @@ def test_uncapped_peak_search_and_full_rank_chain():
     # recurrence is x^7 + 1, and all seven shifts fold to the constant ones
     span = build_span(loads("period=7\n10000001000000\n"))
     assert span.dimension == span.period == 7
-    assert _recurrence(span) == 0b10000001
+    assert span.recurrence == 0b10000001
     assert _peak_recurrence(span) == 0b1111111
     cert = find_periodic_peak(span, full_peak_threshold(7, span.dimension))
     assert (cert.order, cert.shifts, cert.period) == (7, tuple(range(7)), 7)
@@ -395,7 +392,7 @@ def test_dual_basis_orthogonal_and_complete():
 def test_bruteforce_weight_matches_search():
     span = build_span(small_kasami(4))
     syn = dual_syndromes(span)
-    sup = low_weight_kernel_support(_recurrence(span), 15, 1, 15)
+    sup = low_weight_kernel_support(span.recurrence, 15, 1, 15)
     assert sup == (0, 5, 10)
     assert brute_min_support(syn, 15) == sup
 
@@ -416,7 +413,7 @@ def brute_min_support(syn, t, w_min=1):
 def test_kernel_search_matches_enumeration(t, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
     span = build_span(BitSequence.from_int(bits, t, period=t))
-    best = low_weight_kernel_support(_recurrence(span), t, 1, t)
+    best = low_weight_kernel_support(span.recurrence, t, 1, t)
     assert best == brute_min_support(dual_syndromes(span), t)
 
 
@@ -615,7 +612,7 @@ def test_gold_zeros_match_syndrome_search(label, ell, pair):
     # conjugate to 3, so it takes the swapped order; gold-6 has a kernel GF(4)
     seq = gold_sequence(ell, taps_pair=pair)
     span = build_span(seq)
-    _assert_zeros_match_syndromes(dual_syndromes(span), _recurrence(span), 5, label)
+    _assert_zeros_match_syndromes(dual_syndromes(span), span.recurrence, 5, label)
 
 
 @pytest.mark.parametrize("ell", [4, 6, 8, 10, 12])
@@ -623,7 +620,7 @@ def test_kasami_zeros_match_syndrome_search(ell):
     # small Kasami peaks have weight 3; from weight 4 the zeros rho and
     # rho^(2^(ell/2)+1) have a kernel GF(2^(ell/2)), 2^(ell/2-1) pairs per head
     span = build_span(small_kasami(ell))
-    _assert_zeros_match_syndromes(dual_syndromes(span), _recurrence(span), 5, ell)
+    _assert_zeros_match_syndromes(dual_syndromes(span), span.recurrence, 5, ell)
 
 
 @pytest.mark.parametrize("make", [lambda: gold_sequence(5), lambda: gold_sequence(7),
@@ -666,7 +663,7 @@ def test_zeros_run_after_a_period_breaking_first_bit():
     assert tuple(d - 1 for d in witness["D"]) == shifted
 
 
-ZERO_PATTERNS = [_recurrence(build_span(s)) for s in (gold_sequence(5), gold_sequence(6),
+ZERO_PATTERNS = [build_span(s).recurrence for s in (gold_sequence(5), gold_sequence(6),
                                                      small_kasami(4), small_kasami(6))]
 # small Kasami 6 times x^2 + x + 1, the minimal polynomial of rho^21: a third
 # coset, which the zeros of rho and rho^9 alone would miss
@@ -689,18 +686,18 @@ def test_recurrence_changes_no_answer(l, data):
 
 def test_zeros_fit_only_the_gold_pattern():
     span = build_span(gold_sequence(7))
-    f = _recurrence(span)
+    f = span.recurrence
     assert zeros_field(f, 127, 64)[0] == 7
     assert zeros_field(f, 128, 64) is None  # more columns than nonzero field elements
     assert zeros_field(f, 127, 6) is None  # a field above the price cap
     assert zeros_field(f << 1, 127, 64) is None  # a zero at 0
     # an m-sequence's zeros are one coset
-    assert zeros_field(_recurrence(build_span(m_sequence(7))), 127, 64) is None
+    assert zeros_field(build_span(m_sequence(7)).recurrence, 127, 64) is None
     seq = small_kasami(6)
-    assert _zeros_of(dual_syndromes(build_span(seq)), _recurrence(build_span(seq)))
+    assert _zeros_of(dual_syndromes(build_span(seq)), build_span(seq).recurrence)
     # small Kasami 6: rho from x^6 + x + 1, and rho^9; a third coset, rho^21,
     # leaves f(rho^9) = 0 but adds two zeros that the sums over rho and rho^9 miss
-    kasami = _recurrence(build_span(seq))
+    kasami = build_span(seq).recurrence
     ell, g = zeros_field(kasami, 63, 64)
     assert g == 0b1000011
     assert gold_zeros(_clmul(kasami, 0b111), 63, ell, g) is None
@@ -723,6 +720,6 @@ def test_large_gold_certificates_are_minimal(ell, shifts):
     cert = find_periodic_peak(span, 7)
     assert cert.shifts == shifts
     assert abs(periodic_correlation(span.block, span.period, shifts)) == span.period
-    assert low_weight_kernel_support(_recurrence(span), span.period, 2, 3) is None
-    zeros = _zeros_of(dual_syndromes(span), _recurrence(span))
+    assert low_weight_kernel_support(span.recurrence, span.period, 2, 3) is None
+    zeros = _zeros_of(dual_syndromes(span), span.recurrence)
     assert zeros_level(zeros, 2, [(0, d) for d in range(1, span.period)]) is None

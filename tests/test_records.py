@@ -27,8 +27,8 @@ RECORDS = {
         "ComplexityProfile(values=(0, 1, 1), coefficients=(1, 0))",
     ),
     "CyclicSpan": (
-        lambda: CyclicSpan(7, 3, (9, 18, 36), (0, 1, 2), 116),
-        "CyclicSpan(period=7, dimension=3, basis=(9, 18, 36), pivots=(0, 1, 2), block=116)",
+        lambda: CyclicSpan(7, 0b1011, 116),
+        "CyclicSpan(period=7, recurrence=11, block=116)",
     ),
     "PeakCertificate": (
         lambda: PeakCertificate((0, 1, 3), 7),
@@ -117,6 +117,8 @@ def test_keyword_construction():
 def test_methods_and_properties():
     assert ComplexityProfile((0, 1, 2)).final == 2
     assert ComplexityProfile(()).final == 0
+    span = RECORDS["CyclicSpan"][0]()
+    assert (span.dimension, span.basis, span.pivots) == (3, (105, 58, 116), (0, 1, 2))
     assert RECORDS["PeakCertificate"][0]().order == 3
     assert RECORDS["PeakCertificate"][0]().as_dict() == {
         "k": 3, "shifts": [0, 1, 3], "kind": "periodic-full", "theta": 7,
