@@ -123,14 +123,9 @@ class BitSequence:
         raise AttributeError("BitSequence is immutable")
 
     def bit(self, i: int) -> int:
-        """s_i, reducing i modulo the declared period when one exists."""
-        if 0 <= i < self.n:
-            return (self.data >> i) & 1
-        if self.period is None:
-            raise IndexError(f"index {i} out of range for length {self.n} and no declared period")
-        i %= self.period
-        if i >= self.n:
-            raise IndexError(f"index {i} (mod {self.period}) beyond stored length {self.n}")
+        """s_i of the stored bits, 0 <= i < n; a declared period does not extend them."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"index {i} out of range for length {self.n}")
         return (self.data >> i) & 1
 
     def prefix(self, n: int) -> "BitSequence":
@@ -151,14 +146,12 @@ class BitSequence:
         return self.data & mask(self.period)
 
     def minimal_period(self) -> int:
-        """Smallest p >= 1 with s[i+p] == s[i] for every i with i+p < n.
+        """Smallest p >= 1 with s[i+p] == s[i] for every i with i+p < n; 0 when n = 0.
 
         Exact scan over all candidate p.  For a purely periodic sequence
         rendered over at least two full periods this equals the minimal
         period of the infinite sequence.
         """
-        if self.n == 0:
-            return 0
         d, n = self.data, self.n
         for p in range(1, n):
             if not ((d >> p) ^ d) & mask(n - p):

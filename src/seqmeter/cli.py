@@ -8,11 +8,12 @@ budget exceeded or memory exhausted.
 Every CLI call is a new process, which compiles each module it loads
 wherever bytecode is not cached.  So this module holds only the entry
 point and the command table; each command's arguments and handler live
-in its module under `seqmeter.commands`, and a call imports, compiles
-and builds the parser of only the command it runs; the `bounds` and `gen`
-groups likewise build only the subcommand invoked.  Help and usage
-errors print what a parser holding every command would.  Each handler in
-turn imports the modules it runs (see `seqmeter/__init__.py`).
+in its module under `seqmeter.commands`.  One walk over the words,
+`commands._add_subcommands`, finds the invoked command, and `build_parser`
+descends with it into a group's invoked subcommand; a call imports,
+compiles and adds the arguments of only what it runs.  Help and usage
+errors print what a parser holding every command would.  Each handler
+in turn imports the modules it runs (see `seqmeter/__init__.py`).
 
 A process enters through `run()`: the console script `seqmeter` and
 `python -m seqmeter.cli` both call it.  It runs `main()` and then, on
@@ -41,26 +42,32 @@ from . import __version__
 from .budget import BudgetExceededError
 from .commands import EXIT_BUDGET, EXIT_USAGE, _add_subcommands, _env_budget
 
-# command -> (its module under seqmeter.commands, its help line)
+# command -> its help line
 COMMANDS = {
-    "gen": ("gen", "generate a reference sequence"),
-    "lc": ("complexity", "lc of a sequence prefix"),
-    "moc": ("complexity", "moc of a sequence prefix"),
-    "kerror": ("complexity", "k-error linear complexity (exhaustive)"),
-    "corr": ("corr", "order-k correlation measure, exhaustive"),
-    "peaks": ("peaks", "find a full periodic peak (a least constant fold)"),
-    "bounds": ("bounds", "threshold and bound calculators"),
-    "verify": ("verify", "run the acceptance checks"),
+    "gen": "generate a reference sequence",
+    "lc": "lc of a sequence prefix",
+    "moc": "moc of a sequence prefix",
+    "kerror": "k-error linear complexity (exhaustive)",
+    "corr": "order-k correlation measure, exhaustive",
+    "peaks": "find a full periodic peak (a least constant fold)",
+    "bounds": "threshold and bound calculators",
+    "verify": "run the acceptance checks",
 }
+# a command's module under seqmeter.commands, where it is not named after the command
+MODULES = dict.fromkeys(("lc", "moc", "kerror"), "complexity")
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for `argv`, holding the one command it names when it names a valid one.
 
-    Only that command's module is imported and only its arguments are
-    added.  For help, a missing or an unknown command, every command is
-    registered with its help line, so the listing and the error are those
-    of a full parser (see `commands._add_subcommands`).
+    The walk finds the invoked command and, in a group (a module that
+    declares SUBCOMMANDS and DEST: bounds, gen, verify), the invoked
+    subcommand, deleting from argv in place a `--` directly before
+    either.  Only the invoked command's module is imported, and only the
+    invoked (sub)command gets its arguments, from the module's
+    add_arguments(parser, name).  For help, a missing or an unknown
+    command, every command is registered with its help line, so the
+    listing and the error are those of a full parser.
     """
     parser = argparse.ArgumentParser(
         prog="seqmeter",
@@ -74,44 +81,22 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
-
-    def add(sub, name, rest):
-        module, help_line = COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help_line)
-        if rest is not None:
-            importlib.import_module(f".commands.{module}", __package__).add_arguments(
-                p, common, name, rest)
-
-    _add_subcommands(parser, "command", COMMANDS, argv, add)
+    invoked = _add_subcommands(parser, "command", COMMANDS, argv, 0, common)
+    if invoked is None:
+        return parser
+    i, p = invoked
+    module = importlib.import_module(f".commands.{MODULES.get(argv[i], argv[i])}", __package__)
+    if hasattr(module, "SUBCOMMANDS"):
+        invoked = _add_subcommands(p, module.DEST, module.SUBCOMMANDS, argv, i + 1, common)
+        if invoked is None:
+            return parser
+        i, p = invoked
+    module.add_arguments(p, argv[i])
     return parser
-
-
-def _drop_separator(words: list[str], start: int, names) -> int | None:
-    """Drop a `--` directly before the (sub)command that words[start:] invoke; return its index.
-
-    The invoked word is the first one from start not starting with "-",
-    and None is returned when it is not one of names.  argparse hands a
-    `--` before it to the subparsers action, which rejects it as a
-    choice, so that `--` is dropped when it is the only one before the
-    word.  Any other `--` is left to argparse.
-    """
-    i = next((i for i in range(start, len(words)) if not words[i].startswith("-")), len(words))
-    if i == len(words) or words[i] not in names:
-        return None
-    if words[i - 1] == "--" and words[start:i].count("--") == 1:
-        del words[i - 1]
-        i -= 1
-    return i
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--" in argv:
-        i = _drop_separator(argv, 0, COMMANDS)
-        if i is not None:
-            module = importlib.import_module(f".commands.{COMMANDS[argv[i]][0]}", __package__)
-            if hasattr(module, "SUBCOMMANDS"):  # a group: bounds, gen
-                _drop_separator(argv, i + 1, module.SUBCOMMANDS)
     args = build_parser(argv).parse_args(argv)
     args.argv = argv  # the manifest records the words parsed, not sys.argv
     # The budgets price work, not memory, so a search they let through can

@@ -221,7 +221,9 @@ def low_weight_kernel_support(
     with one-element tails (2, 3 and 4) share one map of each column to
     its last index: a head fits iff its fold's last index is above the
     head's end, and takes the first later index (see _level).  Only
-    longer tails are hashed, per level, by _tails.
+    longer tails are hashed, per level, by _tails.  The columns are
+    built at the first level that walks them: level 1 reads g alone, and
+    the multiples and zeros walks need none.
     Levels 2 and 3 cost linear work and run unpriced; every other level
     checks its cost against budget before it allocates, raising
     BudgetExceededError when over.  Every level walks its heads from the
@@ -239,14 +241,13 @@ def low_weight_kernel_support(
     """
     if not g & 1:
         raise ValueError(f"recurrence {g:#x} has g(0) = 0; the anchor at 0 needs g(0) = 1")
-    cols = _powers(g, m)
     w_max = m if w_max is None else min(w_max, m)
     free = m - g.bit_length() + 1  # deg q < m - deg g
-    ones = None  # the column -> last-index map, shared by the levels with a = 1
+    cols = ones = None  # the columns, and their last-index map shared by the levels with a = 1
     field = zeros = None  # the Gold zeros of g, looked for at the first level from 4
     for w in range(w_min, w_max + 1):
         if w == 1:
-            best = (0,) if cols[0] == 0 else None
+            best = (0,) if g == 1 else None  # x^0 mod g vanishes iff g = 1
         else:
             a = max(1, (w + 1) // 2 - 1)
             h = w - a
@@ -275,6 +276,8 @@ def low_weight_kernel_support(
             if by_zeros:
                 best = gf.zeros_level(zeros, w - 2, [(0,)])
             else:
+                if cols is None:
+                    cols = _powers(g, m)
                 if a == 1 and ones is None:
                     ones = dict(zip(cols, range(m)))
                 best = _level(cols, a, h, ones if a == 1 else None, [(0,)])

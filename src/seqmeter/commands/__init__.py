@@ -1,11 +1,14 @@
 """The CLI's commands, one module per command group.
 
-Each module holds its commands' argument setup (`add_arguments`) next to
-their handlers, and `seqmeter.cli` imports only the module of the command
-it runs; `_add_subcommands` lets the CLI and each command group build
-the parser of the invoked (sub)command alone.  The helpers below are
-shared by every command.  Command modules import them from here, never
-from `seqmeter.cli`: under `python -m seqmeter.cli` that module runs as
+Each module holds its commands' argument setup next to their handlers:
+add_arguments(parser, name) adds the arguments of the one (sub)command
+name.  A group (`bounds`, `gen`, `verify`) also declares SUBCOMMANDS,
+each subcommand's help line or None, and DEST, the attribute that holds
+the one invoked.  `seqmeter.cli` imports only the module of the command
+it runs and builds its parser with `_add_subcommands`, the one walk that
+finds an invoked (sub)command.  The other helpers below are shared by
+every command.  Command modules import them from here, never from
+`seqmeter.cli`: under `python -m seqmeter.cli` that module runs as
 `__main__`, so importing it by name would compile and run it a second
 time.
 """
@@ -24,29 +27,40 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names, argv: list[str],
-                     add) -> None:
-    """Add parser's subcommands, `names`, for the words `argv` that follow it on the command line.
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names: dict, argv: list[str],
+                     start: int, common: argparse.ArgumentParser
+                     ) -> tuple[int, argparse.ArgumentParser] | None:
+    """Add parser's subcommands for argv[start:]; return the invoked one's index and parser.
 
-    Each subcommand is added by add(sub, name, rest), sub being the
-    subparsers action; rest is the words after the invoked subcommand,
-    None for the others.  The invoked one is the first word of argv not
-    starting with "-" (no option here takes a value).  When it is one of
-    names and every word before it is a long option other than help, it
-    alone is added, and the action's metavar spells every name, so usage
-    lines read as they would with all added.  Otherwise (help, a missing
-    or unknown subcommand, or a word argparse may read as positional)
-    every name is added with no metavar, so help listings and the
-    messages that name the action by its dest are argparse's own.
+    names maps each subcommand to its help line, or to None for none (a
+    help of None would still list it).  The invoked one is the first word
+    from start not starting with "-" (no option here takes a value), and
+    None is returned when it is not one of names.  argparse hands a `--`
+    before it to the subparsers action, which rejects it as a choice, so
+    a `--` directly before it is deleted from argv when it is the only
+    one there; any other `--` is left to argparse.  When every word
+    before the invoked one is a long option other than help, it alone is
+    added, and the action's metavar spells every name, so usage lines
+    read as they would with all added.  Otherwise (help, a missing or
+    unknown subcommand, or a word argparse may read as positional) every
+    name is added with no metavar, so help listings and the messages
+    that name the action by its dest are argparse's own.  Each subparser
+    takes common as a parent; the caller adds the invoked one's arguments.
     """
-    i = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
-    invoked = argv[i] if i < len(argv) else None
-    alone = invoked in names and all(
-        word.startswith("--") and word != "--" and not word.startswith("--h") for word in argv[:i])
+    i = next((i for i in range(start, len(argv)) if not argv[i].startswith("-")), len(argv))
+    invoked = argv[i] if i < len(argv) and argv[i] in names else None
+    if invoked is not None and argv[start:i].count("--") == 1 and argv[i - 1] == "--":
+        del argv[i - 1]
+        i -= 1
+    alone = invoked is not None and all(
+        word.startswith("--") and word != "--" and not word.startswith("--h")
+        for word in argv[start:i])
     sub = parser.add_subparsers(dest=dest, required=True,
                                 metavar="{" + ",".join(names) + "}" if alone else None)
     for name in [invoked] if alone else names:
-        add(sub, name, argv[i + 1:] if name == invoked else None)
+        kwargs = {} if names[name] is None else {"help": names[name]}
+        sub.add_parser(name, parents=[common], **kwargs)
+    return None if invoked is None else (i, sub.choices[invoked])
 
 
 def _env_budget() -> int:

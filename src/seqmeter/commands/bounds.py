@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import EXIT_CHECK_FAILED, EXIT_OK, _add_subcommands, _emit, _load
+from . import EXIT_CHECK_FAILED, EXIT_OK, _emit, _load
 
 # subcommand -> its help line
 SUBCOMMANDS = {
@@ -14,39 +14,35 @@ SUBCOMMANDS = {
     "verify": "check one guarantee on a concrete sequence",
     "kerror": "complexity bound surviving bit flips",
 }
+DEST = "bounds_command"
 
 
-def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str, argv: list[str]) -> None:
-    def add(sub, name, rest):
-        p = sub.add_parser(name, parents=[common], help=SUBCOMMANDS[name])
-        if name == "table1":
-            p.add_argument("--ell-max", type=int, default=20, dest="ell_max")
-            p.add_argument("--csv", action="store_true")
-            p.set_defaults(func=_bounds_table1)
-        elif name == "thm2":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--l", type=int, required=True)
-            p.set_defaults(func=_bounds_thm2)
-        elif name == "cor3":
-            p.add_argument("--k", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
-            p.set_defaults(func=_bounds_cor3)
-        elif name == "verify":
-            p.add_argument("claim", choices=["thm1", "thm2", "thm4"])
-            p.add_argument("file")
-            p.add_argument("--n", type=int)
-            p.add_argument("--budget", type=int, default=None)
-            p.set_defaults(func=_bounds_verify)
-        else:
-            p.add_argument("file")
-            p.add_argument("--n", type=int)
-            p.add_argument("--k", type=int, default=2)
-            p.add_argument("--flips", type=int, required=True)
-            p.add_argument("--budget", type=int, default=None)
-            p.set_defaults(func=_bounds_kerror)
-
-    _add_subcommands(parser, "bounds_command", SUBCOMMANDS, argv, add)
+def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    if name == "table1":
+        parser.add_argument("--ell-max", type=int, default=20, dest="ell_max")
+        parser.add_argument("--csv", action="store_true")
+        parser.set_defaults(func=_bounds_table1)
+    elif name == "thm2":
+        parser.add_argument("--n", type=int, required=True)
+        parser.add_argument("--l", type=int, required=True)
+        parser.set_defaults(func=_bounds_thm2)
+    elif name == "cor3":
+        parser.add_argument("--k", type=int, required=True)
+        parser.add_argument("--n", type=int, required=True)
+        parser.set_defaults(func=_bounds_cor3)
+    elif name == "verify":
+        parser.add_argument("claim", choices=["thm1", "thm2", "thm4"])
+        parser.add_argument("file")
+        parser.add_argument("--n", type=int)
+        parser.add_argument("--budget", type=int, default=None)
+        parser.set_defaults(func=_bounds_verify)
+    else:
+        parser.add_argument("file")
+        parser.add_argument("--n", type=int)
+        parser.add_argument("--k", type=int, default=2)
+        parser.add_argument("--flips", type=int, required=True)
+        parser.add_argument("--budget", type=int, default=None)
+        parser.set_defaults(func=_bounds_kerror)
 
 
 def _bounds_table1(args) -> int:

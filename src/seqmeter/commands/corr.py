@@ -5,8 +5,7 @@ import argparse
 from . import EXIT_OK, _emit, _load
 
 
-def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str, argv: list[str]) -> None:
+def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     parser.add_argument("file")
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--n", type=int, help="prefix length (aperiodic only)")

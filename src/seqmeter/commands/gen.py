@@ -3,34 +3,29 @@
 import argparse
 import sys
 
-from . import EXIT_OK, _add_subcommands, _parse_hex
+from . import EXIT_OK, _parse_hex
 
-# one subcommand per sequence family
-SUBCOMMANDS = ("msequence", "gold", "kasami-small", "hall", "fermat")
+# one subcommand per sequence family, none with a help line
+SUBCOMMANDS = dict.fromkeys(("msequence", "gold", "kasami-small", "hall", "fermat"))
+DEST = "kind"
 
 
-def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str, argv: list[str]) -> None:
-    parser.set_defaults(func=cmd_gen)
-
-    def add(sub, kind, rest):
-        g = sub.add_parser(kind, parents=[common])
-        if kind == "hall":
-            g.add_argument("--t", type=int, required=True, help="prime period, 1 mod 6")
-            g.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
-        elif kind == "fermat":
-            g.add_argument("--p", type=int, required=True, help="odd prime")
+def add_arguments(parser: argparse.ArgumentParser, kind: str) -> None:
+    if kind == "hall":
+        parser.add_argument("--t", type=int, required=True, help="prime period, 1 mod 6")
+        parser.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
+    elif kind == "fermat":
+        parser.add_argument("--p", type=int, required=True, help="odd prime")
+    else:
+        parser.add_argument("--ell", type=int, required=True, help="register degree")
+        if kind == "msequence":
+            parser.add_argument("--taps", help="feedback taps, hex mask of c_0..c_{ell-1}")
+            parser.add_argument("--seed", dest="seed_state", help="initial state, hex")
         else:
-            g.add_argument("--ell", type=int, required=True, help="register degree")
-            if kind == "msequence":
-                g.add_argument("--taps", help="feedback taps, hex mask of c_0..c_{ell-1}")
-                g.add_argument("--seed", dest="seed_state", help="initial state, hex")
-            else:
-                g.add_argument("--shift", type=int, default=0)
-        g.add_argument("--periods", type=int, default=2, help="periods to emit (default 2)")
-        g.add_argument("-o", "--output", help="output file (default: stdout)")
-
-    _add_subcommands(parser, "kind", SUBCOMMANDS, argv, add)
+            parser.add_argument("--shift", type=int, default=0)
+    parser.add_argument("--periods", type=int, default=2, help="periods to emit (default 2)")
+    parser.add_argument("-o", "--output", help="output file (default: stdout)")
+    parser.set_defaults(func=cmd_gen)
 
 
 def cmd_gen(args) -> int:

@@ -5,8 +5,7 @@ import argparse
 from . import EXIT_OK, _emit, _env_budget, _load
 
 
-def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str, argv: list[str]) -> None:
+def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     parser.add_argument("file")
     parser.add_argument("--tmax", type=int, default=None,
                         help="weight cap (default: the sphere-packing threshold; none at full rank)")

@@ -6,13 +6,14 @@ import sys
 from . import EXIT_CHECK_FAILED, EXIT_OK, _emit
 
 
-def add_arguments(parser: argparse.ArgumentParser, common: argparse.ArgumentParser,
-                  name: str, argv: list[str]) -> None:
-    vsub = parser.add_subparsers(dest="verify_command", required=True)
-    va = vsub.add_parser("all", parents=[common])
-    va.add_argument("--scale", choices=["quick", "full"], default="quick")
-    va.add_argument("--seed", type=int, default=None)
-    va.set_defaults(func=cmd_verify)
+SUBCOMMANDS = {"all": None}  # no help line
+DEST = "verify_command"
+
+
+def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    parser.add_argument("--scale", choices=["quick", "full"], default="quick")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.set_defaults(func=cmd_verify)
 
 
 def cmd_verify(args) -> int:

@@ -197,7 +197,7 @@ def _scan_gaps(data: int, n: int, k: int):
     may tie the value with a smaller (U, D) still runs.
     """
     m = mask(n - k + 1)  # no row is longer
-    shifted = [(data >> j) & m for j in range(n)]
+    shifted = [(data >> j) & m for j in range(n if k > 1 else 1)]  # k = 1 reads only row 0
     best = None
     best_value = 0
     for a1 in range(1, n - k + 2) if k >= 2 else (0,):

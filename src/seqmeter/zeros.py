@@ -129,7 +129,11 @@ def gold_zeros(f: int, m: int, ell: int, g: int) -> Zeros | None:
     of the minimal polynomials of rho and rho^q, so a support is dual iff
     the sums of x_d and x_d^q over it vanish, with u = 1.  When instead
     f(rho^(1/q)) = 0, the same holds with u = 1/q mod 2^ell - 1 (the two
-    zeros swap roles; the shipped gold-7 pair needs this).
+    zeros swap roles).  That is the pattern when g is the minimal
+    polynomial of the q-th power of f's other zero.  zeros_field's g
+    takes u = 1 on every shipped pair tried (Gold ell = 5-11 and small
+    Kasami ell = 4-10, at shifts 0, 1 and 5); the tests reach the swap by
+    passing the other factor, f / g, as g.
     """
     t = (1 << ell) - 1
     exp = [1] * t

@@ -8,6 +8,7 @@ the exact value, the column holds the exact value (see README).
 """
 
 from seqmeter import verify
+from seqmeter.bitseq import BitSequence
 
 
 def _run(check):
@@ -67,6 +68,50 @@ def test_kerror_check_catches_a_truth_below_the_bound(monkeypatch):
     monkeypatch.setattr(verify, "kerror_linear_complexity", lambda seq, n, errors: 0)
     r = verify.check_kerror_consistency(scale="quick")
     assert not r.passed and "0101010101010101 F=0: true 0 < bound 1" in r.detail
+
+
+def test_table_check_catches_the_claimed_large_kasami_threshold(monkeypatch):
+    # the claimed 9 for large Kasami is looser than the exact 7 from ell = 6 on
+    monkeypatch.setitem(verify.EXPECTED_THRESHOLDS, "large-kasami", lambda e: 9)
+    r = verify.check_table1(scale="quick")
+    assert not r.passed
+    assert r.detail == "large-kasami ell=6: threshold 7 != 9; large-kasami ell=8: threshold 7 != 9"
+
+
+def test_half_peak_check_catches_one_missing_witness(monkeypatch):
+    # a witness search that finds nothing on the 43-bit prefixes (T = 21)
+    search = verify.find_half_peak_witness
+    monkeypatch.setattr(verify, "find_half_peak_witness",
+                        lambda seq, n, k_cap: None if n == 43 else search(seq, n, k_cap))
+    r = verify.check_half_peak_random(scale="quick")
+    assert not r.passed and r.detail == "#3 (T=21, L=7): fired with cap 4 but no witness"
+
+
+def test_moc_half_peak_check_catches_a_value_below_half(monkeypatch):
+    # an order-2 measure one below half on the all-zero word alone
+    check = verify.moc_half_peak_check
+
+    def wrong(seq):
+        report = check(seq)
+        return report._replace(value=7) if seq.data == 0 else report
+
+    monkeypatch.setattr(verify, "moc_half_peak_check", wrong)
+    r = verify.check_moc_half_peak(scale="quick")
+    assert not r.passed and r.detail == "0000000000000000: C_2 = 7 below half"
+
+
+def test_special_sequences_check_catches_a_one_at_a_multiple_of_p(monkeypatch):
+    # the Fermat quotient sequence of 3 with s_0 set in both periods keeps
+    # period 9, so only the zeros at the multiples of p can tell
+    fermat = verify.fermat_threshold
+
+    def wrong(p):
+        f = fermat(p)
+        return BitSequence.from_int(f.data ^ (1 | 1 << p * p), f.n, f.period) if p == 3 else f
+
+    monkeypatch.setattr(verify, "fermat_threshold", wrong)
+    r = verify.check_special_sequences(scale="quick")
+    assert not r.passed and r.detail == "fermat 3: nonzero at a multiple of p"
 
 
 def test_half_peaks_on_random_periodic_corpus():

@@ -52,16 +52,17 @@ def test_from_int_rejects_bad_lengths_and_wide_data():
             BitSequence.from_int(data, 4)
 
 
-def test_bit_wraps_with_period():
-    s = BitSequence.from_int(0b011, 3, period=3)
-    assert s.bit(3) == s.bit(0)
-    assert s.bit(7) == s.bit(1)
-
-
 def test_bit_out_of_range_without_period():
     s = BitSequence.from_int(0b011, 3)
     with pytest.raises(IndexError):
         s.bit(3)
+
+
+def test_bit_reads_only_stored_bits_whatever_the_period():
+    s = BitSequence.from_int(0b011, 3, period=3)
+    for i in (-1, 3, 7):
+        with pytest.raises(IndexError, match=f"^index {i} out of range for length 3$"):
+            s.bit(i)
 
 
 def test_prefix():
@@ -77,6 +78,7 @@ def test_minimal_period_exact_scan():
     assert BitSequence.from_int(0, 5).minimal_period() == 1
     # finite-prefix semantics: period p is minimal with s_i == s_{i+p} for i < n-p
     assert BitSequence.from_int(0b11, 2).minimal_period() == 1
+    assert BitSequence.from_int(0, 0).minimal_period() == 0
 
 
 def test_immutability():

@@ -757,6 +757,20 @@ def test_unknown_command_lists_every_command(capsys):
         assert all(f"'{name}'" in choices for name in COMMANDS)
 
 
+@pytest.mark.parametrize("argv", ["verify -- all --scale quick", "-- bounds -- table1"])
+def test_separator_before_verify_and_at_both_levels(argv, capsys):
+    # as in test_cli_text: a `--` directly before a command or a group's
+    # subcommand is dropped, verify's included; timings are masked
+    def masked(words):
+        code, out, err = run(words, capsys)
+        return code, re.sub(r"\d+\.\d+", "#", out), re.sub(r"\d+\.\d+", "#", err)
+
+    words = argv.split()
+    without = masked([word for word in words if word != "--"])
+    assert without[0] == 0
+    assert masked(words) == without
+
+
 def test_parser_follows_main_argv_not_sys_argv(ms3, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["seqmeter", "gen", "gold", "--ell", "5"])
     code, out, _ = run(["lc", ms3], capsys)

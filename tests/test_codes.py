@@ -256,9 +256,12 @@ def test_certificate_reproduces_under_direct_evaluation():
 
 
 def test_degenerate_zero_sequence():
-    # g = 1, so the weight-1 level answers, as for the constant ones block
+    # g = 1, so the weight-1 level answers, as for the constant ones block,
+    # from g alone: no syndrome column is built
     for bits in (0, 0b111111):
-        cert = find_periodic_peak(build_span(BitSequence.from_int(bits, 6, period=6)), 4)
+        span = build_span(BitSequence.from_int(bits, 6, period=6))
+        with mock.patch.object(codes, "_powers", side_effect=AssertionError("columns built")):
+            cert = find_periodic_peak(span, 4)
         assert (cert.order, cert.shifts, cert.period) == (1, (0,), 6)
 
 
@@ -316,14 +319,17 @@ def test_order_cap_validated():
 def test_uncapped_peak_search_and_full_rank_chain():
     # 1000000 has seven independent rotations, so its dual is {0} and the
     # threshold is None, which find_periodic_peak reads as no weight cap; its
-    # recurrence is x^7 + 1, and all seven shifts fold to the constant ones
+    # recurrence is x^7 + 1, and all seven shifts fold to the constant ones;
+    # that one dual support, g itself, is walked as a multiple with no
+    # syndrome column built
     span = build_span(loads("period=7\n10000001000000\n"))
     assert span.dimension == span.period == 7
     assert span.recurrence == 0b10000001
     assert _peak_recurrence(span) == 0b1111111
-    cert = find_periodic_peak(span, full_peak_threshold(7, span.dimension))
+    with mock.patch.object(codes, "_powers", side_effect=AssertionError("columns built")):
+        cert = find_periodic_peak(span, full_peak_threshold(7, span.dimension))
+        assert find_periodic_peak(span, 6) is None
     assert (cert.order, cert.shifts, cert.period) == (7, tuple(range(7)), 7)
-    assert find_periodic_peak(span, 6) is None
     with pytest.raises(ValueError):
         find_periodic_peak(span, 0)
     # below full rank, no cap is the same as a cap of T

@@ -387,15 +387,19 @@ def test_periodic_rotation_cut_matches_full_scan_exhaustively():
 
 
 def test_single_shift_set_orders_run_in_linear_memory():
-    # k = N aperiodic and k in {1, T} periodic each have one shift set: no N-deep
-    # recursion, and no table of N shifted N-bit copies (N**2 / 16 bytes, 25 MB here)
+    # k = N aperiodic and k in {1, T} periodic each have one shift set, and k = 1
+    # aperiodic reads one row: no N-deep recursion, and no table of N shifted
+    # N-bit copies (N**2 / 16 bytes, 25 MB here)
     n = 20000
     s = BitSequence.from_int(mask(n), n, period=n)
     tracemalloc.start()
     try:
-        answers = [periodic_measure(s, 1), periodic_measure(s, n), aperiodic_measure(s, n)]
+        answers = [periodic_measure(s, 1), periodic_measure(s, n), aperiodic_measure(s, n),
+                   aperiodic_measure(s, 1)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [(r.value, r.witness_d[-1]) for r in answers] == [(n, 0), (n, n - 1), (1, n - 1)]
+    assert [(r.value, r.witness_d[-1]) for r in answers] == [(n, 0), (n, n - 1), (1, n - 1),
+                                                              (n, 0)]
     assert peak < 4 << 20
+
