@@ -24,9 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from seqmeter.bitseq import BitSequence
 from seqmeter.bounds import log_complexity_bound, lc_correlation_bound, moc_correlation_bound
-from seqmeter.complexity import linear_complexity, max_order_complexity
+from seqmeter.complexity import linear_complexity
 from seqmeter.correlation import aperiodic_measure, search_cost
 from seqmeter.generators import fermat_threshold, gold_sequence, hall_sextic, m_sequence
+from seqmeter.moc import max_order_complexity
 
 
 def corpus(seed: int, random_count: int):

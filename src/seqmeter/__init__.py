@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "bitseq": ("BitSequence", "dumps", "load", "loads", "save"),
+    "bitseq": ("BitSequence", "ComplexityProfile", "dumps", "load", "loads", "save"),
     "bounds": (
         "BoundReport",
         "find_half_peak_witness",
@@ -33,14 +33,7 @@ _EXPORTS = {
         "build_span",
         "find_periodic_peak",
     ),
-    "complexity": (
-        "ComplexityProfile",
-        "kerror_linear_complexity",
-        "linear_complexity",
-        "linear_complexity_profile",
-        "max_order_complexity",
-        "max_order_complexity_profile",
-    ),
+    "complexity": ("kerror_linear_complexity", "linear_complexity", "linear_complexity_profile"),
     "correlation": (
         "BudgetExceededError",
         "CorrelationResult",
@@ -58,6 +51,7 @@ _EXPORTS = {
         "m_sequence",
         "small_kasami",
     ),
+    "moc": ("max_order_complexity", "max_order_complexity_profile"),
     "thresholds": ("full_peak_threshold", "half_peak_threshold", "table1", "table1_row"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

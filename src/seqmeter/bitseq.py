@@ -18,6 +18,10 @@ with ``int(..., 2)``, which puts the first bit highest, into the
 reversed register of Berlekamp-Massey, and `correlation._walk_extremes`
 reads a row's bytes through ``int.to_bytes``.
 
+Both complexity measures, L in `complexity` and M in `moc`, read a
+prefix through `_data_n` and `_bit_bytes` and report a
+`ComplexityProfile`, kept here so that neither module loads the other.
+
 `periodic_correlation` re-folds a shift set over two periods, the check
 that every periodic answer (a measure's witness, a full peak) passes.
 
@@ -35,7 +39,7 @@ when something is left does it look for the first stray character.
 
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 BITS_PER_LINE = 64
 
@@ -160,6 +164,37 @@ class BitSequence:
 
     def to01(self) -> str:
         return unpack(self.data, self.n)
+
+
+class ComplexityProfile(NamedTuple):
+    """Per-N values of a complexity measure over prefixes 1..N."""
+
+    values: tuple[int, ...]
+    coefficients: tuple[int, ...] | None = None  # linear: recurrence for the full prefix
+
+    @property
+    def final(self) -> int:
+        return self.values[-1] if self.values else 0
+
+
+def _data_n(seq: BitSequence | int, n: int | None):
+    if isinstance(seq, BitSequence):
+        if n is None:
+            n = seq.n
+        elif not 0 <= n <= seq.n:
+            raise ValueError(f"prefix length {n} out of range 0..{seq.n}")
+        return seq.data & mask(n), n
+    if n is None:
+        raise ValueError("raw int input needs an explicit length")
+    return seq & mask(n), n
+
+
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_bytes(data: int, n: int) -> bytes:
+    """Bits 0..n-1 of data as one byte each, 0 or 1, bit 0 first."""
+    return unpack(data, n).encode().translate(_TO_BITS)
 
 
 def loads(text: str) -> BitSequence:

@@ -15,7 +15,7 @@ built from them, live in `seqmeter.thresholds`.
 
 Convention: every logarithm here is log base 2.
 
-Each function imports the search modules (codes, complexity,
+Each function imports the search modules (codes, complexity, moc,
 correlation) it calls, so the pure-arithmetic calculators load none of
 them.
 """
@@ -194,8 +194,8 @@ def moc_half_peak_check(
     located; such a pair exists by pigeonhole on the 2**M + 1 windows of
     length M starting at 0..2**M.
     """
-    from .complexity import max_order_complexity
     from .correlation import aperiodic_measure
+    from .moc import max_order_complexity
 
     if n is None:
         n = seq.n

@@ -13,7 +13,12 @@ in its module under `seqmeter.commands`.  One walk over the words,
 descends with it into a group's invoked subcommand; a call imports,
 compiles and adds the arguments of only what it runs.  Help and usage
 errors print what a parser holding every command would.  Each handler
-in turn imports the modules it runs (see `seqmeter/__init__.py`).
+in turn imports the modules it runs (see `seqmeter/__init__.py`), and
+each measure has its own: `complexity` holds L and the k-error walk,
+`moc` holds M, their oracles are in `verify`, and the helpers both use
+are in `bitseq`.  Compiling is most of seqmeter's own cost in a small
+call: cli-oneshot `batch_s` reads 0.616 s without cached bytecode and
+0.521 s with it (2 cores, Python 3.11, `python -c pass` 49 ms).
 
 A process enters through `run()`: the console script `seqmeter` and
 `python -m seqmeter.cli` both call it.  It runs `main()` and then, on
@@ -76,18 +81,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"seqmeter {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
-    # --quiet is also accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value set at the top level.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    invoked = _add_subcommands(parser, "command", COMMANDS, argv, 0, common)
+    invoked = _add_subcommands(parser, "command", COMMANDS, argv, 0)
     if invoked is None:
         return parser
     i, p = invoked
     module = importlib.import_module(f".commands.{MODULES.get(argv[i], argv[i])}", __package__)
     if hasattr(module, "SUBCOMMANDS"):
-        invoked = _add_subcommands(p, module.DEST, module.SUBCOMMANDS, argv, i + 1, common)
+        invoked = _add_subcommands(p, module.DEST, module.SUBCOMMANDS, argv, i + 1)
         if invoked is None:
             return parser
         i, p = invoked

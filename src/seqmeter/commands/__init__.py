@@ -28,8 +28,7 @@ EXIT_BUDGET = 3
 
 
 def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names: dict, argv: list[str],
-                     start: int, common: argparse.ArgumentParser
-                     ) -> tuple[int, argparse.ArgumentParser] | None:
+                     start: int) -> tuple[int, argparse.ArgumentParser] | None:
     """Add parser's subcommands for argv[start:]; return the invoked one's index and parser.
 
     names maps each subcommand to its help line, or to None for none (a
@@ -45,7 +44,9 @@ def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names: dict, ar
     unknown subcommand, or a word argparse may read as positional) every
     name is added with no metavar, so help listings and the messages
     that name the action by its dest are argparse's own.  Each subparser
-    takes common as a parent; the caller adds the invoked one's arguments.
+    also accepts --quiet, hidden from its help; its SUPPRESS default keeps
+    it from clobbering a value set at the top level.  The caller adds the
+    invoked one's arguments.
     """
     i = next((i for i in range(start, len(argv)) if not argv[i].startswith("-")), len(argv))
     invoked = argv[i] if i < len(argv) and argv[i] in names else None
@@ -59,7 +60,8 @@ def _add_subcommands(parser: argparse.ArgumentParser, dest: str, names: dict, ar
                                 metavar="{" + ",".join(names) + "}" if alone else None)
     for name in [invoked] if alone else names:
         kwargs = {} if names[name] is None else {"help": names[name]}
-        sub.add_parser(name, parents=[common], **kwargs)
+        sub.add_parser(name, **kwargs).add_argument(
+            "--quiet", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return None if invoked is None else (i, sub.choices[invoked])
 
 

@@ -34,7 +34,7 @@ def cmd_lc(args) -> int:
 
 
 def cmd_moc(args) -> int:
-    from ..complexity import max_order_complexity, max_order_complexity_profile
+    from ..moc import max_order_complexity, max_order_complexity_profile
 
     seq = _load(args.file)
     n = seq.n if args.n is None else args.n

@@ -4,6 +4,8 @@ import argparse
 
 from . import EXIT_OK, _emit, _env_budget, _load
 
+NOTE_SHIFTS = 8  # shifts the stderr note lists; stdout's JSON holds them all
+
 
 def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     parser.add_argument("file")
@@ -27,6 +29,8 @@ def cmd_peaks(args) -> int:
         return EXIT_OK
     payload = cert.as_dict()
     payload.update(found=True, dimension=span.dimension, tmax=t_max)
-    _emit(args, payload,
-          f"full peak: order {cert.order}, shifts {list(cert.shifts)}, theta = {cert.period}")
+    shifts = ", ".join(map(str, cert.shifts[:NOTE_SHIFTS]))
+    if cert.order > NOTE_SHIFTS:
+        shifts += ", ..."
+    _emit(args, payload, f"full peak: order {cert.order}, shifts [{shifts}], theta = {cert.period}")
     return EXIT_OK

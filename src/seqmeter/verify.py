@@ -5,6 +5,10 @@ end at desk scale with exact arithmetic.  Checks return CheckResult
 rather than raising, so a single run reports every failure at once.
 The random corpus uses random.Random (portable Mersenne Twister), so a
 seed reproduces failures bit for bit on any platform.
+
+The definition-level oracles of both complexity measures live here,
+beside the check that compares them with the fast paths, and not in
+`complexity` or `moc`, so only `verify` compiles them.
 """
 
 import random
@@ -12,16 +16,10 @@ import time
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask, pack, periodic_correlation
+from .bitseq import BitSequence, _data_n, mask, pack, periodic_correlation
 from .bounds import find_half_peak_witness, kerror_bound, moc_half_peak_check
 from .codes import build_span, find_periodic_peak
-from .complexity import (
-    kerror_linear_complexity,
-    linear_complexity,
-    linear_complexity_bruteforce,
-    max_order_complexity,
-    max_order_complexity_bruteforce,
-)
+from .complexity import kerror_linear_complexity, linear_complexity
 from .correlation import aperiodic_measure, delta_under_flips
 from .generators import (
     fermat_threshold,
@@ -31,6 +29,7 @@ from .generators import (
     m_sequence,
     small_kasami,
 )
+from .moc import max_order_complexity
 from .thresholds import full_peak_threshold, half_peak_threshold, table1
 
 DEFAULT_SEED = 20240917
@@ -217,6 +216,48 @@ def check_moc_half_peak(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckR
     detail = ("half peak present in every low-complexity sequence"
               if not failures else "; ".join(failures[:4]))
     return _result("moc-half-peak", 60.0, start, not failures, detail, checked)
+
+
+def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:
+    """Definition-level oracle: try every (L, coefficient vector) in increasing L.
+
+    Exponential in L; intended for cross-checking at toy sizes.
+    """
+    data, n = _data_n(seq, n)
+    if data == 0:
+        return 0
+    for l in range(1, n + 1):
+        w = n - l
+        wins = [(data >> i) & mask(l) for i in range(w)]
+        succ = [(data >> (i + l)) & 1 for i in range(w)]
+        for c in range(1 << l):
+            for win, s in zip(wins, succ):
+                if (c & win).bit_count() & 1 != s:
+                    break
+            else:
+                return l
+    return n
+
+
+def max_order_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:
+    """Definition-level oracle: materialize every (window, successor) pair.
+
+    A window size is conflicting iff two equal windows carry different
+    successors, which sorting makes adjacent.  No shared machinery with
+    the suffix-automaton pass in `moc`.
+    """
+    data, n = _data_n(seq, n)
+    for m in range(n):
+        pairs = sorted(
+            (((data >> i) & mask(m)) << 1) | ((data >> (i + m)) & 1)
+            for i in range(n - m)
+        )
+        if all(
+            a >> 1 != b >> 1 or a == b
+            for a, b in zip(pairs, pairs[1:])
+        ):
+            return m
+    return 0 if n == 0 else n
 
 
 def check_oracle_equivalence(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:

@@ -72,6 +72,24 @@ def test_prefix():
     assert p.to01() == s.to01()[:3]
 
 
+def test_prefix_out_of_range():
+    s = BitSequence.from_int(0b110101, 6, period=6)
+    assert s.prefix(0) == BitSequence.from_int(0, 0, period=6)
+    assert s.prefix(6) == s
+    for n in (7, -1):
+        with pytest.raises(ValueError, match=rf"^prefix length {n} out of range 0\.\.6$"):
+            s.prefix(n)
+
+
+def test_equal_sequences_hash_equal():
+    a = BitSequence.from_int(0b1011, 4)
+    b = BitSequence([1, 1, 0, 1])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a, b} == {a}
+    # the period is part of the value: the same bits under a declared period differ
+    assert len({a, b, BitSequence.from_int(0b1011, 4, period=4), a.prefix(3)}) == 3
+
+
 def test_minimal_period_exact_scan():
     # 101101 has minimal period 3; 1011 has none shorter than 3 (s0==s3)
     assert BitSequence.from_int(0b101101, 6).minimal_period() == 3

@@ -16,13 +16,10 @@ from seqmeter.bounds import (
     moc_correlation_bound,
     moc_half_peak_check,
 )
-from seqmeter.complexity import (
-    kerror_linear_complexity,
-    linear_complexity,
-    max_order_complexity,
-)
+from seqmeter.complexity import kerror_linear_complexity, linear_complexity
 from seqmeter.correlation import aperiodic_measure, correlation_at, search_cost
 from seqmeter.generators import gold_sequence, m_sequence, small_kasami
+from seqmeter.moc import max_order_complexity
 from seqmeter.thresholds import full_peak_threshold, half_peak_threshold, table1, table1_row
 from test_codes import full_search
 from test_generators import _gold_prefix_with_breaking_bit

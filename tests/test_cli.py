@@ -260,6 +260,18 @@ def test_full_rank_span_peaks_at_every_shift(tmp_path, capsys):
     assert code == 0 and json.loads(out)["found"] is False
 
 
+def test_peaks_note_lists_at_most_eight_shifts(ms3, tmp_path, capsys):
+    # stdout's JSON holds the whole certificate; the stderr note only its start
+    assert run(["peaks", ms3], capsys)[2] == "full peak: order 3, shifts [0, 1, 3], theta = 7\n"
+    for t, note in ((8, "[0, 1, 2, 3, 4, 5, 6, 7]"), (9, "[0, 1, 2, 3, 4, 5, 6, 7, ...]")):
+        # a full-rank span peaks only where all t shifts fold to the constant ones
+        path = tmp_path / f"full{t}.txt"
+        save(BitSequence.from_int(1, t, period=t), path)
+        code, out, err = run(["peaks", str(path)], capsys)
+        assert (code, json.loads(out)["shifts"]) == (0, list(range(t)))
+        assert err == f"full peak: order {t}, shifts {note}, theta = {t}\n"
+
+
 @pytest.mark.parametrize("argv,k", [
     (["gen", "hall", "--t", "7"], 7),
     (["gen", "hall", "--t", "31"], 3),
@@ -665,41 +677,53 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main({argv!r})
     except SystemExit as exc:
         code = exc.code
-assert code == 0, code
+assert code == {code}, code
 """
 CLI = ["budget", "cli", "commands"]
+
+
+def _run_main(argv, code=0):
+    return RUN_MAIN.format(argv=argv, code=code)
 
 
 @pytest.mark.parametrize("setup,loaded", [
     ("import seqmeter", []),
     ("import seqmeter.cli", CLI),
-    (RUN_MAIN.format(argv=["--version"]), CLI),
-    (RUN_MAIN.format(argv=["lc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
-    (RUN_MAIN.format(argv=["corr", "ms3.txt", "--k", "2"]),
+    (_run_main(["--version"]), CLI),
+    (_run_main(["lc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
+    (_run_main(["corr", "ms3.txt", "--k", "2"]), CLI + ["bitseq", "commands.corr", "correlation"]),
+    (_run_main(["corr", "ms3.txt", "--k", "2", "--periodic"]),
      CLI + ["bitseq", "commands.corr", "correlation"]),
-    (RUN_MAIN.format(argv=["peaks", "ms3.txt"]),
+    # far over the default summand budget, as the benchmark's refusal call
+    (_run_main(["corr", "ms8.txt", "--k", "8"], code=3),
+     CLI + ["bitseq", "commands.corr", "correlation"]),
+    (_run_main(["peaks", "ms3.txt"]),
      CLI + ["bitseq", "codes", "commands.peaks", "complexity", "thresholds"]),
-    (RUN_MAIN.format(argv=["bounds", "verify", "thm1", "ms3.txt"]),
+    (_run_main(["bounds", "verify", "thm1", "ms3.txt"]),
      CLI + ["bitseq", "codes", "commands.bounds", "complexity", "thresholds"]),
-    (RUN_MAIN.format(argv=["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "commands.gen", "generators"]),
-    (RUN_MAIN.format(argv=["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "complexity"]),
-    (RUN_MAIN.format(argv=["kerror", "ms3.txt", "--k", "1"]),
+    (_run_main(["gen", "msequence", "--ell", "3"]), CLI + ["bitseq", "commands.gen", "generators"]),
+    (_run_main(["moc", "ms3.txt"]), CLI + ["bitseq", "commands.complexity", "moc"]),
+    (_run_main(["kerror", "ms3.txt", "--k", "1"]),
      CLI + ["bitseq", "commands.complexity", "complexity"]),
-    (RUN_MAIN.format(argv=["bounds", "table1"]), CLI + ["commands.bounds", "thresholds"]),
-    (RUN_MAIN.format(argv=["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["commands.bounds", "thresholds"]),
-    (RUN_MAIN.format(argv=["bounds", "cor3", "--k", "2", "--n", "16"]),
+    (_run_main(["bounds", "table1"]), CLI + ["commands.bounds", "thresholds"]),
+    (_run_main(["bounds", "thm2", "--n", "62", "--l", "5"]), CLI + ["commands.bounds", "thresholds"]),
+    (_run_main(["bounds", "cor3", "--k", "2", "--n", "16"]),
      CLI + ["bitseq", "bounds", "commands.bounds"]),
-    (RUN_MAIN.format(argv=["bounds", "verify", "thm2", "ms3.txt"]),
+    (_run_main(["bounds", "verify", "thm2", "ms3.txt"]),
      CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation", "thresholds"]),
-    (RUN_MAIN.format(argv=["bounds", "verify", "thm4", "ms3.txt"]),
-     CLI + ["bitseq", "bounds", "commands.bounds", "complexity", "correlation"]),
-    (RUN_MAIN.format(argv=["bounds", "kerror", "ms3.txt", "--flips", "1"]),
+    (_run_main(["bounds", "verify", "thm4", "ms3.txt"]),
+     CLI + ["bitseq", "bounds", "commands.bounds", "correlation", "moc"]),
+    (_run_main(["bounds", "kerror", "ms3.txt", "--flips", "1"]),
      CLI + ["bitseq", "bounds", "commands.bounds", "correlation"]),
-], ids=["package", "cli", "version", "lc", "corr", "peaks", "thm1", "gen", "moc", "kerror",
-        "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4", "bounds-kerror"])
+], ids=["package", "cli", "version", "lc", "corr", "corr-periodic", "corr-refusal", "peaks", "thm1",
+        "gen", "moc", "kerror", "table1", "bounds-thm2", "cor3", "verify-thm2", "verify-thm4",
+        "bounds-kerror"])
 def test_import_footprint(setup, loaded, tmp_path, capsys):
-    # each command loads only its own command module and the modules it runs
+    # each command loads only its own command module and the modules it runs,
+    # and no command loads both complexity measures
+    assert not {"complexity", "moc"} <= set(loaded)
     assert run(["gen", "msequence", "--ell", "3", "-o", str(tmp_path / "ms3.txt")], capsys)[0] == 0
+    assert run(["gen", "msequence", "--ell", "8", "-o", str(tmp_path / "ms8.txt")], capsys)[0] == 0
     code = f"{setup}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('seqmeter')))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,

@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeter import complexity
-from seqmeter.bitseq import BitSequence, mask
+from seqmeter.bitseq import BitSequence, _data_n, mask
 from seqmeter.budget import BudgetExceededError
 from seqmeter.complexity import (
     _berlekamp_massey,
-    _data_n,
-    _moc_profile,
     linear_complexity,
-    linear_complexity_bruteforce,
     linear_complexity_profile,
     kerror_linear_complexity,
-    max_order_complexity,
-    max_order_complexity_bruteforce,
-    max_order_complexity_profile,
 )
 from seqmeter.generators import m_sequence
+from seqmeter.moc import _moc_profile, max_order_complexity, max_order_complexity_profile
+from seqmeter.verify import linear_complexity_bruteforce, max_order_complexity_bruteforce
 
 
 def seq(bits):

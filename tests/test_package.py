@@ -20,11 +20,11 @@ PUBLIC = [
     "hall_sextic", "kerror_bound",
     "kerror_linear_complexity", "lc_correlation_bound", "linear_complexity",
     "linear_complexity_profile", "load", "loads", "log_complexity_bound",
-    "m_sequence", "max_order_complexity", "max_order_complexity_profile",
+    "m_sequence", "max_order_complexity", "max_order_complexity_profile", "moc",
     "moc_correlation_bound", "moc_half_peak_check", "periodic_measure", "save", "search_cost",
     "small_kasami", "table1", "table1_row", "thresholds",
 ]
-SUBMODULES = ["bitseq", "bounds", "codes", "complexity", "correlation", "generators",
+SUBMODULES = ["bitseq", "bounds", "codes", "complexity", "correlation", "generators", "moc",
               "thresholds"]
 
 

@@ -11,10 +11,9 @@ import pickle
 
 import pytest
 
-from seqmeter.bitseq import as_shifts, periodic_correlation
+from seqmeter.bitseq import ComplexityProfile, as_shifts, periodic_correlation
 from seqmeter.bounds import BoundReport
 from seqmeter.codes import CyclicSpan, PeakCertificate
-from seqmeter.complexity import ComplexityProfile
 from seqmeter.correlation import CorrelationResult
 from seqmeter.generators import fermat_threshold, gold_sequence, hall_sextic, m_sequence
 from seqmeter.thresholds import TABLE_FAMILIES, FamilyRow
