@@ -18,9 +18,11 @@ with ``int(..., 2)``, which puts the first bit highest, into the
 reversed register of Berlekamp-Massey, and `correlation._walk_extremes`
 reads a row's bytes through ``int.to_bytes``.
 
-Both complexity measures, L in `complexity` and M in `moc`, read a
-prefix through `_data_n` and `_bit_bytes` and report a
-`ComplexityProfile`, kept here so that neither module loads the other.
+Every measure, bound and CLI `--n` takes its prefix length through
+`_data_n`, the one place that length defaults and is range-checked.
+Both complexity measures, L in `complexity` and M in `moc`, also read
+the prefix through `_bit_bytes` and report a `ComplexityProfile`, kept
+here so that neither module loads the other.
 
 `periodic_correlation` re-folds a shift set over two periods, the check
 that every periodic answer (a measure's witness, a full peak) passes.
@@ -134,9 +136,7 @@ class BitSequence:
 
     def prefix(self, n: int) -> "BitSequence":
         """First n bits, keeping the declared period."""
-        if not 0 <= n <= self.n:
-            raise ValueError(f"prefix length {n} out of range 0..{self.n}")
-        return BitSequence.from_int(self.data & mask(n), n, self.period)
+        return BitSequence.from_int(*_data_n(self, n), self.period)
 
     def weight(self) -> int:
         return self.data.bit_count()
@@ -178,6 +178,10 @@ class ComplexityProfile(NamedTuple):
 
 
 def _data_n(seq: BitSequence | int, n: int | None):
+    """The first n bits of seq, and n: all of a BitSequence by default, else in 0..N.
+
+    A raw int has no length of its own, so it needs n.
+    """
     if isinstance(seq, BitSequence):
         if n is None:
             n = seq.n

@@ -23,7 +23,7 @@ them.
 import math
 from typing import NamedTuple
 
-from .bitseq import BitSequence, mask
+from .bitseq import BitSequence, _data_n, mask
 from .budget import DEFAULT_BUDGET
 
 # exhaustive order-k search is only attempted below this many summands
@@ -139,7 +139,7 @@ def find_half_peak_witness(
     """
     from .correlation import aperiodic_measure, correlation_at, search_cost
 
-    data = seq.data & mask(n)
+    data, n = _data_n(seq, n)
     exhausted_all = True
     for k in range(2, k_max + 1):
         if search_cost(n, k) > min(EXHAUSTIVE_FALLBACK_COST, budget):
@@ -197,8 +197,7 @@ def moc_half_peak_check(
     from .correlation import aperiodic_measure
     from .moc import max_order_complexity
 
-    if n is None:
-        n = seq.n
+    data, n = _data_n(seq, n)
     m = max_order_complexity(seq, n)
     inputs = {"N": n, "M": m}
     if (1 << (m + 2)) > n:
@@ -206,7 +205,7 @@ def moc_half_peak_check(
                            f"not fired: 2^(M+2) = {1 << (m + 2)} > {n}")
     r = aperiodic_measure(seq, 2, n, budget=budget)
     inputs["C2"] = r.value
-    d1, d2 = _agreeing_pair(seq.data, m)
+    d1, d2 = _agreeing_pair(data, m)
     inputs["witness"] = [d1, d2]
     held = 2 * r.value >= n
     note = (f"C_2 = {r.value}, need >= {n}/2: {'holds' if held else 'VIOLATED'}"
@@ -254,10 +253,9 @@ def kerror_bound(
     """
     from .correlation import aperiodic_measure, delta_under_flips
 
-    if n is None:
-        n = seq.n
     if k < 1:
         raise ValueError("k must be >= 1")
+    n = _data_n(seq, n)[1]
     corr = {}
     inflated = {}
     for j in range(1, k + 1):

@@ -127,14 +127,16 @@ def _peak_recurrence(span: CyclicSpan) -> int:
     A fold is constant iff it equals its own rotation, that is, iff f
     divides (x + 1) sum_{d in D} x^d, or g divides sum_{d in D} x^d.
     x + 1 divides f iff f has an even number of terms, and then g's
-    coefficient j is the sum of f's above j.
+    coefficient j is the sum of f's above j: a suffix XOR of f >> 1,
+    taken in shifts that double, so in O(log L) word-wide steps.
     """
     f = span.recurrence
     if f.bit_count() & 1:
         return f
-    g = 0
-    while f := f >> 1:
-        g ^= f
+    g, s = f >> 1, 1
+    while s < g.bit_length():
+        g ^= g >> s
+        s <<= 1
     return g
 
 

@@ -93,13 +93,15 @@ def _emit(args, payload: dict, human: str | None = None) -> None:
         print(human, file=sys.stderr)
 
 
-def _load(path: str):
-    from ..bitseq import load
+def _load(args):
+    """The sequence in args.file and its prefix length args.n, checked by `bitseq._data_n`."""
+    from ..bitseq import _data_n, load
 
     try:
-        return load(path)
+        seq = load(args.file)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {args.file}: {exc}")
+    return seq, _data_n(seq, getattr(args, "n", None))[1]
 
 
 def _parse_hex(text: str, what: str) -> int:

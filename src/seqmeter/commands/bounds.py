@@ -94,13 +94,13 @@ def _bounds_cor3(args) -> int:
 
 
 def _bounds_verify(args) -> int:
-    seq = _load(args.file)
+    if args.claim == "thm1" and args.n is not None:
+        raise ValueError("--n sets a prefix length; thm1 always checks one full period")
+    seq, n = _load(args)
     if args.claim == "thm1":
         from ..codes import build_span, find_periodic_peak
         from ..thresholds import full_peak_threshold
 
-        if args.n is not None:
-            raise ValueError("--n sets a prefix length; thm1 always checks one full period")
         span = build_span(seq)
         cap = full_peak_threshold(seq.period, span.dimension)
         if cap is None:
@@ -120,7 +120,6 @@ def _bounds_verify(args) -> int:
         from ..complexity import linear_complexity
         from ..thresholds import half_peak_threshold
 
-        n = seq.n if args.n is None else args.n
         l, _ = linear_complexity(seq, n)
         th = half_peak_threshold(n, l)
         if th is None:
@@ -136,7 +135,6 @@ def _bounds_verify(args) -> int:
     # thm4
     from ..bounds import moc_half_peak_check
 
-    n = seq.n if args.n is None else args.n
     report = moc_half_peak_check(seq, n, budget=args.budget)
     payload = report.as_dict()
     if not report.fired:
@@ -150,8 +148,7 @@ def _bounds_verify(args) -> int:
 def _bounds_kerror(args) -> int:
     from ..bounds import kerror_bound
 
-    seq = _load(args.file)
-    n = seq.n if args.n is None else args.n
+    seq, n = _load(args)
     report = kerror_bound(seq, n, k=args.k, flips=args.flips, budget=args.budget)
     _emit(args, report.as_dict(),
           f"complexity bound surviving {args.flips} flips: {report.value}")

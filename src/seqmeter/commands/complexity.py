@@ -20,8 +20,7 @@ def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
 def cmd_lc(args) -> int:
     from ..complexity import linear_complexity, linear_complexity_profile
 
-    seq = _load(args.file)
-    n = seq.n if args.n is None else args.n
+    seq, n = _load(args)
     if args.profile:
         prof = linear_complexity_profile(seq, n)
         payload = {"n": n, "value": prof.final, "profile": list(prof.values),
@@ -36,8 +35,7 @@ def cmd_lc(args) -> int:
 def cmd_moc(args) -> int:
     from ..moc import max_order_complexity, max_order_complexity_profile
 
-    seq = _load(args.file)
-    n = seq.n if args.n is None else args.n
+    seq, n = _load(args)
     if args.profile:
         prof = max_order_complexity_profile(seq, n)
         payload = {"n": n, "value": prof.final, "profile": list(prof.values)}
@@ -50,8 +48,7 @@ def cmd_moc(args) -> int:
 def cmd_kerror(args) -> int:
     from ..complexity import kerror_linear_complexity
 
-    seq = _load(args.file)
-    n = seq.n if args.n is None else args.n
+    seq, n = _load(args)
     value = kerror_linear_complexity(seq, n, errors=args.k, budget=args.budget)
     _emit(args, {"n": n, "k": args.k, "value": value},
           f"{args.k}-error linear complexity of first {n} bits: {value}")

@@ -18,13 +18,13 @@ def add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
 def cmd_corr(args) -> int:
     from ..correlation import aperiodic_measure, periodic_measure
 
-    seq = _load(args.file)
+    if args.periodic and args.n is not None:
+        raise ValueError("--n sets an aperiodic prefix; --periodic always uses one full period")
+    seq, n = _load(args)
     if args.periodic:
-        if args.n is not None:
-            raise ValueError("--n sets an aperiodic prefix; --periodic always uses one full period")
         result = periodic_measure(seq, args.k, budget=args.budget)
     else:
-        result = aperiodic_measure(seq, args.k, args.n, budget=args.budget)
+        result = aperiodic_measure(seq, args.k, n, budget=args.budget)
     _emit(args, result.as_dict(),
           f"order-{args.k} correlation: {result.value} ({result.classification})")
     return EXIT_OK

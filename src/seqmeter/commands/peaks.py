@@ -19,7 +19,7 @@ def cmd_peaks(args) -> int:
     from ..codes import build_span, find_periodic_peak
     from ..thresholds import full_peak_threshold
 
-    seq = _load(args.file)
+    seq, _ = _load(args)
     span = build_span(seq)
     t_max = full_peak_threshold(seq.period, span.dimension) if args.tmax is None else args.tmax
     cert = find_periodic_peak(span, t_max, budget=_env_budget())

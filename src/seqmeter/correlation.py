@@ -53,7 +53,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .bitseq import BitSequence, as_shifts, fold_extensions, mask, periodic_correlation, unpack
+from .bitseq import BitSequence, _data_n, as_shifts, fold_extensions, mask, periodic_correlation, unpack
 from .budget import DEFAULT_BUDGET, BudgetExceededError  # re-exported
 
 
@@ -112,17 +112,14 @@ def correlation_at(seq: BitSequence, u: int, shifts, n: int | None = None) -> in
     All accessed indices must fall inside the first n bits.
     """
     d = as_shifts(shifts)
-    if n is None:
-        n = seq.n
-    elif n > seq.n:
-        raise ValueError(f"n={n} exceeds sequence length {seq.n}")
+    data, n = _data_n(seq, n)
     if u < 1:
         raise ValueError(f"window must be >= 1, got {u}")
     if d[-1] + u > n:
         raise ValueError(f"window {u} with shift {d[-1]} exceeds n={n}")
     fold = 0
     for dj in d:
-        fold ^= seq.data >> dj
+        fold ^= data >> dj
     return u - 2 * (fold & mask(u)).bit_count()
 
 
@@ -244,16 +241,12 @@ def aperiodic_measure(
     re-verified with correlation_at.  jobs is accepted and ignored: the
     scan runs in this process.
     """
-    if n is None:
-        n = seq.n
-    elif not 1 <= n <= seq.n:
-        raise ValueError(f"n must be in 1..{seq.n}, got {n}")
+    data, n = _data_n(seq, n)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     cost = search_cost(n, k)
     if cost > budget:
         raise BudgetExceededError(cost, budget)
-    data = seq.data & mask(n)
     best = _scan_gaps(data, n, k)
     value, u, d = -best[0], best[1], best[2]
     if abs(correlation_at(seq, u, d, n)) != value:

@@ -15,6 +15,11 @@ first 2**ell - 1 + ell bits; `_msequence_period` requires it at step
 `small_kasami` decimates lap by lap (`_decimate`): the indices d*i mod T
 that fall in one lap around the period form one stride-d slice.
 
+`hall_sextic` walks the powers of its root g once, until they return to
+1: t - 1 distinct powers certify g as primitive, and the exponent of
+each power, mod 6, is its sextic class.  The default root is found the
+same way, by walking g = 2, 3, ... until one walk covers every unit.
+
 Every generator returns a BitSequence with the period declared, rendered
 over `periods` full periods (default 2, enough for recurrence synthesis
 and exact minimal-period scans downstream).
@@ -244,26 +249,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order(g: int, modulus: int) -> int:
-    if g % modulus == 0:
-        raise ValueError("g must be a unit")
-    acc = g % modulus
-    k = 1
-    while acc != 1:
-        acc = acc * g % modulus
-        k += 1
-        if k >= modulus:
-            raise ValueError(f"{g} is not a unit modulo {modulus}")
-    return k
-
-
-def smallest_primitive_root(t: int) -> int:
-    for g in range(2, t):
-        if multiplicative_order(g, t) == t - 1:
-            return g
-    raise ValueError(f"no primitive root modulo {t}")
-
-
 def hall_sextic(t: int, g: int | None = None, periods: int = 2) -> BitSequence:
     """Hall's sextic residue sequence of prime period t = 1 (mod 6).
 
@@ -275,15 +260,18 @@ def hall_sextic(t: int, g: int | None = None, periods: int = 2) -> BitSequence:
         raise ValueError(f"period {t} is not prime")
     if t % 6 != 1:
         raise ValueError(f"period {t} is not 1 mod 6")
-    if g is None:
-        g = smallest_primitive_root(t)
-    elif multiplicative_order(g, t) != t - 1:
+    for root in range(2, t) if g is None else (g,):
+        if root % t == 0:
+            raise ValueError("g must be a unit")
+        cls: dict[int, int] = {}  # root^e mod t -> e mod 6, until the powers return to 1
+        v = 1
+        while v not in cls:
+            cls[v] = len(cls) % 6
+            v = v * root % t
+        if len(cls) == t - 1:
+            break
+    else:
         raise ValueError(f"{g} is not a primitive root modulo {t}")
-    cls: dict[int, int] = {}
-    v = 1
-    for e in range(t - 1):
-        cls[v] = e % 6
-        v = v * g % t
     block = "0" + "".join("1" if cls[n] in (0, 1, 3) else "0" for n in range(1, t))
     return _tile(block, periods)
 

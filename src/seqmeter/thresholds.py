@@ -112,7 +112,17 @@ def table1_row(family: str, ell: int) -> dict:
     }
 
 
+# The largest degree whose table takes under 2 s.  The welch-gong row's
+# dimension 2^(ell/3) + 1 sets the cost, which grows about fourfold at each
+# multiple of 3: `bounds table1` took 1.6-1.9 s at ell = 57 to 59 and 6.5 s
+# at ell = 60 on a 2-core x86-64 host with Python 3.11.
+_ELL_MAX_CAP = 59
+
+
 def table1(ell_max: int = 20) -> list[dict]:
+    """Every family row with 2 <= ell <= ell_max; ValueError when ell_max is above _ELL_MAX_CAP."""
+    if ell_max > _ELL_MAX_CAP:
+        raise ValueError(f"ell_max must be at most {_ELL_MAX_CAP}, got {ell_max}")
     out = []
     for row in TABLE_FAMILIES:
         for ell in range(2, ell_max + 1):

@@ -49,8 +49,11 @@ class CheckResult(NamedTuple):
                 f"({self.cases} cases, {self.runtime:.2f}s / budget {self.budget_seconds:.0f}s)")
 
 
-def _result(name, budget_s, started, passed, detail, cases) -> CheckResult:
-    return CheckResult(name, passed, detail, time.perf_counter() - started, budget_s, cases)
+def _result(name, budget_s, started, failures, cases, detail) -> CheckResult:
+    """The check's verdict: passed with detail when failures is empty, else its first four failures."""
+    if failures:
+        detail = "; ".join(failures[:4])
+    return CheckResult(name, not failures, detail, time.perf_counter() - started, budget_s, cases)
 
 
 # expected exact thresholds per family; claimed values that the exact
@@ -86,8 +89,7 @@ def check_table1(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
         cases += 1
         if row["threshold"] != expected:
             failures.append(f"{family} ell={ell}: threshold {row['threshold']} != {expected}")
-    detail = "all thresholds as expected" if not failures else "; ".join(failures)
-    return _result("table-thresholds", 1.0, start, not failures, detail, cases)
+    return _result("table-thresholds", 1.0, start, failures, cases, "all thresholds as expected")
 
 
 def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
@@ -118,8 +120,8 @@ def check_periodic_peaks(scale: str = "full", seed: int = DEFAULT_SEED) -> Check
         theta = periodic_correlation(span.block, seq.period, cert.shifts)
         if not (lowest <= cert.order <= (t_cap or seq.period) and abs(theta) == seq.period):
             failures.append(f"{name}: bad certificate {cert}, Theta = {theta}")
-    detail = "all peaks found and verified" if not failures else "; ".join(failures)
-    return _result("periodic-peaks", 30.0, start, not failures, detail, len(instances))
+    return _result("periodic-peaks", 30.0, start, failures, len(instances),
+                   "all peaks found and verified")
 
 
 def _recurrence_block(rng: random.Random) -> tuple[int, int]:
@@ -176,9 +178,8 @@ def check_half_peak_random(scale: str = "full", seed: int = DEFAULT_SEED) -> Che
             failures.append(f"#{i}: witness out of contract: {witness}")
         elif witness["method"] == "constructive" and l and not coeffs[0]:
             factored += 1
-    detail = (f"{fired}/{count} fired, all witnessed ({factored} constructive with e > 0)"
-              if not failures else "; ".join(failures[:4]))
-    return _result("half-peak-random", 120.0, start, not failures, detail, count)
+    return _result("half-peak-random", 120.0, start, failures, count,
+                   f"{fired}/{count} fired, all witnessed ({factored} constructive with e > 0)")
 
 
 def _low_moc_candidates(n: int, m_cap: int):
@@ -213,9 +214,8 @@ def check_moc_half_peak(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckR
             failures.append(f"{seq.to01()}: C_2 = {report.value} below half")
         elif "witness" not in report.inputs:
             failures.append(f"{seq.to01()}: no agreeing shift pair located")
-    detail = ("half peak present in every low-complexity sequence"
-              if not failures else "; ".join(failures[:4]))
-    return _result("moc-half-peak", 60.0, start, not failures, detail, checked)
+    return _result("moc-half-peak", 60.0, start, failures, checked,
+                   "half peak present in every low-complexity sequence")
 
 
 def linear_complexity_bruteforce(seq: BitSequence | int, n: int | None = None) -> int:
@@ -291,8 +291,7 @@ def check_oracle_equivalence(scale: str = "full", seed: int = DEFAULT_SEED) -> C
         if v and a > l:
             failures.append(f"M > L #{i}: n={n}, data={v:0{n}b}")
             break
-    detail = "oracles agree everywhere" if not failures else "; ".join(failures[:4])
-    return _result("oracle-equivalence", 180.0, start, not failures, detail, cases)
+    return _result("oracle-equivalence", 180.0, start, failures, cases, "oracles agree everywhere")
 
 
 def check_special_sequences(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
@@ -315,8 +314,7 @@ def check_special_sequences(scale: str = "full", seed: int = DEFAULT_SEED) -> Ch
             failures.append(f"fermat {p}: minimal period {period} does not divide {p * p}")
         if any(f.bit(k * p) for k in range(p)):
             failures.append(f"fermat {p}: nonzero at a multiple of p")
-    detail = "periods and weights exact" if not failures else "; ".join(failures)
-    return _result("special-sequences", 5.0, start, not failures, detail, cases)
+    return _result("special-sequences", 5.0, start, failures, cases, "periods and weights exact")
 
 
 def check_kerror_consistency(scale: str = "full", seed: int = DEFAULT_SEED) -> CheckResult:
@@ -354,9 +352,8 @@ def check_kerror_consistency(scale: str = "full", seed: int = DEFAULT_SEED) -> C
                     failures.append(
                         f"{data:0{n}b} flips at {pos}: |{c2} - {base_c2}| > {ceiling}")
                     break
-    detail = ("bound below truth and perturbation within ceiling everywhere"
-              if not failures else "; ".join(failures[:4]))
-    return _result("kerror-consistency", 120.0, start, not failures, detail, cases)
+    return _result("kerror-consistency", 120.0, start, failures, cases,
+                   "bound below truth and perturbation within ceiling everywhere")
 
 
 ALL_CHECKS = (

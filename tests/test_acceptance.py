@@ -78,6 +78,14 @@ def test_table_check_catches_the_claimed_large_kasami_threshold(monkeypatch):
     assert r.detail == "large-kasami ell=6: threshold 7 != 9; large-kasami ell=8: threshold 7 != 9"
 
 
+def test_a_check_reports_its_first_four_failures(monkeypatch):
+    # five wrong m-sequence thresholds at quick scale, ell = 4..8
+    monkeypatch.setitem(verify.EXPECTED_THRESHOLDS, "m-sequence", lambda e: 4)
+    r = verify.check_table1(scale="quick")
+    assert not r.passed
+    assert r.detail == "; ".join(f"m-sequence ell={e}: threshold 3 != 4" for e in range(4, 8))
+
+
 def test_half_peak_check_catches_one_missing_witness(monkeypatch):
     # a witness search that finds nothing on the 43-bit prefixes (T = 21)
     search = verify.find_half_peak_witness

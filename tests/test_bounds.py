@@ -226,6 +226,19 @@ def test_half_peak_witness_above_the_window_skips_the_search():
     search.assert_not_called()
 
 
+@pytest.mark.parametrize("ell", [7, 8])
+def test_half_peak_witness_refuses_a_prefix_past_the_end(ell):
+    # order 2 over 2 (2^ell - 1) >= 254 bits is priced above the fallback, so
+    # an unchecked length would reach the window search with a zero past the
+    # end; the length is refused before any search starts
+    s = m_sequence(ell)
+    assert search_cost(s.n, 2) > bounds.EXHAUSTIVE_FALLBACK_COST
+    with mock.patch.object(codes, "low_weight_kernel_support",
+                           side_effect=AssertionError("searched")):
+        with pytest.raises(ValueError, match=rf"^prefix length {s.n + 1} out of range 0\.\.{s.n}$"):
+            find_half_peak_witness(s, s.n + 1, 4)
+
+
 def test_half_peak_witness_none_when_every_order_is_exhausted():
     # with no order in 2..k_max there is nothing to search
     assert find_half_peak_witness(BitSequence.from_int(1 << 99, 100), 100, 1) is None

@@ -137,6 +137,16 @@ def test_zero_prefix_length(ms3, capsys):
     assert run(["moc", ms3, "--n", "15"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("command,options", [
+    (["lc"], []), (["moc"], []), (["kerror"], ["--k", "1"]), (["corr"], ["--k", "2"]),
+    (["bounds", "kerror"], ["--flips", "1"]),
+], ids=["lc", "moc", "kerror", "corr", "bounds-kerror"])
+def test_prefix_length_past_the_end(command, options, ms3, capsys):
+    # every --n is checked in one place, with one message: ms3 holds 14 bits
+    assert run(command + [ms3, "--n", "15"] + options, capsys) == (
+        2, "", "seqmeter: prefix length 15 out of range 0..14\n")
+
+
 def test_kerror(ms3, capsys):
     code, out, _ = run(["kerror", ms3, "--k", "1"], capsys)
     assert code == 0
@@ -301,6 +311,12 @@ def test_bounds_table(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert {r["family"] for r in rows} >= {"m-sequence", "gold"}
+
+
+def test_bounds_table_refuses_degrees_above_the_cap(capsys):
+    # the welch-gong row at ell = 60 alone takes seconds
+    assert run(["bounds", "table1", "--ell-max", "60"], capsys) == (
+        2, "", "seqmeter: ell_max must be at most 59, got 60\n")
 
 
 def test_bounds_table_csv(capsys):

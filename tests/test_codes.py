@@ -235,6 +235,23 @@ def test_multiples_walk_matches_syndrome_levels_exhaustively():
                 assert _multiples(g, t, w, w) == _syndrome_levels(cols, w, w), (t, bits, w)
 
 
+def test_peak_recurrence_matches_long_division_exhaustively():
+    # every even-weight f below 2^14: x + 1 divides f, and the doubling
+    # suffix XOR gives the quotient of the one-shift-per-term loop and of
+    # long division
+    def one_shift_per_term(f):
+        g = 0
+        while f := f >> 1:
+            g ^= f
+        return g
+
+    for f in range(3, 1 << 14):
+        if f.bit_count() & 1:
+            continue
+        g = _peak_recurrence(CyclicSpan(f.bit_length() - 1, f, 0))
+        assert g == one_shift_per_term(f) == _pdiv(f, 0b11), f
+
+
 def test_multiples_walk_price():
     # over m columns x^j mod g the walk costs 2^(m - deg g) and takes a
     # weight-4 level, priced C(m-1, 1) + C(m-1, 2), only when no dearer:
@@ -614,8 +631,9 @@ GOLD_CASES += [(f"gold{ell}-3dec", ell, decimated_pair(ell)) for ell in (5, 7, 9
 
 @pytest.mark.parametrize("label,ell,pair", GOLD_CASES, ids=[c[0] for c in GOLD_CASES])
 def test_gold_zeros_match_syndrome_search(label, ell, pair):
-    # the shipped gold-7 pair has its second zero at rho^53, and 53^-1 = 12 is
-    # conjugate to 3, so it takes the swapped order; gold-6 has a kernel GF(4)
+    # zeros_field's factor takes u = 1 on every pair here; only the second
+    # table, built from the other factor f / g, takes the swapped order;
+    # gold-6 has a kernel GF(4)
     seq = gold_sequence(ell, taps_pair=pair)
     span = build_span(seq)
     _assert_zeros_match_syndromes(dual_syndromes(span), span.recurrence, 5, label)

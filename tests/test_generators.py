@@ -19,9 +19,7 @@ from seqmeter.generators import (
     is_prime,
     lfsr_cycle,
     m_sequence,
-    multiplicative_order,
     small_kasami,
-    smallest_primitive_root,
 )
 
 
@@ -245,10 +243,6 @@ def test_small_kasami_rejects_odd():
 def test_primality_helpers():
     assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
-    assert multiplicative_order(3, 7) == 6
-    assert multiplicative_order(2, 7) == 3
-    assert smallest_primitive_root(7) == 3
-    assert smallest_primitive_root(13) == 2
 
 
 @pytest.mark.parametrize("t", [7, 13, 19, 31, 37])
@@ -271,6 +265,13 @@ def test_hall_rejects_bad_modulus():
         hall_sextic(11)  # not 1 mod 6
     with pytest.raises(ValueError):
         hall_sextic(13, g=3)  # 3^3 = 1 mod 13, not primitive
+
+
+@pytest.mark.parametrize("t", [t for t in range(7, 200, 6) if is_prime(t)])
+def test_hall_default_root_is_the_smallest_primitive_root(t):
+    # the one walk per candidate root picks the least g whose powers cover all t - 1 units
+    root = next(g for g in range(2, t) if len({pow(g, e, t) for e in range(t - 1)}) == t - 1)
+    assert hall_sextic(t) == hall_sextic(t, root)
 
 
 def test_fermat_quotient_values():

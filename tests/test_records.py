@@ -150,6 +150,10 @@ def test_methods_and_properties():
     (lambda: hall_sextic(9), "period 9 is not prime"),
     (lambda: hall_sextic(11), "period 11 is not 1 mod 6"),
     (lambda: hall_sextic(7, 2), "2 is not a primitive root modulo 7"),
+    (lambda: hall_sextic(13, 16), "16 is not a primitive root modulo 13"),  # 16 = 3, 3^3 = 1
+    (lambda: hall_sextic(13, 1), "1 is not a primitive root modulo 13"),
+    (lambda: hall_sextic(13, 0), "g must be a unit"),
+    (lambda: hall_sextic(13, 26), "g must be a unit"),
     (lambda: fermat_threshold(2), "p must be an odd prime, got 2"),
     (lambda: fermat_threshold(9), "p must be an odd prime, got 9"),
     (lambda: fermat_threshold(2147483659), "p must fit in 31 bits"),
